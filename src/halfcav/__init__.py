@@ -2,95 +2,10 @@
 
 Simulates storage and shaped retrieval of single-photon pulses by a
 two-level atom whose decay rate is tuned between 0 and 2*gamma0 through
-the motion of a nearby mirror.
+the motion of a nearby mirror.  The package exports the scenario-level
+entry points; the physics layers live in the submodules.
 """
 
-from .core import (
-    ComplexEnvelope,
-    MemoryConfig,
-    TimeGrid,
-    cumtrapz,
-    squared_norm,
-    trapz,
-)
-from .dynamics import (
-    DecayProfile,
-    ExcitationTrace,
-    absorption_probability,
-    bloch_ode_oracle,
-    decay_from_mirror,
-    hold,
-    profile_from_gamma_z,
-)
-from .mirror import (
-    MirrorTrajectory,
-    decay_from_trajectory,
-    feasibility_report,
-    trajectory_from_decay,
-)
-from .pulses import TimeBinSpec, fidelity, fwhm, make_time_bin, shift
-from .read_shaper import (
-    ReadResult,
-    output_envelope,
-    read_efficiency,
-    read_profile_for_target,
-    total_efficiency,
-)
-from .scenario import (
-    GridSpec,
-    ScenarioConfig,
-    StoreRun,
-    SweepSpec,
-    build_store_run,
-    oracle_check,
-    sweep_point,
-)
-from .write_optimizer import (
-    WriteResult,
-    optimal_input_for_profile,
-    optimal_write_profile,
-    write_efficiency,
-)
-
-__all__ = [
-    "ComplexEnvelope",
-    "DecayProfile",
-    "ExcitationTrace",
-    "GridSpec",
-    "MemoryConfig",
-    "MirrorTrajectory",
-    "ReadResult",
-    "ScenarioConfig",
-    "StoreRun",
-    "SweepSpec",
-    "TimeBinSpec",
-    "TimeGrid",
-    "WriteResult",
-    "absorption_probability",
-    "bloch_ode_oracle",
-    "build_store_run",
-    "cumtrapz",
-    "decay_from_mirror",
-    "decay_from_trajectory",
-    "feasibility_report",
-    "fidelity",
-    "fwhm",
-    "hold",
-    "make_time_bin",
-    "optimal_input_for_profile",
-    "optimal_write_profile",
-    "oracle_check",
-    "output_envelope",
-    "profile_from_gamma_z",
-    "read_efficiency",
-    "read_profile_for_target",
-    "shift",
-    "squared_norm",
-    "sweep_point",
-    "total_efficiency",
-    "trajectory_from_decay",
-    "trapz",
-    "write_efficiency",
-]
+from .scenario import ScenarioConfig, StoreRun, build_store_run, oracle_check, sweep_point  # noqa: F401
 
 __version__ = "0.1.0"

@@ -17,24 +17,19 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from .mirror import feasibility_report, trajectory_from_decay
-from .scenario import ScenarioConfig, StoreRun, build_store_run, oracle_check, sweep_point, sweep_sigmas
+from .scenario import ScenarioConfig, StoreRun, build_store_run, oracle_check, sweep_point
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+def write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write columns of floats, each with 17 significant digits."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -74,31 +69,23 @@ def emit_store(run: StoreRun, out_dir: Path) -> dict:
     return record
 
 
-def _sweep_worker(args: tuple) -> dict:
-    raw_config, sigma = args
-    return sweep_point(ScenarioConfig.from_dict(raw_config), sigma)
-
-
 def emit_sweep(cfg: ScenarioConfig, out_dir: Path) -> list[dict]:
-    sigmas = sweep_sigmas(cfg)
-    raw = cfg.to_dict()
-    jobs = [(raw, float(s)) for s in sigmas]
+    if cfg.sweep is None:
+        raise ValueError("config has no sweep section")
+    sigmas = [float(s) for s in cfg.sweep.sigmas()]
     max_workers = os.cpu_count() or 1
     env_cap = os.environ.get("HALFCAV_THREADS")
     if env_cap:
         max_workers = max(1, min(max_workers, int(env_cap)))
-    max_workers = min(max_workers, len(jobs))
+    max_workers = min(max_workers, len(sigmas))
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(_sweep_worker, jobs))
+            rows = list(pool.map(partial(sweep_point, cfg), sigmas))
     else:
-        rows = [_sweep_worker(job) for job in jobs]
+        rows = [sweep_point(cfg, s) for s in sigmas]
     out_dir.mkdir(parents=True, exist_ok=True)
     header = ["sigma_over_gamma0", "eta_w", "eta_r", "eta", "F"]
-    with open(out_dir / "sweep.csv", "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in header) + "\n")
+    write_csv(out_dir / "sweep.csv", header, [[row[k] for row in rows] for k in header])
     return rows
 
 

@@ -38,7 +38,7 @@ class MemoryConfig:
     omega_a: float = 500.0
     tau: float = TWO_PI * 5.0 / 500.0
     markov_limit: float = 0.1
-    tau_adjustment: float = field(default=0.0, compare=False)
+    tau_adjustment: float = field(default=0.0, init=False, compare=False)
 
     def __post_init__(self):
         if self.gamma0 <= 0:

@@ -17,7 +17,7 @@ agreement is the main numerical cross-check of the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,21 +31,31 @@ HOLD_TOL = 1e-12
 class DecayProfile:
     """Sampled complex decay rate with its running integrals.
 
-    gamma_z = 2*Re(gamma_complex) samplewise, g = sqrt(gamma_z), and
-    Gamma/Gamma_z are the cumulative trapezoidal integrals from the grid
-    start.  Gamma_z is non-decreasing since gamma_z >= 0.
+    Built from (grid, gamma_complex) alone: gamma_z = 2*Re(gamma_complex)
+    samplewise, g = sqrt(gamma_z), and Gamma/Gamma_z are the cumulative
+    trapezoidal integrals from the grid start.  Gamma_z is non-decreasing
+    since gamma_z >= 0.
     """
 
     grid: TimeGrid
     gamma_complex: np.ndarray
-    gamma_z: np.ndarray
-    Gamma: np.ndarray
-    Gamma_z: np.ndarray
-    g: np.ndarray
+    gamma_z: np.ndarray = field(init=False)
+    Gamma: np.ndarray = field(init=False)
+    Gamma_z: np.ndarray = field(init=False)
+    g: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("gamma_complex", "gamma_z", "Gamma", "Gamma_z", "g"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        gamma_complex = np.asarray(self.gamma_complex, dtype=np.complex128)
+        gamma_z = 2.0 * gamma_complex.real
+        derived = {
+            "gamma_complex": gamma_complex,
+            "gamma_z": gamma_z,
+            "Gamma": cumtrapz(gamma_complex, self.grid),
+            "Gamma_z": cumtrapz(gamma_z, self.grid),
+            "g": np.sqrt(np.clip(gamma_z, 0.0, None)),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, _freeze(value))
 
 
 @dataclass(frozen=True)
@@ -78,30 +88,15 @@ def profile_from_gamma_z(
     gamma_z = np.clip(gamma_z, 0.0, cap)
     cos_phi = np.clip(1.0 - (gamma_z - cfg.gamma_prime) / cfg.gamma_p, -1.0, 1.0)
     sin_phi = np.sqrt(np.clip(1.0 - cos_phi**2, 0.0, None))
-    gamma_complex = 0.5 * gamma_z - 0.5j * cfg.gamma_p * sin_phi
-    return DecayProfile(
-        grid=grid,
-        gamma_complex=gamma_complex,
-        gamma_z=gamma_z,
-        Gamma=cumtrapz(gamma_complex, grid),
-        Gamma_z=cumtrapz(gamma_z, grid),
-        g=np.sqrt(gamma_z),
-    )
+    return DecayProfile(grid, 0.5 * gamma_z - 0.5j * cfg.gamma_p * sin_phi)
 
 
 def decay_from_mirror(trajectory, cfg: MemoryConfig) -> DecayProfile:
     """Decay profile generated by a mirror trajectory (l in wavelengths)."""
     phi = 4.0 * np.pi * np.asarray(trajectory.l_over_lambda, dtype=float)
-    gamma_z = cfg.gamma_prime + cfg.gamma_p * (1.0 - np.cos(phi))
-    gamma_complex = 0.5 * cfg.gamma_prime + 0.5 * cfg.gamma_p * (1.0 - np.exp(1j * phi))
-    grid = trajectory.grid
     return DecayProfile(
-        grid=grid,
-        gamma_complex=gamma_complex,
-        gamma_z=gamma_z,
-        Gamma=cumtrapz(gamma_complex, grid),
-        Gamma_z=cumtrapz(gamma_z, grid),
-        g=np.sqrt(np.clip(gamma_z, 0.0, None)),
+        trajectory.grid,
+        0.5 * cfg.gamma_prime + 0.5 * cfg.gamma_p * (1.0 - np.exp(1j * phi)),
     )
 
 

@@ -8,21 +8,26 @@ level shift.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import MemoryConfig, TimeGrid, _freeze
-from .dynamics import DecayProfile, decay_from_mirror
+from .dynamics import DecayProfile
 
 
 @dataclass(frozen=True)
 class MirrorTrajectory:
-    """Mirror displacement in units of the transition wavelength."""
+    """Mirror displacement in units of the transition wavelength.
+
+    ``velocity`` is d(l/lambda)/dt by central differences, in lambda*gamma0,
+    and ``v_max`` its peak magnitude; both are derived from the displacement.
+    """
 
     grid: TimeGrid
     l_over_lambda: np.ndarray
-    v_max: float = 0.0
+    velocity: np.ndarray = field(init=False)
+    v_max: float = field(init=False)
 
     def __post_init__(self):
         l = np.asarray(self.l_over_lambda, dtype=float)
@@ -30,14 +35,10 @@ class MirrorTrajectory:
             raise ValueError(f"expected {self.grid.n} samples, got {l.shape}")
         if not np.all(np.isfinite(l)):
             raise ValueError("trajectory must be finite")
-        object.__setattr__(self, "l_over_lambda", _freeze(l))
         v = np.gradient(l, self.grid.dt)
+        object.__setattr__(self, "l_over_lambda", _freeze(l))
+        object.__setattr__(self, "velocity", _freeze(v))
         object.__setattr__(self, "v_max", float(np.abs(v).max()))
-
-    @property
-    def velocity(self) -> np.ndarray:
-        """d(l/lambda)/dt by central differences, in lambda*gamma0."""
-        return np.gradient(self.l_over_lambda, self.grid.dt)
 
 
 def trajectory_from_decay(profile: DecayProfile, cfg: MemoryConfig) -> MirrorTrajectory:
@@ -52,12 +53,6 @@ def trajectory_from_decay(profile: DecayProfile, cfg: MemoryConfig) -> MirrorTra
         raise ValueError("gamma_z outside [0, 2*gamma0] beyond tolerance")
     phase = np.arccos(np.clip(1.0 - gz / cfg.gamma0, -1.0, 1.0))
     return MirrorTrajectory(profile.grid, phase / (4.0 * np.pi))
-
-
-def decay_from_trajectory(traj: MirrorTrajectory, cfg: MemoryConfig) -> DecayProfile:
-    """Decay profile generated by a mirror program; inverse of
-    trajectory_from_decay on the principal branch."""
-    return decay_from_mirror(traj, cfg)
 
 
 def feasibility_report(

@@ -16,7 +16,8 @@ The complex gamma_r imprints the level-shift chirp on the raw envelope.  By
 default the returned envelope is de-chirped (the phases arg(gamma_r) and
 -Im Gamma_r are removed), i.e. reported in the frame co-rotating with the
 shifted atomic resonance, matching the convention under which the write
-side compensates its input.  The raw chirped envelope stays available.
+side compensates its input; without phase compensation the chirped
+envelope is returned as is.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ class ReadResult:
     fidelity_vs_target: float
     capped: bool
     P0: float
-    xi_out_raw: ComplexEnvelope
     t_r0: float
     t_r: float
 
@@ -107,8 +107,7 @@ def read_profile_for_target(
     profile = profile_from_gamma_z(grid, gamma_z, cfg)
     capped = bool(gamma_z.max() >= cfg.cap - 1e-12)
 
-    xi_raw = output_envelope(profile, P0, cfg, dechirp=False)
-    xi_rep = output_envelope(profile, P0, cfg, dechirp=True) if phase_compensation else xi_raw
+    xi_rep = output_envelope(profile, P0, cfg, dechirp=phase_compensation)
     eta_r = float(trapz(np.abs(xi_rep.samples) ** 2, grid)) / P0
     return ReadResult(
         profile=profile,
@@ -117,15 +116,9 @@ def read_profile_for_target(
         fidelity_vs_target=fidelity(xi_rep, target),
         capped=capped,
         P0=P0,
-        xi_out_raw=xi_raw,
         t_r0=float(grid.times[i0]),
         t_r=float(grid.times[-1]),
     )
-
-
-def read_efficiency(profile: DecayProfile) -> float:
-    """Emitted fraction 1 - exp(-Gamma_z) accumulated over the read grid."""
-    return float(1.0 - math.exp(-profile.Gamma_z[-1]))
 
 
 def total_efficiency(w: WriteResult, r: ReadResult) -> float:

@@ -9,7 +9,7 @@ to the grid step so that the target shift is an exact sample translation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,8 @@ DT_RULE_FACTOR = 50.0
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid construction knobs; dt = min(1/gamma0, 1/sigma)/dt_factor.
+    """Grid step and padding: dt = min(1/gamma0, 1/sigma)/dt_factor, and the
+    grid starts padding/sigma before the first time bin.
 
     The default factor of 200 keeps the trapezoid-vs-RK4 population gap
     a few times below 1e-6; the hard floor for a resolved run is 50.
@@ -41,7 +42,6 @@ class GridSpec:
 
     dt_factor: float = 200.0
     padding: float = 8.0
-    n_override: int | None = None
 
     def __post_init__(self):
         if self.dt_factor <= 0:
@@ -81,14 +81,25 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.storage_T < 0:
             raise ValueError("storage_T must be non-negative")
+        if self.memory.gamma_prime != 0.0:
+            raise ValueError(
+                "memory.gamma_prime > 0 is not modelled end to end: pulse-mode "
+                "coupling, environment emission, rate caps and the hold all "
+                "assume gamma' = 0 (ROADMAP.md item 2, \"Make gamma' > 0 correct "
+                "end to end\"); set it to 0"
+            )
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(ScenarioConfig)})
+        if unknown:
+            raise ValueError(f"config: unknown keys {unknown}")
+
         def section(name, cls, defaults):
-            data = dict(defaults)
-            data.update(raw.get(name, {}) or {})
             try:
-                return cls(**data)
+                return cls(**{**defaults, **(raw.get(name) or {})})
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"config section '{name}': {exc}") from exc
 
@@ -111,40 +122,18 @@ class ScenarioConfig:
                 phase_compensation=bool(raw.get("phase_compensation", True)),
                 sweep=sweep,
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"config: {exc}") from exc
 
     def to_dict(self) -> dict:
-        out = {
-            "memory": {
-                "gamma0": self.memory.gamma0,
-                "gamma_prime": self.memory.gamma_prime,
-                "omega_a": self.memory.omega_a,
-                "tau": self.memory.tau,
-            },
-            "pulse": {
-                "alpha": self.pulse.alpha,
-                "beta": self.pulse.beta,
-                "phi": self.pulse.phi,
-                "t1": self.pulse.t1,
-                "t2": self.pulse.t2,
-                "sigma": self.pulse.sigma,
-            },
-            "storage_T": self.storage_T,
-            "grid": {
-                "dt_factor": self.grid.dt_factor,
-                "padding": self.grid.padding,
-                "n_override": self.grid.n_override,
-            },
-            "phase_compensation": self.phase_compensation,
-        }
-        if self.sweep is not None:
-            out["sweep"] = {
-                "sigma_min": self.sweep.sigma_min,
-                "sigma_max": self.sweep.sigma_max,
-                "n_points": self.sweep.n_points,
-                "log_spacing": self.sweep.log_spacing,
-            }
+        """The settable values, as accepted by ``from_dict``."""
+
+        def settable(obj):
+            return {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
+
+        out = {k: settable(v) if is_dataclass(v) else v for k, v in settable(self).items()}
+        if self.sweep is None:
+            del out["sweep"]
         return out
 
 
@@ -162,7 +151,6 @@ class StoreRun:
     trace_total: np.ndarray
     eta: float
     fidelity: float
-    t_r0: float
     t_mid: float
     shift_T: float
 
@@ -178,31 +166,33 @@ class StoreRun:
             "landmarks": {
                 "t_w": self.write.t_w - self.t_mid,
                 "t_w0": self.write.t_w0 - self.t_mid,
-                "t_r0": self.t_r0 - self.t_mid,
+                "t_r0": self.read.t_r0 - self.t_mid,
                 "t_r": self.read.t_r - self.t_mid,
             },
         }
 
 
-def default_write_grid(cfg: ScenarioConfig) -> TimeGrid:
-    """Grid covering the input pulse plus padding (write phase only)."""
-    pulse, mem, gs = cfg.pulse, cfg.memory, cfg.grid
-    dt = min(1.0 / mem.gamma0, 1.0 / pulse.sigma) / gs.dt_factor
-    pad = gs.padding / pulse.sigma
-    t_start = pulse.t1 - pad
-    span = pulse.t2 + pad - t_start
-    if gs.n_override is not None:
-        return TimeGrid(t_start, t_start + span, gs.n_override)
-    m = math.ceil(span / dt)
+def _step(cfg: ScenarioConfig, factor: float) -> float:
+    """Step resolving both the atomic lifetime and the pulse,
+    min(1/gamma0, 1/sigma)/factor."""
+    return min(1.0 / cfg.memory.gamma0, 1.0 / cfg.pulse.sigma) / factor
+
+
+def default_write_grid(cfg: ScenarioConfig, t_end_min: float | None = None) -> TimeGrid:
+    """Grid on the configured step from the padded pulse start through
+    t_end_min (by default the padded pulse end, i.e. the write phase only)."""
+    dt = _step(cfg, cfg.grid.dt_factor)
+    pad = cfg.grid.padding / cfg.pulse.sigma
+    t_start = cfg.pulse.t1 - pad
+    if t_end_min is None:
+        t_end_min = cfg.pulse.t2 + pad
+    m = math.ceil((t_end_min - t_start) / dt)
     return TimeGrid(t_start, t_start + m * dt, m + 1)
 
 
 def build_store_run(cfg: ScenarioConfig) -> StoreRun:
     """Run the full write/hold/read pipeline for one scenario."""
-    pulse, mem, gs = cfg.pulse, cfg.memory, cfg.grid
-    dt = min(1.0 / mem.gamma0, 1.0 / pulse.sigma) / gs.dt_factor
-    pad = gs.padding / pulse.sigma
-    t_start = pulse.t1 - pad
+    pulse, mem, dt = cfg.pulse, cfg.memory, _step(cfg, cfg.grid.dt_factor)
 
     # Locate the pulse support on a provisional write-phase grid so the
     # storage gap and read window can be laid out on exact grid steps.
@@ -219,8 +209,7 @@ def build_store_run(cfg: ScenarioConfig) -> StoreRun:
     t_end_min = max(t_w0 + shift_T + 2.0 * dt, t_r0 + tail)
 
     for attempt in range(4):
-        m = math.ceil((t_end_min - t_start) / dt)
-        grid = TimeGrid(t_start, t_start + m * dt, m + 1)
+        grid = default_write_grid(cfg, t_end_min)
         xi_in = make_time_bin(pulse, grid)
         w = optimal_write_profile(xi_in, mem, cfg.phase_compensation)
         target = shift(xi_in, shift_T)
@@ -253,16 +242,9 @@ def build_store_run(cfg: ScenarioConfig) -> StoreRun:
         trace_total=trace.P,
         eta=total_efficiency(w, r),
         fidelity=r.fidelity_vs_target,
-        t_r0=t_r0,
         t_mid=t_w0 + 0.5 * storage,
         shift_T=shift_T,
     )
-
-
-def sweep_sigmas(cfg: ScenarioConfig) -> np.ndarray:
-    if cfg.sweep is None:
-        raise ValueError("config has no sweep section")
-    return cfg.sweep.sigmas()
 
 
 def sweep_point(cfg: ScenarioConfig, sigma: float) -> dict:
@@ -321,7 +303,7 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345, n_random: int = 20) -> 
     """
     mem = cfg.memory
     grid = default_write_grid(cfg)
-    dt_rule = min(1.0 / mem.gamma0, 1.0 / cfg.pulse.sigma) / DT_RULE_FACTOR
+    dt_rule = _step(cfg, DT_RULE_FACTOR)
     coarse = grid.dt > dt_rule * (1.0 + 1e-9)
 
     xi_in = make_time_bin(cfg.pulse, grid)

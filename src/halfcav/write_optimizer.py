@@ -45,7 +45,6 @@ class WriteResult:
     eta_w: float
     trace: ExcitationTrace
     capped: bool
-    iterations: int
     xi_effective: ComplexEnvelope
     t_w: float
     t_w0: float
@@ -121,7 +120,6 @@ def optimal_write_profile(
         eta_w=eta_w,
         trace=trace,
         capped=capped,
-        iterations=1,
         xi_effective=xi_eff,
         t_w=float(grid.times[i0]),
         t_w0=float(grid.times[i1]),
@@ -131,8 +129,9 @@ def optimal_write_profile(
 def write_efficiency(profile: DecayProfile) -> float:
     """1 - exp(-Gamma_z) accumulated over the profile's grid.
 
-    Equals the achieved P(t_w0) only for uncapped optimal profiles matched
-    to their input; for arbitrary profiles it is an upper bound.
+    For a write it equals the achieved P(t_w0) only for uncapped optimal
+    profiles matched to their input; for arbitrary profiles it is an upper
+    bound.  For a read it is the emitted fraction eta_r.
     """
     return float(1.0 - math.exp(-profile.Gamma_z[-1]))
 

@@ -6,14 +6,9 @@ import pytest
 from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz, squared_norm, trapz
 from halfcav.dynamics import profile_from_gamma_z
 from halfcav.pulses import TimeBinSpec, fidelity, make_time_bin, shift, support_indices
-from halfcav.read_shaper import (
-    output_envelope,
-    read_efficiency,
-    read_profile_for_target,
-    total_efficiency,
-)
+from halfcav.read_shaper import output_envelope, read_profile_for_target, total_efficiency
 from halfcav.scenario import ScenarioConfig, build_store_run
-from halfcav.write_optimizer import optimal_write_profile
+from halfcav.write_optimizer import optimal_write_profile, write_efficiency
 
 MEM = MemoryConfig()
 SQ2 = math.sqrt(0.5)
@@ -144,21 +139,11 @@ class TestOutputEnvelope:
 
 
 class TestReadEfficiency:
-    def test_zero_rate(self):
-        grid = TimeGrid(0.0, 5.0, 501)
-        prof = profile_from_gamma_z(grid, np.zeros(501), MEM)
-        assert read_efficiency(prof) == 0.0
-
-    def test_full_rate(self):
-        grid = TimeGrid(0.0, 5.0, 501)
-        prof = profile_from_gamma_z(grid, np.full(501, 2.0), MEM)
-        assert read_efficiency(prof) == pytest.approx(1.0 - math.exp(-10.0), abs=1e-12)
-
     def test_matches_emitted_fraction(self):
         target = shifted_timebin(0.2)
         r = read_profile_for_target(target, P0=0.95, cfg=MEM)
         emitted = float(trapz(np.abs(r.xi_out.samples) ** 2, target.grid)) / 0.95
-        assert read_efficiency(r.profile) == pytest.approx(emitted, abs=1e-6)
+        assert write_efficiency(r.profile) == pytest.approx(emitted, abs=1e-6)
 
 
 class TestTotalEfficiency:
@@ -176,7 +161,7 @@ class TestTotalEfficiency:
 class TestEndToEndProperties:
     def test_probability_conservation_during_read(self):
         run = build_store_run(ScenarioConfig.from_dict({}))
-        i_r0 = run.grid.index_of(run.t_r0)
+        i_r0 = run.grid.index_of(run.read.t_r0)
         P = run.trace_total
         emitted = cumtrapz(np.abs(run.read.xi_out.samples) ** 2, run.grid)
         resid = P[i_r0] - P[i_r0:] - (emitted[i_r0:] - emitted[i_r0])
@@ -199,7 +184,7 @@ class TestEndToEndProperties:
         run = build_store_run(cfg)
         i0 = run.grid.index_of(run.write.t_w)
         i1 = run.grid.index_of(run.write.t_w0)
-        j0 = run.grid.index_of(run.t_r0)
+        j0 = run.grid.index_of(run.read.t_r0)
         wseg = run.write.profile.gamma_z[i0 : i1 + 1]
         rseg = run.read.profile.gamma_z[j0 : j0 + wseg.size]
         assert np.max(np.abs(wseg - rseg[::-1])) <= 1e-6

@@ -88,7 +88,6 @@ class TestOptimalWriteProfile:
         i1 = env.grid.index_of(w.t_w0)
         assert w.eta_w == w.trace.P[i1]
         assert w.capped == (w.profile.gamma_z.max() >= MEM.cap - 1e-12)
-        assert w.iterations == 1
         assert 0.0 <= w.trace.P.max() <= 1.0
 
     def test_non_normalized_rejected(self):
