@@ -139,6 +139,17 @@ class TestOutputEnvelope:
 
 
 class TestReadEfficiency:
+    # eta_r of a read profile is given by the shared formula write_efficiency
+    def test_zero_rate(self):
+        grid = TimeGrid(0.0, 5.0, 501)
+        prof = profile_from_gamma_z(grid, np.zeros(501), MEM)
+        assert write_efficiency(prof) == 0.0
+
+    def test_full_rate(self):
+        grid = TimeGrid(0.0, 5.0, 501)
+        prof = profile_from_gamma_z(grid, np.full(501, 2.0), MEM)
+        assert write_efficiency(prof) == pytest.approx(1.0 - math.exp(-10.0), abs=1e-12)
+
     def test_matches_emitted_fraction(self):
         target = shifted_timebin(0.2)
         r = read_profile_for_target(target, P0=0.95, cfg=MEM)
