@@ -6,9 +6,10 @@ Subcommands:
   oracle  quadrature vs RK4 check -> JSON report on stdout, exit 0/1
   mirror  mirror program export  -> mirror.csv + feasibility.json
 
-All emitted files are deterministic byte-for-byte for a fixed config and
-seed: floats are written with 17 significant digits, JSON keys are sorted,
-and sweep rows are written in input order regardless of worker scheduling.
+All emitted files are deterministic byte-for-byte for a fixed config (and,
+for oracle, a fixed --seed, the only subcommand that draws random numbers):
+floats are written with 17 significant digits, JSON keys are sorted, and
+sweep rows are written in input order regardless of worker scheduling.
 """
 from __future__ import annotations
 
@@ -114,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="scenario JSON file")
         p.add_argument("--out", default="results", help="output directory")
-        p.add_argument("--seed", type=int, default=12345, help="RNG seed")
+        if name == "oracle":
+            p.add_argument("--seed", type=int, default=12345, help="RNG seed")
         p.add_argument(
             "--no-phase-compensation",
             action="store_true",

@@ -23,9 +23,6 @@ import numpy as np
 
 from .core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz, _freeze
 
-# gamma_z below this counts as "coupling off" (atom held at a node).
-HOLD_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class DecayProfile:
@@ -221,12 +218,3 @@ def bloch_ode_oracle(
         P[k + 1] = 0.5 * (1.0 + s1.real)
         amplitude[k + 1] = -s3
     return ExcitationTrace(grid=profile.grid, P=P, amplitude=amplitude)
-
-
-def hold(profile: DecayProfile, t_a: float, t_b: float) -> bool:
-    """True when the coupling stays off (gamma_z < 1e-12) on [t_a, t_b]."""
-    if not t_a < t_b:
-        raise ValueError("need t_a < t_b")
-    i = profile.grid.index_of(t_a)
-    j = profile.grid.index_of(t_b)
-    return bool(np.all(profile.gamma_z[i : j + 1] < HOLD_TOL))

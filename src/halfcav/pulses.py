@@ -1,5 +1,5 @@
 """Single-photon temporal envelopes: Gaussian time-bin pulses, overlap
-fidelity, and time translation.
+fidelity, and translation by whole grid steps.
 
 Envelopes are defined in the frame rotating at the atomic transition
 frequency (resonant carrier), so no optical oscillation is sampled.
@@ -99,42 +99,27 @@ def support_indices(env: ComplexEnvelope, cutoff: float = SUPPORT_CUTOFF):
     return int(idx[0]), int(idx[-1])
 
 
-def shift(env: ComplexEnvelope, T: float) -> ComplexEnvelope:
-    """Translate the envelope by T, erroring if its support would leave
-    the grid.
+def shift(env: ComplexEnvelope, steps: int) -> ComplexEnvelope:
+    """Move the envelope by a whole number of grid steps, later in time for
+    steps > 0 and earlier for steps < 0, padding with zeros.
 
-    Shifts that are whole grid steps are exact sample moves; fractional
-    remainders use an FFT phase ramp, which is norm-preserving for the
-    band-limited envelopes handled here.
+    Every sample moves exactly; raises ValueError if the pulse support would
+    leave the grid or the samples pushed off it carry non-negligible energy.
     """
-    dt = env.grid.dt
     norm = squared_norm(env)
     if norm == 0.0:
         return env
+    n = env.grid.n
     first, last = support_indices(env)
-    steps = T / dt
-    if first + steps < -0.5 or last + steps > env.grid.n - 0.5:
-        raise ValueError(
-            f"shift by {T:.6g} moves the pulse support off the grid"
-        )
-    k = int(round(steps))
-    frac = steps - k
-
-    samples = np.array(env.samples)
-    if abs(frac) > 1e-9:
-        # Fractional sample shift via the spectral phase ramp.
-        freqs = np.fft.fftfreq(env.grid.n)
-        samples = np.fft.ifft(
-            np.fft.fft(samples) * np.exp(-2j * np.pi * freqs * frac)
-        )
-    if k > 0:
-        dropped = samples[env.grid.n - k :]
-        samples = np.concatenate([np.zeros(k, dtype=complex), samples[: env.grid.n - k]])
-    elif k < 0:
-        dropped = samples[:-k]
-        samples = np.concatenate([samples[-k:], np.zeros(-k, dtype=complex)])
+    if first + steps < 0 or last + steps > n - 1:
+        raise ValueError(f"shift by {steps} steps moves the pulse support off the grid")
+    samples = np.zeros(n, dtype=complex)
+    if steps >= 0:
+        samples[steps:] = env.samples[: n - steps]
+        dropped = env.samples[n - steps :]
     else:
-        dropped = np.zeros(0, dtype=complex)
-    if dropped.size and float(np.sum(np.abs(dropped) ** 2)) * dt > SUPPORT_CUTOFF * norm:
-        raise ValueError(f"shift by {T:.6g} clips non-negligible amplitude")
+        samples[:steps] = env.samples[-steps:]
+        dropped = env.samples[:-steps]
+    if float(np.sum(np.abs(dropped) ** 2)) * env.grid.dt > SUPPORT_CUTOFF * norm:
+        raise ValueError(f"shift by {steps} steps clips non-negligible amplitude")
     return env.with_samples(samples)

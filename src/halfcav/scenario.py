@@ -1,15 +1,18 @@
 """End-to-end store/retrieve scenarios on a common time grid.
 
-The builder samples the input pulse, optimizes the write program, holds the
-atom at the node for the storage period, shapes the read program toward the
-time-shifted input, and assembles the composite decay profile, population
-trace, and summary record.  Storage durations and window edges are snapped
-to the grid step so that the target shift is an exact sample translation.
+The builder lays the timeline out in one pass: it samples the input pulse,
+optimizes the write program over the pulse support, and shapes the read
+program toward the input moved by a whole number of grid steps, so the read
+support starts round(storage_T/dt) samples after the write support ends.
+Both programs are zero outside their supports, so the atom sits at the node
+(gamma_z exactly 0) throughout the storage gap by construction.  The
+composite decay profile, population trace and summary record follow.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -18,7 +21,6 @@ from .dynamics import (
     DecayProfile,
     absorption_probability,
     bloch_ode_oracle,
-    hold,
     profile_from_gamma_z,
 )
 from .pulses import TimeBinSpec, make_time_bin, shift, support_indices
@@ -29,6 +31,32 @@ SQRT_HALF = math.sqrt(0.5)
 
 # Sampling rule: dt must resolve both the atomic lifetime and the pulse.
 DT_RULE_FACTOR = 50.0
+
+# JSON values a config field of each annotated type accepts.
+_JSON_TYPES = {
+    bool: ("true or false", bool),
+    int: ("an integer", int),
+    float: ("a finite number", (int, float)),
+}
+
+
+def _typed(cls, values: dict) -> dict:
+    """values, after checking each bool/int/float field of cls against its
+    annotation: a bool only from true/false, an int only from an integer, a
+    float from either finite number.  Other fields are left to cls."""
+    hints = get_type_hints(cls)
+    for key, value in values.items():
+        kind = hints.get(key)
+        if kind not in _JSON_TYPES:
+            continue
+        expected, accepted = _JSON_TYPES[kind]
+        if (
+            isinstance(value, bool) != (kind is bool)
+            or not isinstance(value, accepted)
+            or (kind is float and not math.isfinite(value))
+        ):
+            raise ValueError(f"{key} must be {expected}, got {value!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -92,16 +120,16 @@ class ScenarioConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
+            raise ValueError("expected a JSON object at the top level")
         unknown = sorted(set(raw) - {f.name for f in fields(ScenarioConfig)})
         if unknown:
-            raise ValueError(f"config: unknown keys {unknown}")
+            raise ValueError(f"unknown keys {unknown}")
 
         def section(name, cls, defaults):
             try:
-                return cls(**{**defaults, **(raw.get(name) or {})})
+                return cls(**_typed(cls, {**defaults, **(raw.get(name) or {})}))
             except (TypeError, ValueError) as exc:
-                raise ValueError(f"config section '{name}': {exc}") from exc
+                raise ValueError(f"section '{name}': {exc}") from exc
 
         memory = section("memory", MemoryConfig, {})
         pulse = section(
@@ -113,17 +141,15 @@ class ScenarioConfig:
         sweep = None
         if raw.get("sweep") is not None:
             sweep = section("sweep", SweepSpec, {})
-        try:
-            return ScenarioConfig(
-                memory=memory,
-                pulse=pulse,
-                storage_T=float(raw.get("storage_T", 30.0)),
-                grid=grid,
-                phase_compensation=bool(raw.get("phase_compensation", True)),
-                sweep=sweep,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config: {exc}") from exc
+        _typed(ScenarioConfig, raw)
+        return ScenarioConfig(
+            memory=memory,
+            pulse=pulse,
+            storage_T=float(raw.get("storage_T", 30.0)),
+            grid=grid,
+            phase_compensation=raw.get("phase_compensation", True),
+            sweep=sweep,
+        )
 
     def to_dict(self) -> dict:
         """The settable values, as accepted by ``from_dict``."""
@@ -152,7 +178,6 @@ class StoreRun:
     eta: float
     fidelity: float
     t_mid: float
-    shift_T: float
 
     def record(self) -> dict:
         return {
@@ -191,45 +216,39 @@ def default_write_grid(cfg: ScenarioConfig, t_end_min: float | None = None) -> T
 
 
 def build_store_run(cfg: ScenarioConfig) -> StoreRun:
-    """Run the full write/hold/read pipeline for one scenario."""
+    """Run the full write/hold/read pipeline for one scenario, in one pass.
+
+    With the input support at samples [j0, j1], the hold lasts
+    round(storage_T/dt) whole steps and the read target is the input moved
+    by k = (j1 - j0) + round(storage_T/dt) samples, so the read support is
+    [j0 + k, j1 + k].  Write and read rates are zero outside their
+    supports, so gamma_z is exactly 0 on every sample between them.
+    Raises RuntimeError when an uncapped read leaves more than 1e-6 of the
+    stored population in the atom at the grid end; the read rate is zero
+    past its support, so no longer grid would drain it.
+    """
     pulse, mem, dt = cfg.pulse, cfg.memory, _step(cfg, cfg.grid.dt_factor)
 
-    # Locate the pulse support on a provisional write-phase grid so the
-    # storage gap and read window can be laid out on exact grid steps.
+    # The write support on the write-phase grid fixes the grid end; the
+    # full grid has the same start and step, so the support keeps its indices.
     g0 = default_write_grid(cfg)
-    xi0 = make_time_bin(pulse, g0)
-    j0, j1 = support_indices(xi0)
+    j0, j1 = support_indices(make_time_bin(pulse, g0))
     t_w = float(g0.times[j0])
     t_w0 = float(g0.times[j1])
-    storage = round(cfg.storage_T / dt) * dt
+    hold_steps = round(cfg.storage_T / dt)
+    storage = hold_steps * dt
     t_r0 = t_w0 + storage
-    shift_T = t_r0 - t_w
-
     tail = 12.0 / min(pulse.sigma, mem.gamma0)
-    t_end_min = max(t_w0 + shift_T + 2.0 * dt, t_r0 + tail)
+    grid = default_write_grid(cfg, max(t_w0 + (t_r0 - t_w) + 2.0 * dt, t_r0 + tail))
 
-    for attempt in range(4):
-        grid = default_write_grid(cfg, t_end_min)
-        xi_in = make_time_bin(pulse, grid)
-        w = optimal_write_profile(xi_in, mem, cfg.phase_compensation)
-        target = shift(xi_in, shift_T)
-        r = read_profile_for_target(target, w.eta_w, mem, cfg.phase_compensation)
-
-        gz_total = w.profile.gamma_z + r.profile.gamma_z
-        profile_total = profile_from_gamma_z(grid, gz_total, mem)
-        trace = absorption_probability(profile_total, w.xi_effective)
-        residual = float(trace.P[-1])
-        if r.capped or residual <= 1e-6 * w.eta_w:
-            break
-        # Uncapped read left too much population: lengthen the window.
-        t_end_min += tail
-    else:
+    xi_in = make_time_bin(pulse, grid)
+    w = optimal_write_profile(xi_in, mem, cfg.phase_compensation)
+    target = shift(xi_in, (j1 - j0) + hold_steps)
+    r = read_profile_for_target(target, w.eta_w, mem, cfg.phase_compensation)
+    profile_total = profile_from_gamma_z(grid, w.profile.gamma_z + r.profile.gamma_z, mem)
+    trace = absorption_probability(profile_total, w.xi_effective)
+    if not r.capped and trace.P[-1] > 1e-6 * w.eta_w:
         raise RuntimeError("read window failed to drain the stored population")
-
-    # Storage proper runs strictly between the last write sample and the
-    # first read sample; the boundary samples carry the support cutoff tails.
-    if storage > 2.0 * dt and not hold(profile_total, w.t_w0 + dt, t_r0 - dt):
-        raise RuntimeError("coupling failed to stay off during storage")
 
     return StoreRun(
         config=cfg,
@@ -243,7 +262,6 @@ def build_store_run(cfg: ScenarioConfig) -> StoreRun:
         eta=total_efficiency(w, r),
         fidelity=r.fidelity_vs_target,
         t_mid=t_w0 + 0.5 * storage,
-        shift_T=shift_T,
     )
 
 

@@ -49,10 +49,6 @@ class WriteResult:
     t_w: float
     t_w0: float
 
-    @property
-    def window(self) -> tuple[float, float]:
-        return (self.t_w, self.t_w0)
-
 
 def _synthesize_gamma_z(q2: np.ndarray, dt: float, cap: float, eps: float) -> np.ndarray:
     """Forward synthesis of the optimal rate for intensity samples q2.

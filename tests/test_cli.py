@@ -33,9 +33,18 @@ class TestConfigRejected:
             {"storage_t": 10.0},
             {"memory": {"tau_adjustment": 0.0}},
             {"grid": {"n_override": 1001}},
+            {"phase_compensation": "false"},
+            {"storage_T": "30"},
+            {"storage_T": True},
+            {"sweep": {**SWEEP3, "n_points": 3.5}},
+            {"pulse": {"phi": "1"}},
+            '{"storage_T": NaN}',
+            '{"pulse": {"sigma": Infinity}}',
         ],
         ids=["invalid_json", "not_an_object", "unknown_section_key",
-             "unknown_top_level_key", "tau_adjustment", "n_override"],
+             "unknown_top_level_key", "tau_adjustment", "n_override",
+             "bool_from_string", "float_from_string", "float_from_bool",
+             "int_from_float", "section_float_from_string", "nan", "infinity"],
     )
     def test_exit_2(self, tmp_path, config, capsys):
         assert run_cli(tmp_path, "store", config) == 2
@@ -51,8 +60,15 @@ class TestConfigRejected:
         config = {"memory": {"gamma_prime": 0.1}, "sweep": SWEEP3}
         assert run_cli(tmp_path, command, config) == 2
         err = capsys.readouterr()
-        assert "gamma_prime" in err.err
+        assert err.err.startswith("halfcav: invalid config: memory.gamma_prime > 0 ")
         assert err.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
+    def test_seed_only_on_oracle(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
 
 
@@ -61,6 +77,11 @@ class TestConfigRoundTrip:
     def test_from_dict_inverts_to_dict(self, raw):
         cfg = ScenarioConfig.from_dict(raw)
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_float_fields_accept_integers(self):
+        cfg = ScenarioConfig.from_dict({"storage_T": 30, "pulse": {"t1": 0, "t2": 20}})
+        assert cfg == ScenarioConfig.from_dict({})
+        assert cfg.to_dict()["storage_T"] == 30.0
 
     def test_sweep_keeps_markov_limit(self, tmp_path):
         assert run_cli(tmp_path, "sweep", MARKOV) == 0

@@ -8,7 +8,6 @@ from halfcav.dynamics import (
     absorption_probability,
     bloch_ode_oracle,
     decay_from_mirror,
-    hold,
     profile_from_gamma_z,
 )
 from halfcav.mirror import MirrorTrajectory
@@ -252,23 +251,3 @@ class TestTraceProperties:
         for (eq1, eo1), (eq2, eo2) in zip(errs, errs[1:]):
             assert eq1 / eq2 == pytest.approx(4.0, rel=0.25)
             assert eo1 / eo2 == pytest.approx(4.0, rel=0.25)
-
-
-class TestHold:
-    def test_node_profile_holds(self):
-        grid = TimeGrid(0.0, 10.0, 1001)
-        prof = profile_from_gamma_z(grid, np.zeros(1001), MEM)
-        assert hold(prof, 2.0, 8.0)
-
-    def test_antinode_sample_breaks_hold(self):
-        grid = TimeGrid(0.0, 10.0, 1001)
-        gz = np.zeros(1001)
-        gz[500] = 2.0
-        prof = profile_from_gamma_z(grid, gz, MEM)
-        assert not hold(prof, 2.0, 8.0)
-
-    def test_window_validation(self):
-        grid = TimeGrid(0.0, 10.0, 1001)
-        prof = profile_from_gamma_z(grid, np.zeros(1001), MEM)
-        with pytest.raises(ValueError):
-            hold(prof, 8.0, 2.0)

@@ -99,11 +99,11 @@ class TestFidelity:
         a = TimeBinSpec(alpha=1.0, beta=0.0, t1=0.0, t2=1.0, sigma=0.5)
         grid = TimeGrid(-20.0, 120.0, 14001)
         env_a = make_time_bin(a, grid)
-        env_b = shift(env_a, 100.0)
+        env_b = shift(env_a, 10_000)  # 100 time units at dt = 0.01
         assert fidelity(env_a, env_b) == pytest.approx(0.0, abs=1e-9)
 
     def test_symmetry(self):
-        other = shift(self.env, 3.0)
+        other = shift(self.env, 150)
         assert fidelity(self.env, other) == pytest.approx(
             fidelity(other, self.env), abs=1e-14
         )
@@ -119,7 +119,7 @@ class TestFidelity:
             fidelity(self.env, zero)
 
     def test_phase_and_scale_invariance(self):
-        other = shift(self.env, 5.0)
+        other = shift(self.env, 250)
         base = fidelity(self.env, other)
         rotated = other.with_samples(other.samples * 2.5 * np.exp(0.7j))
         assert fidelity(self.env, rotated) == pytest.approx(base, rel=1e-12)
@@ -131,11 +131,14 @@ class TestShift:
         self.env = make_time_bin(self.spec, grid_for(self.spec))
 
     def test_zero_shift_identity(self):
-        out = shift(self.env, 0.0)
+        out = shift(self.env, 0)
         assert np.array_equal(out.samples, self.env.samples)
 
     def test_roundtrip(self):
-        out = shift(shift(self.env, 7.3), -7.3)
+        k = 365
+        out = shift(shift(self.env, k), -k)
+        n = self.env.grid.n
+        assert np.array_equal(out.samples[: n - k], self.env.samples[: n - k])
         err = math.sqrt(
             float(
                 np.trapezoid(
@@ -146,16 +149,20 @@ class TestShift:
         assert err < 1e-6
 
     def test_norm_preserved(self):
-        for T in (4.0, 4.037):
-            out = shift(self.env, T)
+        for k in (200, -200):
+            out = shift(self.env, k)
             assert squared_norm(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_grid_step_shift_is_exact(self):
-        T = 5 * self.env.grid.dt
-        out = shift(self.env, T)
         k = 5
-        assert np.array_equal(out.samples[k:], self.env.samples[:-k])
+        later = shift(self.env, k)
+        assert np.array_equal(later.samples[k:], self.env.samples[:-k])
+        assert not later.samples[:k].any()
+        earlier = shift(self.env, -k)
+        assert np.array_equal(earlier.samples[:-k], self.env.samples[k:])
+        assert not earlier.samples[-k:].any()
 
     def test_clipping_rejected(self):
-        with pytest.raises(ValueError):
-            shift(self.env, 55.0)
+        for k in (2750, -2750):
+            with pytest.raises(ValueError):
+                shift(self.env, k)

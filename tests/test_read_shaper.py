@@ -21,8 +21,7 @@ def shifted_timebin(sigma: float, T: float = 120.0):
     n = int((20.0 + 2 * pad + T + 20.0) / dt) + 1
     grid = TimeGrid(-pad, -pad + (n - 1) * dt, n)
     env = make_time_bin(spec, grid)
-    Ts = round(T / dt) * dt
-    return shift(env, Ts)
+    return shift(env, round(T / dt))
 
 
 class TestReadProfileForTarget:
