@@ -156,6 +156,44 @@ def cumtrapz(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     return out
 
 
+# Steps per block of affine_scan.  A block's running product of a must stay
+# a normal float: 256 steps at |a| >= 0.27 keep it above 1e-146.
+SCAN_BLOCK = 256
+
+
+def affine_scan(a: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
+    """Solve the linear recurrence x[k+1] = a[k]*x[k] + b[k] from x[0] = x0.
+
+    Returns x[0..m] for m = len(a) steps.  Each block of SCAN_BLOCK steps
+    is solved at once as x[k+1] = A[k]*(x_start + sum_{j<=k} b[j]/A[j]),
+    with A the block's running product of a (a cumprod and a cumsum), and
+    the value at each block end carries into the next block (Blelloch
+    1990, "Prefix sums and their applications").  The products must stay
+    normal floats within a block, so |a| must be bounded away from 0;
+    exponential growth (|a| > 1) overflows to inf or nan, which the caller
+    has to check for.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"a and b must be 1-d of one length, got {a.shape} and {b.shape}")
+    m = a.shape[0]
+    dtype = np.result_type(a, b, x0, np.float64)
+    blocks = max(1, -(-m // SCAN_BLOCK))
+    pad = blocks * SCAN_BLOCK - m
+    # Padding steps (a = 1, b = 0) hold the last value.
+    A = np.cumprod(np.pad(a, (0, pad), constant_values=1).reshape(blocks, SCAN_BLOCK), axis=1)
+    local = A * np.cumsum(np.pad(b, (0, pad)).reshape(blocks, SCAN_BLOCK) / A, axis=1)
+    start = np.empty(blocks, dtype=dtype)
+    start[0] = x0
+    for i in range(1, blocks):
+        start[i] = A[i - 1, -1] * start[i - 1] + local[i - 1, -1]
+    x = np.empty(m + 1, dtype=dtype)
+    x[0] = x0
+    x[1:] = (local + A * start[:, None]).ravel()[:m]
+    return x
+
+
 def trapz(values: np.ndarray, grid: TimeGrid):
     """Trapezoidal integral over the full grid."""
     values = np.asarray(values)

@@ -66,14 +66,19 @@ class GridSpec:
 
     The default factor of 200 keeps the trapezoid-vs-RK4 population gap
     a few times below 1e-6; the hard floor for a resolved run is 50.
+    Factors in [1, 50) still run, with the oracle gate skipped.  Below 1
+    the step exceeds a lifetime or the pulse width, so the config is
+    rejected.
     """
 
     dt_factor: float = 200.0
     padding: float = 8.0
 
     def __post_init__(self):
-        if self.dt_factor <= 0:
-            raise ValueError("grid.dt_factor must be positive")
+        if self.dt_factor < 1.0:
+            raise ValueError(
+                "grid.dt_factor must be at least 1 (dt <= min(1/gamma0, 1/sigma))"
+            )
         if self.padding <= 6.0:
             raise ValueError("grid.padding must exceed 6 (pulse construction window)")
 

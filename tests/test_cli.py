@@ -64,6 +64,17 @@ class TestConfigRejected:
         assert err.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["store", "sweep", "oracle", "mirror"])
+    def test_dt_factor_below_one_rejected_before_compute(self, tmp_path, command, capsys):
+        config = {"grid": {"dt_factor": 0.3}, "sweep": SWEEP3}
+        assert run_cli(tmp_path, command, config) == 2
+        err = capsys.readouterr()
+        assert err.err.startswith(
+            "halfcav: invalid config: section 'grid': grid.dt_factor must be at least 1"
+        )
+        assert err.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
     def test_seed_only_on_oracle(self, tmp_path, command):
         with pytest.raises(SystemExit) as exc:
@@ -101,6 +112,14 @@ class TestOracle:
         assert report["skipped"] is True
         assert report["passed"] is None
 
+    @pytest.mark.parametrize("sigma", [0.02, 0.2, 1.0, 5.0])
+    def test_coarsest_accepted_grid_runs(self, tmp_path, capsys, sigma):
+        config = {"grid": {"dt_factor": 1}, "pulse": {"sigma": sigma}}
+        assert run_cli(tmp_path, "oracle", config) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["skipped"] is True
+        assert report["passed"] is None
+
 
 class TestDeterministicOutput:
     @pytest.mark.parametrize(
@@ -114,6 +133,14 @@ class TestDeterministicOutput:
         for name in files:
             first = (tmp_path / "a" / name).read_bytes()
             assert first and first == (tmp_path / "b" / name).read_bytes()
+
+    def test_oracle_stdout_byte_identical(self, tmp_path, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["oracle", "--seed", "7", "--out", str(tmp_path / "out")]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["passed"] is True
 
     def test_sweep_independent_of_worker_count(self, tmp_path, monkeypatch):
         config = {"sweep": SWEEP3}

@@ -7,6 +7,7 @@ from halfcav.core import (
     ComplexEnvelope,
     MemoryConfig,
     TimeGrid,
+    affine_scan,
     cumtrapz,
     squared_norm,
 )
@@ -107,6 +108,49 @@ class TestCumtrapz:
         g = TimeGrid(0.0, 1.0, 201)
         out = cumtrapz(np.full(201, 1.0 + 2.0j), g)
         assert out[-1] == pytest.approx(1.0 + 2.0j, abs=1e-12)
+
+
+def _loop_scan(a, b, x0):
+    x = [x0]
+    for ak, bk in zip(a.tolist(), b.tolist()):
+        x.append(ak * x[-1] + bk)
+    return np.array(x)
+
+
+class TestAffineScan:
+    # Lengths around one block of the scan (256 steps) and many blocks.
+    @pytest.mark.parametrize("m", [1, 255, 256, 257, 5000])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_loop(self, m, kind):
+        rng = np.random.default_rng(m)
+        # Mostly near 1, so each block end carries into the next, with
+        # small factors that take a block's product down to ~1e-3.
+        magnitude = rng.uniform(0.99, 1.0, m)
+        magnitude[::64] = 0.3
+        if kind == "real":
+            a = magnitude * rng.choice([-1.0, 1.0], m)
+            b = rng.normal(size=m)
+            x0 = 0.7
+        else:
+            a = magnitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, m))
+            b = rng.normal(size=m) + 1j * rng.normal(size=m)
+            x0 = 0.7 - 0.4j
+        x = affine_scan(a, b, x0)
+        ref = _loop_scan(a, b, x0)
+        assert x.shape == (m + 1,) and x.dtype == ref.dtype
+        assert x[0] == x0
+        assert np.max(np.abs(x - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("m", [1, 257, 5000])
+    def test_zero_input_stays_exactly_zero(self, m):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(0.3, 1.0, m) * np.exp(1j * rng.uniform(0.0, 6.0, m))
+        assert np.all(affine_scan(a, np.zeros(m, complex), 0j) == 0.0)
+        assert np.all(affine_scan(np.abs(a), np.zeros(m), 0.0) == 0.0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            affine_scan(np.ones(4), np.ones(5), 0.0)
 
 
 class TestComplexEnvelope:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,72 @@ def smooth_pulse(grid: TimeGrid, seed: int) -> ComplexEnvelope:
         grid, np.exp(-0.5 * ((t - center) / width) ** 2) * np.exp(1j * phase)
     )
     return env.with_samples(env.samples / math.sqrt(squared_norm(env)))
+
+
+def _reference_oracle(profile, xi_in):
+    """The RK4 oracle stepped sample by sample on Python scalars: the three
+    components of the state, each RK4 stage written out.  The scan form in
+    ``bloch_ode_oracle`` must reproduce it to rounding."""
+    n = profile.grid.n
+    dt = profile.grid.dt
+    drv_arr = profile.g * xi_in.samples
+    gz = profile.gamma_z.tolist()
+    gam = profile.gamma_complex.tolist()
+    gamc = np.conjugate(profile.gamma_complex).tolist()
+    drv = drv_arr.tolist()
+    drvc = np.conjugate(drv_arr).tolist()
+    gz_m = (0.5 * (profile.gamma_z[1:] + profile.gamma_z[:-1])).tolist()
+    gam_m = (0.5 * (profile.gamma_complex[1:] + profile.gamma_complex[:-1])).tolist()
+    gamc_m = np.conjugate(
+        0.5 * (profile.gamma_complex[1:] + profile.gamma_complex[:-1])
+    ).tolist()
+    drv_m = (0.5 * (drv_arr[1:] + drv_arr[:-1])).tolist()
+    drvc_m = np.conjugate(0.5 * (drv_arr[1:] + drv_arr[:-1])).tolist()
+
+    P = np.empty(n)
+    amplitude = np.empty(n, dtype=np.complex128)
+    s1 = -1.0 + 0.0j
+    s2 = 0.0 + 0.0j
+    s3 = 0.0 + 0.0j
+    P[0] = 0.0
+    amplitude[0] = 0.0
+    half = 0.5 * dt
+    sixth = dt / 6.0
+
+    for k in range(n - 1):
+        gzk, gamk, gamck, dk, dck = gz[k], gam[k], gamc[k], drv[k], drvc[k]
+        gzm, gamm, gamcm, dm, dcm = gz_m[k], gam_m[k], gamc_m[k], drv_m[k], drvc_m[k]
+        gzn, gamn, gamcn, dn, dcn = (
+            gz[k + 1], gam[k + 1], gamc[k + 1], drv[k + 1], drvc[k + 1],
+        )
+
+        a1 = -gzk * s1 - 2.0 * dk * s2 - 2.0 * dck * s3 - gzk
+        a2 = -gamck * s2 - dck
+        a3 = -gamk * s3 - dk
+
+        u1, u2, u3 = s1 + half * a1, s2 + half * a2, s3 + half * a3
+        b1 = -gzm * u1 - 2.0 * dm * u2 - 2.0 * dcm * u3 - gzm
+        b2 = -gamcm * u2 - dcm
+        b3 = -gamm * u3 - dm
+
+        u1, u2, u3 = s1 + half * b1, s2 + half * b2, s3 + half * b3
+        c1 = -gzm * u1 - 2.0 * dm * u2 - 2.0 * dcm * u3 - gzm
+        c2 = -gamcm * u2 - dcm
+        c3 = -gamm * u3 - dm
+
+        u1, u2, u3 = s1 + dt * c1, s2 + dt * c2, s3 + dt * c3
+        e1 = -gzn * u1 - 2.0 * dn * u2 - 2.0 * dcn * u3 - gzn
+        e2 = -gamcn * u2 - dcn
+        e3 = -gamn * u3 - dn
+
+        s1 = s1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + e1)
+        s2 = s2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + e2)
+        s3 = s3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + e3)
+        if abs(s1) > 1.0 + 1e-6:
+            raise RuntimeError("population left [0,1]; refine dt")
+        P[k + 1] = 0.5 * (1.0 + s1.real)
+        amplitude[k + 1] = -s3
+    return P, amplitude
 
 
 class TestDecayFromMirror:
@@ -199,6 +266,44 @@ class TestBlochOdeOracle:
         xi = ComplexEnvelope(grid, np.full(grid.n, 2.0))
         with pytest.raises(RuntimeError, match="grid"):
             bloch_ode_oracle(prof, xi)
+
+
+class TestOracleMatchesReferenceLoop:
+    @staticmethod
+    def assert_matches(prof, xi):
+        P, amplitude = _reference_oracle(prof, xi)
+        trace = bloch_ode_oracle(prof, xi)
+        assert np.max(np.abs(trace.P - P)) <= 1e-12
+        assert np.max(np.abs(trace.amplitude - amplitude)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_random_case(self, seed):
+        grid = TimeGrid(0.0, 20.0, 2001)
+        prof = profile_from_gamma_z(grid, smooth_rate(grid, seed), MEM)
+        self.assert_matches(prof, smooth_pulse(grid, seed + 50))
+
+    def test_write_phase(self):
+        spec = TimeBinSpec(
+            alpha=math.sqrt(0.5), beta=math.sqrt(0.5), t1=0.0, t2=20.0, sigma=0.2
+        )
+        grid = TimeGrid(-40.0, 60.0, 4001)
+        w = optimal_write_profile(make_time_bin(spec, grid), MEM)
+        assert w.trace.P.max() > 0.99
+        self.assert_matches(w.profile, w.xi_effective)
+
+    def test_overflowing_scan_raises_without_warning(self):
+        # dt = 5 at gamma_z = 2: every RK4 step amplifies, and a block of
+        # steps overflows before the population check sees it.
+        grid = TimeGrid(0.0, 2000.0, 401)
+        prof = profile_from_gamma_z(grid, np.full(grid.n, 2.0), MEM)
+        xi = ComplexEnvelope(grid, np.full(grid.n, 0.01))
+        with pytest.raises(RuntimeError):
+            _reference_oracle(prof, xi)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="grid"):
+                bloch_ode_oracle(prof, xi)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestTraceProperties:
