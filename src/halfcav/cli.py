@@ -22,7 +22,14 @@ from functools import partial
 from pathlib import Path
 
 from .mirror import feasibility_report, trajectory_from_decay
-from .scenario import ScenarioConfig, StoreRun, build_store_run, oracle_check, sweep_point
+from .scenario import (
+    ScenarioConfig,
+    StoreRun,
+    build_store_run,
+    oracle_check,
+    resolution_warning,
+    sweep_point,
+)
 
 
 def write_csv(path: Path, header: list[str], columns: list) -> None:
@@ -131,6 +138,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"halfcav: invalid config: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
+    warning = resolution_warning(cfg)
+    if warning is not None and args.command != "oracle":
+        print(f"halfcav: {warning}; results are not resolved", file=sys.stderr)
 
     if args.command == "store":
         record = emit_store(build_store_run(cfg), out_dir)

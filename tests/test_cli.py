@@ -121,6 +121,33 @@ class TestOracle:
         assert report["passed"] is None
 
 
+class TestResolutionWarning:
+    @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
+    def test_coarse_grid_warns_once(self, tmp_path, command, capsys, monkeypatch):
+        monkeypatch.setenv("HALFCAV_THREADS", "1")
+        assert run_cli(tmp_path, command, {"grid": {"dt_factor": 1}, "sweep": SWEEP3}) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "halfcav: grid.dt_factor=1 is below the resolution rule 50 "
+            "(dt <= min(1/gamma0, 1/sigma)/50); results are not resolved\n"
+        )
+        if command != "sweep":
+            json.loads(captured.out)
+        assert any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
+    def test_default_grid_is_silent(self, tmp_path, command, capsys):
+        assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_oracle_report_carries_the_same_rule(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "oracle", {"grid": {"dt_factor": 1}}) == 0
+        captured = capsys.readouterr()
+        warning = json.loads(captured.out)["warning"]
+        assert warning.startswith("grid.dt_factor=1 is below the resolution rule 50")
+        assert captured.err == f"halfcav: {warning}\n"
+
+
 class TestDeterministicOutput:
     @pytest.mark.parametrize(
         "command, files",

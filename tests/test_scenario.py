@@ -13,7 +13,7 @@ from halfcav.scenario import ScenarioConfig, build_store_run
 @settings(max_examples=25, deadline=None)
 @given(
     storage_T=st.floats(0.0, 200.0),
-    sigma=st.floats(0.05, 3.0),
+    sigma=st.floats(0.05, 5.0),
     separation=st.floats(1.0, 30.0),
     phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
 )

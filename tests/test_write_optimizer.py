@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz, squa
 from halfcav.dynamics import profile_from_gamma_z
 from halfcav.pulses import TimeBinSpec, make_time_bin, support_indices
 from halfcav.write_optimizer import (
+    ETA_TARGET,
+    _synthesize_gamma_z,
     optimal_input_for_profile,
     optimal_write_profile,
     write_efficiency,
@@ -23,6 +26,30 @@ def timebin_env(sigma: float, separation: float = 20.0, per_dt: float = 200.0):
     n = int((separation + 2 * pad) / dt) + 1
     grid = TimeGrid(-pad, -pad + (n - 1) * dt, n)
     return make_time_bin(spec, grid)
+
+
+def _reference_synthesis(q2, dt, cap, eps):
+    """The rate synthesis stepped sample by sample with Heun's method on
+    Python scalars.  The arc form in ``_synthesize_gamma_z`` must reproduce
+    it to rounding."""
+    n = q2.shape[0]
+    q2l = q2.tolist()
+    gz = [0.0] * n
+    r = eps
+    for k in range(n - 1):
+        gzk = q2l[k] / r
+        if gzk > cap:
+            gzk = cap
+        gz[k] = gzk
+        f0 = 2.0 * math.sqrt(q2l[k] * gzk * r) - gzk * r
+        rp = r + dt * f0
+        gzp = q2l[k + 1] / rp
+        if gzp > cap:
+            gzp = cap
+        f1 = 2.0 * math.sqrt(q2l[k + 1] * gzp * rp) - gzp * rp
+        r = r + 0.5 * dt * (f0 + f1)
+    gz[n - 1] = min(q2l[n - 1] / r, cap)
+    return np.asarray(gz)
 
 
 def rect_env(width: float = 10.0, dt: float = 0.005):
@@ -149,6 +176,84 @@ class TestOptimalWriteProfile:
             cand[i1 + 1 :] = 0.0
             best_gain = max(best_gain, achieved(cand) - base)
         assert best_gain <= 1e-6
+
+
+EPS = (1.0 - ETA_TARGET) / ETA_TARGET
+
+
+def support_q2(env):
+    i0, i1 = support_indices(env)
+    return np.abs(env.samples[i0 : i1 + 1]) ** 2
+
+
+def capped_arcs(gz):
+    capped = np.concatenate(([False], gz >= MEM.cap, [False]))
+    return int(np.count_nonzero(np.diff(capped.astype(int)) == 1))
+
+
+def separated_peaks(dt=0.002):
+    # Four narrow pulses with quiet gaps, each twice as strong as the one
+    # before, so each is too sharp for the cap even after the ones before.
+    t = np.arange(0.0, 12.0 + dt / 2, dt)
+    q2 = sum(
+        2.0**j * np.exp(-2.0 * (5.0 * (t - c)) ** 2)
+        for j, c in enumerate((1.5, 4.5, 7.5, 10.5))
+    )
+    return q2 / np.trapezoid(q2, dx=dt), dt
+
+
+def rising_edge(dt=0.001):
+    # Grows like exp(4t) to the last sample, faster than the cap can follow.
+    t = np.arange(0.0, 5.0 + dt / 2, dt)
+    q2 = np.exp(4.0 * (t - 5.0))
+    return q2 / np.trapezoid(q2, dx=dt), dt
+
+
+class TestSynthesisMatchesReferenceLoop:
+    def assert_matches(self, q2, dt):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gz = _synthesize_gamma_z(q2, dt, MEM.cap, EPS)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        expected = _reference_synthesis(q2, dt, MEM.cap, EPS)
+        assert gz.dtype == np.float64
+        assert gz.shape == expected.shape
+        assert np.all(np.abs(gz - expected) <= 1e-12 * expected)
+        return expected
+
+    def test_uncapped_timebin(self):
+        env = timebin_env(0.2)
+        gz = self.assert_matches(support_q2(env), env.grid.dt)
+        assert capped_arcs(gz) == 0
+
+    def test_capped_write_and_reversed_read(self):
+        env = timebin_env(5.0)
+        q2 = support_q2(env)
+        for samples in (q2, q2[::-1]):
+            gz = self.assert_matches(samples, env.grid.dt)
+            assert capped_arcs(gz) >= 1
+
+    @pytest.mark.parametrize("q2", [[0.3], [1.0], [0.3, 0.5], [1.0, 2.0]])
+    def test_short_supports(self, q2):
+        self.assert_matches(np.array(q2), 0.01)
+
+    def test_separated_capped_arcs(self):
+        gz = self.assert_matches(*separated_peaks())
+        assert capped_arcs(gz) == 4
+
+    def test_noisy_intensity(self):
+        # Uniform noise on a wide pulse drops in and out of the cap many
+        # times, so scalar steps and short trapezoid arcs alternate.
+        dt = 0.001
+        t = np.arange(0.0, 10.0 + dt / 2, dt)
+        noise = np.random.default_rng(3).uniform(0.0, 2.0, t.size)
+        q2 = np.exp(-0.5 * ((t - 5.0) / 2.0) ** 2) * noise
+        gz = self.assert_matches(q2 / np.trapezoid(q2, dx=dt), dt)
+        assert capped_arcs(gz) >= 100
+
+    def test_last_sample_capped(self):
+        gz = self.assert_matches(*rising_edge())
+        assert gz[-1] == MEM.cap
 
 
 class TestWriteEfficiency:
