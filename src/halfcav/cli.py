@@ -10,6 +10,8 @@ All emitted files are deterministic byte-for-byte for a fixed config (and,
 for oracle, a fixed --seed, the only subcommand that draws random numbers):
 floats are written with 17 significant digits, JSON keys are sorted, and
 sweep rows are written in input order regardless of worker scheduling.
+The sweep runs on one worker process per CPU, at most HALFCAV_THREADS (a
+positive integer) when that is set; any other value exits 2.
 """
 from __future__ import annotations
 
@@ -56,36 +58,48 @@ def load_config(path: str | None, phase_compensation: bool | None = None) -> Sce
     return ScenarioConfig.from_dict(raw)
 
 
+def timeseries_columns(run: StoreRun) -> dict:
+    """The columns of timeseries.csv, by header name, on the full timeline."""
+    traj = trajectory_from_decay(run.profile_total, run.config.memory)
+    return {
+        "t": run.grid.times - run.t_mid,
+        "xi_in_re": run.xi_in.samples.real,
+        "xi_in_im": run.xi_in.samples.imag,
+        "xi_out_re": run.xi_out.samples.real,
+        "xi_out_im": run.xi_out.samples.imag,
+        "gamma_z_w": run.gamma_w,
+        "gamma_z_r": run.gamma_r,
+        "l_over_lambda": traj.l_over_lambda,
+        "P": run.trace_total,
+    }
+
+
 def emit_store(run: StoreRun, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    t = run.grid.times - run.t_mid
-    traj = trajectory_from_decay(run.profile_total, run.config.memory)
     ts_path = out_dir / "timeseries.csv"
-    write_csv(
-        ts_path,
-        ["t", "xi_in_re", "xi_in_im", "xi_out_re", "xi_out_im",
-         "gamma_z_w", "gamma_z_r", "l_over_lambda", "P"],
-        [t,
-         run.xi_in.samples.real, run.xi_in.samples.imag,
-         run.read.xi_out.samples.real, run.read.xi_out.samples.imag,
-         run.write.profile.gamma_z, run.read.profile.gamma_z,
-         traj.l_over_lambda, run.trace_total],
-    )
+    columns = timeseries_columns(run)
+    write_csv(ts_path, list(columns), list(columns.values()))
     record = run.record()
     record["files"] = {"timeseries": ts_path.name, "run": "run.json"}
     write_json(out_dir / "run.json", record)
     return record
 
 
-def emit_sweep(cfg: ScenarioConfig, out_dir: Path) -> list[dict]:
+def parse_threads(raw: str | None) -> int | None:
+    """The HALFCAV_THREADS cap on sweep workers, or None when unset."""
+    if not raw:
+        return None
+    if raw.isdecimal() and int(raw) >= 1:
+        return int(raw)
+    raise ValueError(f"HALFCAV_THREADS must be a positive integer, got {raw!r}")
+
+
+def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -> list[dict]:
+    """Run the sweep on up to ``threads`` workers (default: one per CPU)."""
     if cfg.sweep is None:
         raise ValueError("config has no sweep section")
     sigmas = [float(s) for s in cfg.sweep.sigmas()]
-    max_workers = os.cpu_count() or 1
-    env_cap = os.environ.get("HALFCAV_THREADS")
-    if env_cap:
-        max_workers = max(1, min(max_workers, int(env_cap)))
-    max_workers = min(max_workers, len(sigmas))
+    max_workers = min(os.cpu_count() or 1, threads or len(sigmas), len(sigmas))
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             rows = list(pool.map(partial(sweep_point, cfg), sigmas))
@@ -137,6 +151,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"halfcav: invalid config: {exc}", file=sys.stderr)
         return 2
+    threads = None
+    if args.command == "sweep":
+        try:
+            threads = parse_threads(os.environ.get("HALFCAV_THREADS"))
+        except ValueError as exc:
+            print(f"halfcav: {exc}", file=sys.stderr)
+            return 2
     out_dir = Path(args.out)
     warning = resolution_warning(cfg)
     if warning is not None and args.command != "oracle":
@@ -148,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "sweep":
         try:
-            emit_sweep(cfg, out_dir)
+            emit_sweep(cfg, out_dir, threads)
         except ValueError as exc:
             print(f"halfcav: {exc}", file=sys.stderr)
             return 2

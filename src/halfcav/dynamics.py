@@ -20,7 +20,8 @@ package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,29 +34,35 @@ class DecayProfile:
 
     Built from (grid, gamma_complex) alone: gamma_z = 2*Re(gamma_complex)
     samplewise, g = sqrt(gamma_z), and Gamma/Gamma_z are the cumulative
-    trapezoidal integrals from the grid start.  Gamma_z is non-decreasing
-    since gamma_z >= 0.
+    trapezoidal integrals from the grid start.  Each is derived on first
+    use and then kept, so a profile read only for its rate (the mirror
+    export) never integrates.  Gamma_z is non-decreasing since gamma_z >= 0.
     """
 
     grid: TimeGrid
     gamma_complex: np.ndarray
-    gamma_z: np.ndarray = field(init=False)
-    Gamma: np.ndarray = field(init=False)
-    Gamma_z: np.ndarray = field(init=False)
-    g: np.ndarray = field(init=False)
 
     def __post_init__(self):
         gamma_complex = np.asarray(self.gamma_complex, dtype=np.complex128)
-        gamma_z = 2.0 * gamma_complex.real
-        derived = {
-            "gamma_complex": gamma_complex,
-            "gamma_z": gamma_z,
-            "Gamma": cumtrapz(gamma_complex, self.grid),
-            "Gamma_z": cumtrapz(gamma_z, self.grid),
-            "g": np.sqrt(np.clip(gamma_z, 0.0, None)),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, _freeze(value))
+        if gamma_complex.shape != (self.grid.n,):
+            raise ValueError(f"expected {self.grid.n} rates, got shape {gamma_complex.shape}")
+        object.__setattr__(self, "gamma_complex", _freeze(gamma_complex))
+
+    @cached_property
+    def gamma_z(self) -> np.ndarray:
+        return _freeze(2.0 * self.gamma_complex.real)
+
+    @cached_property
+    def Gamma(self) -> np.ndarray:
+        return _freeze(cumtrapz(self.gamma_complex, self.grid))
+
+    @cached_property
+    def Gamma_z(self) -> np.ndarray:
+        return _freeze(cumtrapz(self.gamma_z, self.grid))
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _freeze(np.sqrt(np.clip(self.gamma_z, 0.0, None)))
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,31 @@
-"""End-to-end store/retrieve scenarios on a common time grid.
+"""End-to-end store/retrieve scenarios.
 
-The builder lays the timeline out in one pass: it samples the input pulse,
-optimizes the write program over the pulse support, and shapes the read
-program toward the input moved by a whole number of grid steps, so the read
-support starts round(storage_T/dt) samples after the write support ends.
-Both programs are zero outside their supports, so the atom sits at the node
-(gamma_z exactly 0) throughout the storage gap by construction.  The
-composite decay profile, population trace and summary record follow.
+A store computes on one phase grid, the write-phase grid that spans the
+padded input pulse.  The write program is optimized for the input on it;
+the read is the time-reversed write (Gorshkov et al., PRL 98, 123601
+(2007)) and is shaped toward the same input samples, because the read
+phase is that grid moved k whole samples later on the timeline, with k
+chosen so that the read support starts round(storage_T/dt) samples after
+the write support ends.  The hold in between is a number: both programs
+are zero outside their supports, so the atom sits at the node (gamma_z
+exactly 0) and keeps the stored population eta_w.  The population through
+the read is closed-form, eta_w*exp(-Gamma_z_r(t)), so no quadrature runs
+on the full timeline.
+
+The full timeline (input, target, both programs, the emitted envelope and
+the population trace) is assembled from the two segments on first use,
+for the exports only; a sweep point never builds it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
+from functools import cached_property
 from typing import get_type_hints
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, TimeGrid, trapz
+from .core import ComplexEnvelope, MemoryConfig, TimeGrid, _freeze, trapz
 from .dynamics import (
     DecayProfile,
     absorption_probability,
@@ -171,21 +180,95 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class StoreRun:
-    """All artifacts of one store/retrieve execution."""
+    """All artifacts of one store/retrieve execution.
+
+    ``write`` and ``read`` are computed on the write-phase grid, on which
+    ``xi_segment`` is the input; the read phase is that grid moved
+    ``read_offset`` samples later on the timeline ``grid``, so read times
+    such as ``read.t_r0`` are phase-grid times.  The full-timeline columns
+    (``xi_in``, ``target``, ``xi_out``, ``gamma_w``, ``gamma_r``,
+    ``profile_total``, ``trace_total``) are assembled from the two segments
+    on first use and then kept.
+    """
 
     config: ScenarioConfig
     grid: TimeGrid
-    xi_in: ComplexEnvelope
-    target: ComplexEnvelope
+    xi_segment: ComplexEnvelope
     write: WriteResult
     read: ReadResult
-    profile_total: DecayProfile
-    trace_total: np.ndarray
+    read_offset: int
     eta: float
     fidelity: float
     t_mid: float
 
+    def _support(self) -> tuple[int, int]:
+        """The input support [j0, j1] on the write-phase grid."""
+        g0 = self.xi_segment.grid
+        return g0.index_of(self.write.t_w), g0.index_of(self.write.t_w0)
+
+    def _on_timeline(self, values: np.ndarray, at: int) -> np.ndarray:
+        """Phase-grid values placed from timeline sample ``at`` on, zero
+        elsewhere.  Samples past the timeline end are dropped: the read
+        support ends inside the timeline and its rate is zero after it."""
+        out = np.zeros(self.grid.n, dtype=values.dtype)
+        m = min(values.size, self.grid.n - at)
+        out[at : at + m] = values[:m]
+        return out
+
+    @cached_property
+    def xi_in(self) -> ComplexEnvelope:
+        return ComplexEnvelope(self.grid, self._on_timeline(self.xi_segment.samples, 0))
+
+    @cached_property
+    def target(self) -> ComplexEnvelope:
+        """The input moved by ``read_offset`` samples: the read's target."""
+        return shift(self.xi_in, self.read_offset)
+
+    @cached_property
+    def xi_out(self) -> ComplexEnvelope:
+        out = self.read.xi_out
+        return ComplexEnvelope(
+            self.grid, self._on_timeline(out.samples, self.read_offset), out.carrier_phase
+        )
+
+    @cached_property
+    def gamma_w(self) -> np.ndarray:
+        return _freeze(self._on_timeline(self.write.profile.gamma_z, 0))
+
+    @cached_property
+    def gamma_r(self) -> np.ndarray:
+        return _freeze(self._on_timeline(self.read.profile.gamma_z, self.read_offset))
+
+    @cached_property
+    def profile_total(self) -> DecayProfile:
+        """Write and read programs on one timeline profile.  The supports
+        share at most one sample (at storage_T = 0), where the complex
+        rates add."""
+        k = self.read_offset
+        gamma = self._on_timeline(self.write.profile.gamma_complex, 0)
+        read = self.read.profile.gamma_complex[: self.grid.n - k]
+        gamma[k : k + read.size] += read
+        return DecayProfile(self.grid, gamma)
+
+    @cached_property
+    def trace_total(self) -> np.ndarray:
+        """P(t): the write trace through the write support end, eta_w
+        through the hold, eta_w*exp(-Gamma_z_r) over the read and its end
+        value after it."""
+        n, k = self.grid.n, self.read_offset
+        eta_w = self.write.eta_w
+        read_P = eta_w * np.exp(-self.read.profile.Gamma_z)
+        m = min(read_P.size, n - k)
+        P = np.empty(n)
+        P[:k] = eta_w
+        P[k : k + m] = read_P[:m]
+        P[k + m :] = read_P[-1]
+        j1 = self._support()[1]
+        P[: j1 + 1] = self.write.trace.P[: j1 + 1]
+        return _freeze(P)
+
     def record(self) -> dict:
+        j0 = self._support()[0]
         return {
             "config": self.config.to_dict(),
             "eta_w": self.write.eta_w,
@@ -197,8 +280,8 @@ class StoreRun:
             "landmarks": {
                 "t_w": self.write.t_w - self.t_mid,
                 "t_w0": self.write.t_w0 - self.t_mid,
-                "t_r0": self.read.t_r0 - self.t_mid,
-                "t_r": self.read.t_r - self.t_mid,
+                "t_r0": float(self.grid.times[self.read_offset + j0]) - self.t_mid,
+                "t_r": self.grid.t_end - self.t_mid,
             },
         }
 
@@ -235,23 +318,24 @@ def default_write_grid(cfg: ScenarioConfig, t_end_min: float | None = None) -> T
 
 
 def build_store_run(cfg: ScenarioConfig) -> StoreRun:
-    """Run the full write/hold/read pipeline for one scenario, in one pass.
+    """Run the write/hold/read pipeline for one scenario on one phase grid.
 
-    With the input support at samples [j0, j1], the hold lasts
-    round(storage_T/dt) whole steps and the read target is the input moved
-    by k = (j1 - j0) + round(storage_T/dt) samples, so the read support is
-    [j0 + k, j1 + k].  Write and read rates are zero outside their
-    supports, so gamma_z is exactly 0 on every sample between them.
+    The write is optimized for the input on the write-phase grid g0, whose
+    input support is [j0, j1].  The hold lasts round(storage_T/dt) whole
+    steps, so the read phase is g0 moved k = (j1 - j0) + round(storage_T/dt)
+    samples later and its target is the input itself: the read is shaped
+    toward the same g0 envelope, and its support sits at [j0 + k, j1 + k]
+    on the timeline.  The timeline keeps g0's start and step and runs past
+    the read support by a drain tail; only its size is computed here.
     Raises RuntimeError when an uncapped read leaves more than 1e-6 of the
-    stored population in the atom at the grid end; the read rate is zero
-    past its support, so no longer grid would drain it.
+    stored population, eta_w*exp(-Gamma_z_r(end)), in the atom; the read
+    rate is zero past its support, so no longer grid would drain it.
     """
     pulse, mem, dt = cfg.pulse, cfg.memory, _step(cfg, cfg.grid.dt_factor)
 
-    # The write support on the write-phase grid fixes the grid end; the
-    # full grid has the same start and step, so the support keeps its indices.
     g0 = default_write_grid(cfg)
-    j0, j1 = support_indices(make_time_bin(pulse, g0))
+    xi = make_time_bin(pulse, g0)
+    j0, j1 = support_indices(xi)
     t_w = float(g0.times[j0])
     t_w0 = float(g0.times[j1])
     hold_steps = round(cfg.storage_T / dt)
@@ -260,24 +344,19 @@ def build_store_run(cfg: ScenarioConfig) -> StoreRun:
     tail = 12.0 / min(pulse.sigma, mem.gamma0)
     grid = default_write_grid(cfg, max(t_w0 + (t_r0 - t_w) + 2.0 * dt, t_r0 + tail))
 
-    xi_in = make_time_bin(pulse, grid)
-    w = optimal_write_profile(xi_in, mem, cfg.phase_compensation)
-    target = shift(xi_in, (j1 - j0) + hold_steps)
-    r = read_profile_for_target(target, w.eta_w, mem, cfg.phase_compensation)
-    profile_total = profile_from_gamma_z(grid, w.profile.gamma_z + r.profile.gamma_z, mem)
-    trace = absorption_probability(profile_total, w.xi_effective)
-    if not r.capped and trace.P[-1] > 1e-6 * w.eta_w:
+    w = optimal_write_profile(xi, mem, cfg.phase_compensation)
+    r = read_profile_for_target(xi, w.eta_w, mem, cfg.phase_compensation)
+    residual = w.eta_w * math.exp(-float(r.profile.Gamma_z[-1]))
+    if not r.capped and residual > 1e-6 * w.eta_w:
         raise RuntimeError("read window failed to drain the stored population")
 
     return StoreRun(
         config=cfg,
         grid=grid,
-        xi_in=xi_in,
-        target=target,
+        xi_segment=xi,
         write=w,
         read=r,
-        profile_total=profile_total,
-        trace_total=trace.P,
+        read_offset=(j1 - j0) + hold_steps,
         eta=total_efficiency(w, r),
         fidelity=r.fidelity_vs_target,
         t_mid=t_w0 + 0.5 * storage,

@@ -75,6 +75,17 @@ class TestConfigRejected:
         assert err.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-3"])
+    def test_bad_thread_count_rejected_before_compute(self, tmp_path, threads, capsys, monkeypatch):
+        monkeypatch.setenv("HALFCAV_THREADS", threads)
+        assert run_cli(tmp_path, "sweep", {"sweep": SWEEP3}) == 2
+        err = capsys.readouterr()
+        assert err.err == (
+            f"halfcav: HALFCAV_THREADS must be a positive integer, got '{threads}'\n"
+        )
+        assert err.out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
     def test_seed_only_on_oracle(self, tmp_path, command):
         with pytest.raises(SystemExit) as exc:

@@ -171,15 +171,17 @@ class TestTotalEfficiency:
 class TestEndToEndProperties:
     def test_probability_conservation_during_read(self):
         run = build_store_run(ScenarioConfig.from_dict({}))
-        i_r0 = run.grid.index_of(run.read.t_r0)
-        P = run.trace_total
-        emitted = cumtrapz(np.abs(run.read.xi_out.samples) ** 2, run.grid)
+        # The read runs on the phase grid, read_offset samples later on the timeline.
+        g0 = run.read.profile.grid
+        i_r0 = g0.index_of(run.read.t_r0)
+        P = run.trace_total[run.read_offset : run.read_offset + g0.n]
+        emitted = cumtrapz(np.abs(run.read.xi_out.samples) ** 2, g0)[: P.size]
         resid = P[i_r0] - P[i_r0:] - (emitted[i_r0:] - emitted[i_r0])
         assert np.max(np.abs(resid)) <= 1e-6
 
     def test_output_matches_scaled_shifted_input(self):
         run = build_store_run(ScenarioConfig.from_dict({}))
-        out = run.read.xi_out.samples
+        out = run.xi_out.samples
         want = math.sqrt(run.eta) * run.target.samples
         phase = np.vdot(want, out)
         phase /= abs(phase)
@@ -192,9 +194,10 @@ class TestEndToEndProperties:
             {"pulse": {"alpha": 1.0, "beta": 0.0, "t1": 0.0, "t2": 1.0, "sigma": 0.2}}
         )
         run = build_store_run(cfg)
-        i0 = run.grid.index_of(run.write.t_w)
-        i1 = run.grid.index_of(run.write.t_w0)
-        j0 = run.grid.index_of(run.read.t_r0)
+        g0 = run.write.profile.grid  # the read's phase grid too
+        i0 = g0.index_of(run.write.t_w)
+        i1 = g0.index_of(run.write.t_w0)
+        j0 = g0.index_of(run.read.t_r0)
         wseg = run.write.profile.gamma_z[i0 : i1 + 1]
         rseg = run.read.profile.gamma_z[j0 : j0 + wseg.size]
         assert np.max(np.abs(wseg - rseg[::-1])) <= 1e-6

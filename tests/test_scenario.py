@@ -1,26 +1,144 @@
 """Properties of one store/retrieve run over the scenario parameters: the
-physical ranges of P and the efficiencies, the whole-sample read target and
-a storage gap whose decay rate is exactly zero."""
+physical ranges of P and the efficiencies, the whole-sample read target, a
+storage gap whose decay rate is exactly zero, agreement with the
+full-timeline builder kept below as the reference, and compute work that
+does not grow with the storage time."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfcav.scenario import ScenarioConfig, build_store_run
+from halfcav import dynamics, read_shaper, scenario, write_optimizer
+from halfcav.cli import timeseries_columns
+from halfcav.dynamics import absorption_probability, profile_from_gamma_z
+from halfcav.mirror import trajectory_from_decay
+from halfcav.pulses import make_time_bin, shift, support_indices
+from halfcav.read_shaper import read_profile_for_target, total_efficiency
+from halfcav.scenario import (
+    ScenarioConfig,
+    _step,
+    build_store_run,
+    default_write_grid,
+    sweep_point,
+)
+from halfcav.write_optimizer import optimal_write_profile
 
-
-@settings(max_examples=25, deadline=None)
-@given(
+# test_store_run_invariants' ranges: sigma up to 5 runs through capped arcs.
+STORE_CASES = dict(
     storage_T=st.floats(0.0, 200.0),
     sigma=st.floats(0.05, 5.0),
     separation=st.floats(1.0, 30.0),
     phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
 )
-def test_store_run_invariants(storage_T, sigma, separation, phi):
+
+# The store_long_hold benchmark config at seed 1.
+LONG_HOLD_SEED_1 = {
+    "pulse": {"alpha": 0.3873367586730608, "beta": 0.9219383034567157,
+              "phi": 5.324583204732311, "t1": 0.0, "t2": 20.0, "sigma": 0.2},
+    "storage_T": 1000.0,
+}
+
+
+def _config(storage_T, sigma, separation, phi):
     pulse = {"alpha": math.sqrt(0.5), "beta": math.sqrt(0.5), "t1": 0.0,
              "t2": separation, "sigma": sigma, "phi": phi}
-    run = build_store_run(ScenarioConfig.from_dict({"pulse": pulse, "storage_T": storage_T}))
+    return ScenarioConfig.from_dict({"pulse": pulse, "storage_T": storage_T})
+
+
+def _reference_store_run(cfg: ScenarioConfig):
+    """The full-timeline builder that computed write, read and a composite
+    population trace on the whole store timeline (returns its fields)."""
+    pulse, mem, dt = cfg.pulse, cfg.memory, _step(cfg, cfg.grid.dt_factor)
+
+    # The write support on the write-phase grid fixes the grid end; the
+    # full grid has the same start and step, so the support keeps its indices.
+    g0 = default_write_grid(cfg)
+    j0, j1 = support_indices(make_time_bin(pulse, g0))
+    t_w = float(g0.times[j0])
+    t_w0 = float(g0.times[j1])
+    hold_steps = round(cfg.storage_T / dt)
+    storage = hold_steps * dt
+    t_r0 = t_w0 + storage
+    tail = 12.0 / min(pulse.sigma, mem.gamma0)
+    grid = default_write_grid(cfg, max(t_w0 + (t_r0 - t_w) + 2.0 * dt, t_r0 + tail))
+
+    xi_in = make_time_bin(pulse, grid)
+    w = optimal_write_profile(xi_in, mem, cfg.phase_compensation)
+    target = shift(xi_in, (j1 - j0) + hold_steps)
+    r = read_profile_for_target(target, w.eta_w, mem, cfg.phase_compensation)
+    profile_total = profile_from_gamma_z(grid, w.profile.gamma_z + r.profile.gamma_z, mem)
+    trace = absorption_probability(profile_total, w.xi_effective)
+    if not r.capped and trace.P[-1] > 1e-6 * w.eta_w:
+        raise RuntimeError("read window failed to drain the stored population")
+
+    return SimpleNamespace(
+        config=cfg,
+        grid=grid,
+        xi_in=xi_in,
+        target=target,
+        write=w,
+        read=r,
+        profile_total=profile_total,
+        trace_total=trace.P,
+        eta=total_efficiency(w, r),
+        fidelity=r.fidelity_vs_target,
+        t_mid=t_w0 + 0.5 * storage,
+    )
+
+
+def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
+    """Efficiencies, F, landmarks, every timeseries.csv and mirror.csv
+    column and the residual population at the grid end agree with the
+    reference builder within tol (absolute).  Returns both runs."""
+    run, ref = build_store_run(cfg), _reference_store_run(cfg)
+    assert run.grid == ref.grid
+    for new, old in [(run.write.eta_w, ref.write.eta_w), (run.read.eta_r, ref.read.eta_r),
+                     (run.eta, ref.eta), (run.fidelity, ref.fidelity)]:
+        assert abs(new - old) <= tol
+    old_landmarks = {"t_w": ref.write.t_w, "t_w0": ref.write.t_w0,
+                     "t_r0": ref.read.t_r0, "t_r": ref.read.t_r}
+    for key, value in run.record()["landmarks"].items():
+        assert abs(value - (old_landmarks[key] - ref.t_mid)) <= tol, key
+
+    # The reference kept the read on the timeline, so its columns are its fields.
+    old_run = SimpleNamespace(**vars(ref), xi_out=ref.read.xi_out,
+                              gamma_w=ref.write.profile.gamma_z, gamma_r=ref.read.profile.gamma_z)
+    new_columns, old_columns = timeseries_columns(run), timeseries_columns(old_run)
+    assert list(new_columns) == list(old_columns)
+    # mirror.csv adds the total rate and the mirror velocity to t and l/lambda.
+    # The velocity is np.gradient(l)/dt, which turns a last-digit change of
+    # l on a capped arc (where arccos is steep) into ~1e-11, so it is
+    # compared as the displacement per step, velocity*dt.
+    mem = cfg.memory
+    new_columns["gamma_z"] = run.profile_total.gamma_z
+    old_columns["gamma_z"] = ref.profile_total.gamma_z
+    new_columns["velocity_dt"] = trajectory_from_decay(run.profile_total, mem).velocity * run.grid.dt
+    old_columns["velocity_dt"] = trajectory_from_decay(ref.profile_total, mem).velocity * ref.grid.dt
+    # The reference's composite quadrature also lets the input's tail past
+    # its support (intensity below 1e-12 of the peak) drive the atom while
+    # the read runs, which moves P by up to ~1e-12 when the read starts
+    # right after the write (storage_T near 0).  P is compared with the
+    # same quadrature on the input confined to its support; the residual
+    # at the grid end with the reference's own trace.
+    j0, j1 = support_indices(ref.write.xi_effective)
+    confined = np.zeros(ref.grid.n, dtype=complex)
+    confined[j0 : j1 + 1] = ref.write.xi_effective.samples[j0 : j1 + 1]
+    old_columns["P"] = absorption_probability(
+        ref.profile_total, ref.write.xi_effective.with_samples(confined)).P
+    for name, column in new_columns.items():
+        assert column.shape == (run.grid.n,)
+        assert np.max(np.abs(column - old_columns[name])) <= tol, name
+    assert abs(run.trace_total[-1] - ref.trace_total[-1]) <= tol
+    return run, ref
+
+
+@settings(max_examples=25, deadline=None)
+@given(**STORE_CASES)
+def test_store_run_invariants(storage_T, sigma, separation, phi):
+    run = build_store_run(_config(storage_T, sigma, separation, phi))
 
     assert np.all((run.trace_total >= 0.0) & (run.trace_total <= 1.0))
     assert 0.0 <= run.write.eta_w <= 1.0
@@ -28,9 +146,58 @@ def test_store_run_invariants(storage_T, sigma, separation, phi):
     assert run.eta == run.write.eta_w * run.read.eta_r
 
     grid = run.grid
-    i_w, i_w0, i_r0 = (grid.index_of(t) for t in (run.write.t_w, run.write.t_w0, run.read.t_r0))
+    i_w, i_w0 = (grid.index_of(t) for t in (run.write.t_w, run.write.t_w0))
+    i_r0 = run.read_offset + run.read.profile.grid.index_of(run.read.t_r0)
     assert i_r0 - i_w0 == round(storage_T / (min(1.0, 1.0 / sigma) / 200.0))
     k, n = i_r0 - i_w, grid.n
     assert np.array_equal(run.target.samples[k:], run.xi_in.samples[: n - k])
     assert not run.target.samples[:k].any()
     assert np.all(run.profile_total.gamma_z[i_w0 + 1 : i_r0] == 0.0)
+
+
+@pytest.mark.parametrize("raw", [{}, LONG_HOLD_SEED_1], ids=["default", "long_hold_seed_1"])
+def test_benchmark_configs_match_reference(raw):
+    run, ref = assert_matches_reference(ScenarioConfig.from_dict(raw))
+    # With a hold and no capped arc, the velocity itself and the
+    # reference's own trace agree too.
+    mem = run.config.memory
+    velocity = trajectory_from_decay(run.profile_total, mem).velocity
+    assert np.max(np.abs(velocity - trajectory_from_decay(ref.profile_total, mem).velocity)) <= 1e-12
+    assert np.max(np.abs(run.trace_total - ref.trace_total)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(**STORE_CASES)
+def test_matches_reference(storage_T, sigma, separation, phi):
+    assert_matches_reference(_config(storage_T, sigma, separation, phi))
+
+
+def test_sweep_point_work_is_flat_in_storage_time(monkeypatch):
+    # Every grid that reaches a synthesis or quadrature during sweep_point
+    # is the write-phase grid, whatever the storage time.
+    seen = []
+    for module, name in [(write_optimizer, "optimal_write_profile"),
+                         (read_shaper, "read_profile_for_target"),
+                         (dynamics, "absorption_probability"),
+                         (dynamics, "profile_from_gamma_z")]:
+        original = getattr(module, name)
+
+        def spy(first, *args, _name=name, _original=original, **kwargs):
+            seen.append((_name, getattr(first, "grid", first).n))
+            return _original(first, *args, **kwargs)
+
+        for bound_in in (scenario, write_optimizer, read_shaper, dynamics):
+            if getattr(bound_in, name, None) is original:
+                monkeypatch.setattr(bound_in, name, spy)
+
+    sizes = {}
+    for storage_T in (30.0, 3000.0):
+        cfg = ScenarioConfig.from_dict({"storage_T": storage_T})
+        seen.clear()
+        sweep_point(cfg, cfg.pulse.sigma)
+        sizes[storage_T] = list(seen)
+        assert {name for name, _ in seen} == {
+            "optimal_write_profile", "read_profile_for_target",
+            "absorption_probability", "profile_from_gamma_z"}
+        assert {n for _, n in seen} == {default_write_grid(cfg).n}
+    assert sizes[30.0] == sizes[3000.0]
