@@ -48,19 +48,17 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def load_config(path: str | None, phase_compensation: bool | None = None) -> ScenarioConfig:
+def load_config(path: str | None) -> ScenarioConfig:
     raw = {}
     if path is not None:
         with open(path) as fh:
             raw = json.load(fh)
-    if phase_compensation is not None:
-        raw["phase_compensation"] = phase_compensation
     return ScenarioConfig.from_dict(raw)
 
 
 def timeseries_columns(run: StoreRun) -> dict:
     """The columns of timeseries.csv, by header name, on the full timeline."""
-    traj = trajectory_from_decay(run.profile_total, run.config.memory)
+    traj = trajectory_from_decay(run.grid, run.gamma_z, run.config.memory)
     return {
         "t": run.grid.times - run.t_mid,
         "xi_in_re": run.xi_in.samples.real,
@@ -113,14 +111,13 @@ def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -
 
 def emit_mirror(run: StoreRun, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    traj = trajectory_from_decay(run.profile_total, run.config.memory)
+    traj = trajectory_from_decay(run.grid, run.gamma_z, run.config.memory)
     write_csv(
         out_dir / "mirror.csv",
         ["t", "gamma_z", "l_over_lambda", "velocity"],
-        [run.grid.times - run.t_mid, run.profile_total.gamma_z,
-         traj.l_over_lambda, traj.velocity],
+        [run.grid.times - run.t_mid, run.gamma_z, traj.l_over_lambda, traj.velocity],
     )
-    report = feasibility_report(traj, run.config.memory)
+    report = feasibility_report(traj)
     write_json(out_dir / "feasibility.json", report)
     return report
 
@@ -138,16 +135,10 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default="results", help="output directory")
         if name == "oracle":
             p.add_argument("--seed", type=int, default=12345, help="RNG seed")
-        p.add_argument(
-            "--no-phase-compensation",
-            action="store_true",
-            help="disable level-shift phase compensation (raw chirped output)",
-        )
     args = parser.parse_args(argv)
 
-    comp = False if args.no_phase_compensation else None
     try:
-        cfg = load_config(args.config, phase_compensation=comp)
+        cfg = load_config(args.config)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"halfcav: invalid config: {exc}", file=sys.stderr)
         return 2

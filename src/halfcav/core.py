@@ -70,11 +70,6 @@ class MemoryConfig:
         """Largest attainable decay rate, 2*gamma0 (atom at an antinode)."""
         return 2.0 * self.gamma0
 
-    @property
-    def wavelength(self) -> float:
-        """Transition wavelength 2*pi*c/omega_a in natural units (c = 1)."""
-        return TWO_PI / self.omega_a
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -118,14 +113,11 @@ class ComplexEnvelope:
     """Sampled complex temporal envelope xi(t) on a uniform grid.
 
     Amplitudes carry units of gamma0^(1/2) so that ∫|xi|^2 dt is a
-    dimensionless (photon-number) weight.  ``carrier_phase`` records the
-    constant phase factor split off when an emitted envelope is returned in
-    the frame rotating at the atomic frequency.
+    dimensionless (photon-number) weight.
     """
 
     grid: TimeGrid
     samples: np.ndarray
-    carrier_phase: complex = 1.0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.complex128)
@@ -142,7 +134,7 @@ class ComplexEnvelope:
         return abs(squared_norm(self) - 1.0) < NORM_TOL
 
     def with_samples(self, samples: np.ndarray) -> "ComplexEnvelope":
-        return ComplexEnvelope(self.grid, samples, self.carrier_phase)
+        return ComplexEnvelope(self.grid, samples)
 
 
 def cumtrapz(values: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -35,8 +35,9 @@ class DecayProfile:
     Built from (grid, gamma_complex) alone: gamma_z = 2*Re(gamma_complex)
     samplewise, g = sqrt(gamma_z), and Gamma/Gamma_z are the cumulative
     trapezoidal integrals from the grid start.  Each is derived on first
-    use and then kept, so a profile read only for its rate (the mirror
-    export) never integrates.  Gamma_z is non-decreasing since gamma_z >= 0.
+    use and then kept, so a caller pays only for the series it reads: a
+    de-chirped read never integrates the complex Gamma nor takes g.
+    Gamma_z is non-decreasing since gamma_z >= 0.
     """
 
     grid: TimeGrid

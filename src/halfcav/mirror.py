@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MemoryConfig, TimeGrid, _freeze
-from .dynamics import DecayProfile
 
 
 @dataclass(frozen=True)
@@ -41,37 +40,31 @@ class MirrorTrajectory:
         object.__setattr__(self, "v_max", float(np.abs(v).max()))
 
 
-def trajectory_from_decay(profile: DecayProfile, cfg: MemoryConfig) -> MirrorTrajectory:
-    """Mirror program realizing a decay profile (pure pulse-mode case)."""
+def trajectory_from_decay(
+    grid: TimeGrid, gamma_z: np.ndarray, cfg: MemoryConfig
+) -> MirrorTrajectory:
+    """Mirror program realizing a decay-rate series gamma_z on the grid
+    (pure pulse-mode case)."""
     if cfg.gamma_prime != 0.0:
         raise NotImplementedError(
             "decay-to-displacement inversion is only defined for gamma' = 0; "
             "with environment decay the node offset changes"
         )
-    gz = profile.gamma_z
+    gz = np.asarray(gamma_z, dtype=float)
     if gz.min() < -1e-9 or gz.max() > cfg.cap + 1e-9:
         raise ValueError("gamma_z outside [0, 2*gamma0] beyond tolerance")
     phase = np.arccos(np.clip(1.0 - gz / cfg.gamma0, -1.0, 1.0))
-    return MirrorTrajectory(profile.grid, phase / (4.0 * np.pi))
+    return MirrorTrajectory(grid, phase / (4.0 * np.pi))
 
 
-def feasibility_report(
-    traj: MirrorTrajectory,
-    cfg: MemoryConfig,
-    lambda_si: float | None = None,
-    gamma0_si: float | None = None,
-) -> dict:
+def feasibility_report(traj: MirrorTrajectory) -> dict:
     """Kinematic diagnostics of a mirror program.
 
     A peak speed above a quarter wavelength per atomic lifetime is flagged
-    as mechanically demanding (advisory only).  With a physical wavelength
-    (m) and decay rate (1/s) supplied, the peak speed is also given in m/s.
+    as mechanically demanding (advisory only).
     """
-    report = {
+    return {
         "v_max_lambda_gamma0": traj.v_max,
         "l_max_over_lambda": float(traj.l_over_lambda.max()),
         "mechanically_demanding": bool(traj.v_max > 0.25),
     }
-    if lambda_si is not None and gamma0_si is not None:
-        report["v_max_si_m_per_s"] = traj.v_max * lambda_si * gamma0_si
-    return report

@@ -43,28 +43,19 @@ class ReadResult:
     capped: bool
     P0: float
     t_r0: float
-    t_r: float
 
 
 def output_envelope(
-    profile: DecayProfile,
-    P0: float,
-    cfg: MemoryConfig,
-    dechirp: bool = False,
-    obs_delay: float | None = None,
+    profile: DecayProfile, P0: float, cfg: MemoryConfig, dechirp: bool = False
 ) -> ComplexEnvelope:
     """Envelope emitted by a stored population P0 under the given profile.
 
-    Returned in the rotating frame; the constant carrier factor
-    exp(i*omega_a*(obs_delay - tau/2)) for an observation point at delay
-    obs_delay (default tau/2, i.e. at the mirror's image plane) is recorded
-    on the envelope's ``carrier_phase`` rather than multiplied in.  With
-    ``dechirp`` the level-shift phases are stripped, leaving i*|xi_out(t)|.
+    Returned in the frame rotating at the atomic frequency, observed at the
+    mirror's image plane, where the carrier factor is 1.  With ``dechirp``
+    the level-shift phases are stripped, leaving i*|xi_out(t)|.
     """
     if not 0.0 <= P0 <= 1.0:
         raise ValueError("P0 must lie in [0, 1]")
-    if obs_delay is None:
-        obs_delay = 0.5 * cfg.tau
     scale = math.sqrt(2.0 * P0 / cfg.gamma0)
     if dechirp:
         samples = 1j * scale * np.abs(profile.gamma_complex) * np.exp(
@@ -72,8 +63,7 @@ def output_envelope(
         )
     else:
         samples = 1j * scale * profile.gamma_complex * np.exp(-profile.Gamma)
-    carrier = complex(np.exp(1j * cfg.omega_a * (obs_delay - 0.5 * cfg.tau)))
-    return ComplexEnvelope(profile.grid, samples, carrier_phase=carrier)
+    return ComplexEnvelope(profile.grid, samples)
 
 
 def read_profile_for_target(
@@ -117,7 +107,6 @@ def read_profile_for_target(
         capped=capped,
         P0=P0,
         t_r0=float(grid.times[i0]),
-        t_r=float(grid.times[-1]),
     )
 
 

@@ -2,6 +2,7 @@
 trip, the CSV number format, and byte-identical outputs across runs and
 sweep worker counts."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -101,13 +102,47 @@ class TestConfigRoundTrip:
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_float_fields_accept_integers(self):
-        cfg = ScenarioConfig.from_dict({"storage_T": 30, "pulse": {"t1": 0, "t2": 20}})
-        assert cfg == ScenarioConfig.from_dict({})
-        assert cfg.to_dict()["storage_T"] == 30.0
+        default = ScenarioConfig.from_dict({})
+        for raw in [
+            {"storage_T": 30, "pulse": {"t1": 0, "t2": 20}},
+            {"pulse": {"t1": 0, "t2": 20}, "memory": {"gamma0": 1}, "grid": {"dt_factor": 200}},
+        ]:
+            cfg = ScenarioConfig.from_dict(raw)
+            assert cfg == default
+            # The config echo in run.json prints the same bytes too.
+            assert json.dumps(cfg.to_dict()) == json.dumps(default.to_dict())
 
     def test_sweep_keeps_markov_limit(self, tmp_path):
         assert run_cli(tmp_path, "sweep", MARKOV) == 0
         assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 4
+
+
+class TestSettableSurface:
+    """Every option and config key a user can set; a new knob edits this list."""
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [("store", []), ("sweep", []), ("oracle", ["--seed"]), ("mirror", [])],
+    )
+    def test_subcommand_options(self, command, options, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        found = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+        assert found == {"-h", "--help", "--config", "--out", *options}
+
+    def test_config_keys(self):
+        def keys(d):
+            return {k: keys(v) if isinstance(v, dict) else None for k, v in d.items()}
+
+        assert keys(ScenarioConfig.from_dict({"sweep": SWEEP3}).to_dict()) == {
+            "memory": dict.fromkeys(["gamma0", "gamma_prime", "omega_a", "tau", "markov_limit"]),
+            "pulse": dict.fromkeys(["alpha", "beta", "t1", "t2", "sigma", "phi"]),
+            "storage_T": None,
+            "grid": dict.fromkeys(["dt_factor", "padding"]),
+            "phase_compensation": None,
+            "sweep": dict.fromkeys(["sigma_min", "sigma_max", "n_points", "log_spacing"]),
+        }
 
 
 class TestOracle:

@@ -1,0 +1,38 @@
+"""The decay-rate <-> mirror-displacement map: landmark positions, the
+round trip through decay_from_mirror, the accepted rate range, and the
+feasibility report's keys."""
+import numpy as np
+import pytest
+
+from halfcav.core import MemoryConfig, TimeGrid
+from halfcav.dynamics import decay_from_mirror
+from halfcav.mirror import feasibility_report, trajectory_from_decay
+from halfcav.scenario import ScenarioConfig, build_store_run
+
+MEM = MemoryConfig()
+
+
+def test_node_midpoint_antinode():
+    grid = TimeGrid(0.0, 1.0, 3)
+    traj = trajectory_from_decay(grid, np.array([0.0, MEM.gamma0, MEM.cap]), MEM)
+    assert traj.l_over_lambda == pytest.approx([0.0, 0.125, 0.25], abs=1e-15)
+
+
+def test_round_trip_through_decay_from_mirror():
+    grid = TimeGrid(0.0, 10.0, 2001)
+    gz = MEM.cap * 0.5 * (1.0 + np.sin(2.0 * np.pi * grid.times / 10.0))
+    back = decay_from_mirror(trajectory_from_decay(grid, gz, MEM), MEM).gamma_z
+    assert np.max(np.abs(back - gz)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [-2e-9, 2.0 + 2e-9])
+def test_rate_outside_range_rejected(bad):
+    grid = TimeGrid(0.0, 1.0, 3)
+    with pytest.raises(ValueError):
+        trajectory_from_decay(grid, np.array([0.0, bad, 1.0]), MEM)
+
+
+def test_feasibility_report_keys():
+    run = build_store_run(ScenarioConfig.from_dict({}))
+    report = feasibility_report(trajectory_from_decay(run.grid, run.gamma_z, MEM))
+    assert set(report) == {"v_max_lambda_gamma0", "l_max_over_lambda", "mechanically_demanding"}

@@ -109,16 +109,6 @@ class TestOutputEnvelope:
             1.0 - math.exp(-2.0 * width), abs=1e-6
         )
 
-    def test_carrier_phase_recorded_not_applied(self):
-        grid = TimeGrid(0.0, 5.0, 501)
-        prof = profile_from_gamma_z(grid, np.full(grid.n, 1.0), MEM)
-        out = output_envelope(prof, P0=0.5, cfg=MEM)
-        assert out.carrier_phase == pytest.approx(1.0)  # default D at the image plane
-        far = output_envelope(prof, P0=0.5, cfg=MEM, obs_delay=MEM.tau)
-        assert abs(far.carrier_phase) == pytest.approx(1.0)
-        assert far.carrier_phase != out.carrier_phase
-        assert np.array_equal(far.samples, out.samples)
-
     def test_dechirp_preserves_intensity(self):
         grid = TimeGrid(0.0, 10.0, 2001)
         gz = 2.0 * 0.5 * (1 + np.tanh(np.sin(2 * np.pi * grid.times / 10.0)))
@@ -163,7 +153,8 @@ class TestTotalEfficiency:
 
     def test_inconsistent_P0_rejected(self):
         run = build_store_run(ScenarioConfig.from_dict({}))
-        stale = read_profile_for_target(run.target, P0=0.5, cfg=MEM)
+        target = shift(run.xi_in, run.read_offset)
+        stale = read_profile_for_target(target, P0=0.5, cfg=MEM)
         with pytest.raises(ValueError):
             total_efficiency(run.write, stale)
 
@@ -182,7 +173,7 @@ class TestEndToEndProperties:
     def test_output_matches_scaled_shifted_input(self):
         run = build_store_run(ScenarioConfig.from_dict({}))
         out = run.xi_out.samples
-        want = math.sqrt(run.eta) * run.target.samples
+        want = math.sqrt(run.eta) * shift(run.xi_in, run.read_offset).samples
         phase = np.vdot(want, out)
         phase /= abs(phase)
         err = math.sqrt(float(trapz(np.abs(out - phase * want) ** 2, run.grid)))

@@ -99,13 +99,14 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
                      (run.eta, ref.eta), (run.fidelity, ref.fidelity)]:
         assert abs(new - old) <= tol
     old_landmarks = {"t_w": ref.write.t_w, "t_w0": ref.write.t_w0,
-                     "t_r0": ref.read.t_r0, "t_r": ref.read.t_r}
+                     "t_r0": ref.read.t_r0, "t_r": float(ref.grid.times[-1])}
     for key, value in run.record()["landmarks"].items():
         assert abs(value - (old_landmarks[key] - ref.t_mid)) <= tol, key
 
     # The reference kept the read on the timeline, so its columns are its fields.
     old_run = SimpleNamespace(**vars(ref), xi_out=ref.read.xi_out,
-                              gamma_w=ref.write.profile.gamma_z, gamma_r=ref.read.profile.gamma_z)
+                              gamma_w=ref.write.profile.gamma_z, gamma_r=ref.read.profile.gamma_z,
+                              gamma_z=ref.profile_total.gamma_z)
     new_columns, old_columns = timeseries_columns(run), timeseries_columns(old_run)
     assert list(new_columns) == list(old_columns)
     # mirror.csv adds the total rate and the mirror velocity to t and l/lambda.
@@ -113,10 +114,12 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
     # l on a capped arc (where arccos is steep) into ~1e-11, so it is
     # compared as the displacement per step, velocity*dt.
     mem = cfg.memory
-    new_columns["gamma_z"] = run.profile_total.gamma_z
+    new_columns["gamma_z"] = run.gamma_z
     old_columns["gamma_z"] = ref.profile_total.gamma_z
-    new_columns["velocity_dt"] = trajectory_from_decay(run.profile_total, mem).velocity * run.grid.dt
-    old_columns["velocity_dt"] = trajectory_from_decay(ref.profile_total, mem).velocity * ref.grid.dt
+    new_traj = trajectory_from_decay(run.grid, run.gamma_z, mem)
+    old_traj = trajectory_from_decay(ref.grid, ref.profile_total.gamma_z, mem)
+    new_columns["velocity_dt"] = new_traj.velocity * run.grid.dt
+    old_columns["velocity_dt"] = old_traj.velocity * ref.grid.dt
     # The reference's composite quadrature also lets the input's tail past
     # its support (intensity below 1e-12 of the peak) drive the atom while
     # the read runs, which moves P by up to ~1e-12 when the read starts
@@ -150,9 +153,10 @@ def test_store_run_invariants(storage_T, sigma, separation, phi):
     i_r0 = run.read_offset + run.read.profile.grid.index_of(run.read.t_r0)
     assert i_r0 - i_w0 == round(storage_T / (min(1.0, 1.0 / sigma) / 200.0))
     k, n = i_r0 - i_w, grid.n
-    assert np.array_equal(run.target.samples[k:], run.xi_in.samples[: n - k])
-    assert not run.target.samples[:k].any()
-    assert np.all(run.profile_total.gamma_z[i_w0 + 1 : i_r0] == 0.0)
+    target = shift(run.xi_in, run.read_offset)
+    assert np.array_equal(target.samples[k:], run.xi_in.samples[: n - k])
+    assert not target.samples[:k].any()
+    assert np.all(run.gamma_z[i_w0 + 1 : i_r0] == 0.0)
 
 
 @pytest.mark.parametrize("raw", [{}, LONG_HOLD_SEED_1], ids=["default", "long_hold_seed_1"])
@@ -161,8 +165,9 @@ def test_benchmark_configs_match_reference(raw):
     # With a hold and no capped arc, the velocity itself and the
     # reference's own trace agree too.
     mem = run.config.memory
-    velocity = trajectory_from_decay(run.profile_total, mem).velocity
-    assert np.max(np.abs(velocity - trajectory_from_decay(ref.profile_total, mem).velocity)) <= 1e-12
+    velocity = trajectory_from_decay(run.grid, run.gamma_z, mem).velocity
+    old = trajectory_from_decay(ref.grid, ref.profile_total.gamma_z, mem).velocity
+    assert np.max(np.abs(velocity - old)) <= 1e-12
     assert np.max(np.abs(run.trace_total - ref.trace_total)) <= 1e-12
 
 
