@@ -23,6 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .mirror import feasibility_report, trajectory_from_decay
 from .scenario import (
     ScenarioConfig,
@@ -34,12 +36,44 @@ from .scenario import (
 )
 
 
+# Rows formatted and held in memory at a time by write_csv.
+CSV_CHUNK_ROWS = 4096
+
+
 def write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write columns of floats, each with 17 significant digits."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    """Write columns of floats, each with 17 significant digits ("%.17g").
+
+    The bytes are those of formatting every field of every row, with fewer
+    formats: the rows go out in chunks of CSV_CHUNK_ROWS, and in a chunk the
+    first field of each row is formatted, but the rest of the row (its tail)
+    only where it differs from the tail of the row before.  Tails are
+    compared bit for bit, so -0.0 and 0.0 stay apart.  A run of equal tails,
+    such as the hold rows of the store timeline where only t moves, reuses
+    one string.  The chunk is bounded because a chunk's strings, about
+    0.8 kB a row, are held until it is written: on a storage_T = 1000 store
+    (perfbench store_long_hold) 4,096-row chunks raise the peak RSS from 64
+    to 67 MB, and 32,768-row chunks to 75 MB for no further speed.
+    """
+    arrays = [np.asarray(c, dtype=np.float64) for c in columns]
+    n = min((len(a) for a in arrays), default=0)
+    tail_format = ",%.17g" * (len(arrays) - 1) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in zip(*columns))
+        for start in range(0, n, CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, n)
+            tail = np.empty((stop - start, len(arrays) - 1))
+            for j, a in enumerate(arrays[1:]):
+                tail[:, j] = a[start:stop]
+            bits = tail.view(np.int64)
+            changed = np.ones(stop - start, dtype=bool)
+            changed[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+            tails = np.array(
+                [tail_format % tuple(r) for r in tail[changed].tolist()], dtype=object
+            )
+            parts = [""] * (2 * (stop - start))
+            parts[0::2] = ["%.17g" % v for v in arrays[0][start:stop].tolist()]
+            parts[1::2] = tails[np.cumsum(changed) - 1].tolist()
+            fh.write("".join(parts))
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -129,6 +129,15 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.storage_T < 0:
             raise ValueError("storage_T must be non-negative")
+        # The hold is round(storage_T/dt) steps, on the finest step a run of
+        # this config takes (_step at the largest sigma, a sweep's included).
+        sigma = max(self.pulse.sigma, self.sweep.sigma_max if self.sweep else 0.0)
+        dt = min(1.0 / self.memory.gamma0, 1.0 / sigma) / self.grid.dt_factor
+        if dt == 0.0 or not math.isfinite(self.storage_T / dt):
+            raise ValueError(
+                f"storage_T / dt must be finite, got storage_T={self.storage_T!r} "
+                f"and dt={dt!r}"
+            )
         if self.memory.gamma_prime != 0.0:
             raise ValueError(
                 "memory.gamma_prime > 0 is not modelled end to end: pulse-mode "

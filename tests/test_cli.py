@@ -1,17 +1,33 @@
 """Command-line contract: exit codes, load-time rejection, the config round
 trip, the CSV number format, and byte-identical outputs across runs and
-sweep worker counts."""
+sweep worker counts.  The per-row CSV writer kept below is the reference
+for the chunked one."""
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from halfcav import cli
 from halfcav.cli import main, write_csv
 from halfcav.scenario import ScenarioConfig
 
 SWEEP3 = {"sigma_min": 0.1, "sigma_max": 1.0, "n_points": 3}
 MARKOV = {"memory": {"tau": 0.3, "markov_limit": 0.5}, "sweep": SWEEP3}
+# A time bin with alpha, beta, phi != 0 whose 20,000 hold rows (dt = 0.005)
+# span several CSV chunks.
+LONG_HOLD = {"pulse": {"alpha": 0.6, "beta": 0.8, "phi": 1.0}, "storage_T": 100.0}
+
+
+def _reference_write_csv(path, header, columns):
+    """The per-row writer write_csv replaced: every field formatted."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def run_cli(tmp_path, command, config=None, out="out"):
@@ -73,6 +89,21 @@ class TestConfigRejected:
         assert err.err.startswith(
             "halfcav: invalid config: section 'grid': grid.dt_factor must be at least 1"
         )
+        assert err.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"storage_T": 1e308, "sweep": SWEEP3},
+         # Finite at the pulse's sigma, infinite at the sweep's sigma_max.
+         {"storage_T": 1e305, "sweep": {**SWEEP3, "sigma_max": 1e4}}],
+        ids=["pulse_sigma", "sweep_sigma_max"],
+    )
+    @pytest.mark.parametrize("command", ["store", "sweep", "oracle", "mirror"])
+    def test_infinite_hold_rejected_before_compute(self, tmp_path, command, config, capsys):
+        assert run_cli(tmp_path, command, config) == 2
+        err = capsys.readouterr()
+        assert err.err.startswith("halfcav: invalid config: storage_T / dt must be finite")
         assert err.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -246,3 +277,78 @@ class TestWriteCsv:
         assert (tmp_path / "two.csv").read_bytes() == (
             b"a,b\n1.5,0.33333333333333331\n-0,1.4821969375237396e-323\n"
         )
+
+
+# Field values that stress the format: signed zeros, subnormals, the largest
+# and infinite magnitudes, NaN, besides any float.
+CSV_FIELDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308]),
+    st.floats(width=64),
+)
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns whose rows come in runs that repeat one tail while the first
+    field moves, as list or as array columns."""
+    width = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        tail = draw(st.lists(CSV_FIELDS, min_size=width - 1, max_size=width - 1))
+        heads = draw(st.lists(CSV_FIELDS, min_size=1, max_size=9))
+        rows += [[head, *tail] for head in heads]
+    columns = [list(column) for column in zip(*rows)]
+    return columns if draw(st.booleans()) else [np.array(c) for c in columns]
+
+
+class TestChunkedWriteCsv:
+    """write_csv writes the reference writer's bytes."""
+
+    @staticmethod
+    def assert_reference_bytes(directory, columns):
+        header = [f"c{j}" for j in range(len(columns))]
+        write_csv(directory / "new.csv", header, columns)
+        _reference_write_csv(directory / "reference.csv", header, columns)
+        assert (directory / "new.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(columns=csv_columns(), chunk=st.integers(1, 8))
+    @example(columns=[[1.0, 2.0, 3.0, 4.0], [0.0, -0.0, 0.0, -0.0]], chunk=3)
+    @example(columns=[[1.0, 2.0, 3.0], [5e-324, 5e-324, -5e-324], [0.0, 0.0, 0.0]], chunk=2)
+    @example(columns=[[0.5]], chunk=1)
+    def test_reference_bytes(self, tmp_path_factory, columns, chunk):
+        # Small chunks put the runs across chunk boundaries.
+        with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk):
+            self.assert_reference_bytes(tmp_path_factory.mktemp("csv"), columns)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_runs_across_the_real_chunk_size(self, tmp_path, width):
+        # Runs of repeated tails that start before and end after a boundary
+        # of CSV_CHUNK_ROWS rows, and tails that alternate -0.0 / 0.0.
+        n = 3 * cli.CSV_CHUNK_ROWS + 7
+        t = np.linspace(-1.0, 1.0, n)
+        run = np.repeat(np.arange(0.0, 1.0, 1.0 / 5), -(-n // 5))[:n]
+        zeros = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+        zeros[cli.CSV_CHUNK_ROWS - 100: 2 * cli.CSV_CHUNK_ROWS + 100] = -0.0
+        columns = [t, run / 3.0, zeros][:width]
+        self.assert_reference_bytes(tmp_path, columns)
+
+    @pytest.mark.parametrize("command, files", [
+        ("store", ["timeseries.csv", "run.json"]),
+        ("mirror", ["mirror.csv", "feasibility.json"]),
+    ])
+    def test_long_hold_exports_match_the_reference_writer(self, tmp_path, command, files, capsys):
+        assert run_cli(tmp_path, command, LONG_HOLD, out="chunked") == 0
+        chunked = capsys.readouterr().out
+        with mock.patch.object(cli, "write_csv", _reference_write_csv):
+            assert run_cli(tmp_path, command, LONG_HOLD, out="reference") == 0
+        assert chunked and chunked == capsys.readouterr().out
+        for name in files:
+            assert (tmp_path / "chunked" / name).read_bytes() == (
+                tmp_path / "reference" / name
+            ).read_bytes()
+        # The repeated tails (the hold) span several chunks.
+        rows = (tmp_path / "chunked" / files[0]).read_text().splitlines()[1:]
+        tails = [row.partition(",")[2] for row in rows]
+        repeats = sum(a == b for a, b in zip(tails, tails[1:]))
+        assert repeats > 3 * cli.CSV_CHUNK_ROWS
