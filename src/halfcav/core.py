@@ -149,8 +149,9 @@ def cumtrapz(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 
 # Steps per block of affine_scan.  A block's running product of a must stay
-# a normal float: 256 steps at |a| >= 0.27 keep it above 1e-146.
+# a normal float: 256 steps at |a| >= SCAN_MIN_FACTOR keep it above 1e-146.
 SCAN_BLOCK = 256
+SCAN_MIN_FACTOR = 0.27
 
 
 def affine_scan(a: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
@@ -184,15 +185,6 @@ def affine_scan(a: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
     x[0] = x0
     x[1:] = (local + A * start[:, None]).ravel()[:m]
     return x
-
-
-def trapz(values: np.ndarray, grid: TimeGrid):
-    """Trapezoidal integral over the full grid."""
-    values = np.asarray(values)
-    if values.shape != (grid.n,):
-        raise ValueError(f"expected {grid.n} values, got shape {values.shape}")
-    result = np.trapezoid(values, dx=grid.dt)
-    return complex(result) if np.iscomplexobj(values) else float(result)
 
 
 def squared_norm(env: ComplexEnvelope) -> float:

@@ -8,7 +8,8 @@ and with it the complex decay rate
 
 On the principal branch phi in [0, pi] the imaginary part (the dynamical
 level shift) is non-positive; l = 0 is a node (gamma_z = 0) and l = lambda/4
-an antinode (gamma_z = 2*gamma0).
+an antinode (gamma_z = 2*gamma0).  ``principal_branch`` owns this branch
+map and its rate range, for the profiles here and for ``mirror`` alike.
 
 Two independent routes compute the excited-state population driven by an
 input envelope: a closed-form cumulative quadrature and a fixed-step RK4
@@ -26,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import ComplexEnvelope, MemoryConfig, TimeGrid, affine_scan, cumtrapz, _freeze
+from .core import SCAN_MIN_FACTOR
 
 
 @dataclass(frozen=True)
@@ -79,22 +81,29 @@ class ExcitationTrace:
         object.__setattr__(self, "amplitude", _freeze(self.amplitude))
 
 
+def principal_branch(gamma_z, cfg: MemoryConfig) -> tuple[np.ndarray, np.ndarray]:
+    """gamma_z clipped to [0, 2*gamma0 + 2*gamma'] (ValueError if it lies
+    more than 1e-9 outside) and cos(phi) = 1 - (gamma_z - gamma')/gamma_p
+    of the mirror phase phi in [0, pi] that realizes it."""
+    gamma_z = np.asarray(gamma_z, dtype=float)
+    cap = cfg.cap + 2.0 * cfg.gamma_prime
+    if gamma_z.min() < -1e-9 or gamma_z.max() > cap + 1e-9:
+        raise ValueError("gamma_z outside the physical range [0, 2*gamma0 + 2*gamma']")
+    gamma_z = np.clip(gamma_z, 0.0, cap)
+    return gamma_z, np.clip(1.0 - (gamma_z - cfg.gamma_prime) / cfg.gamma_p, -1.0, 1.0)
+
+
 def profile_from_gamma_z(
     grid: TimeGrid, gamma_z: np.ndarray, cfg: MemoryConfig
 ) -> DecayProfile:
     """Build the full complex profile from a real decay-rate series.
 
-    The branch phi = arccos(1 - (gamma_z - gamma')/gamma_p) in [0, pi] fixes
-    Im gamma = -(gamma_p/2)*sin(phi) <= 0.
+    The principal branch fixes Im gamma = -(gamma_p/2)*sin(phi) <= 0.
     """
     gamma_z = np.asarray(gamma_z, dtype=float)
     if gamma_z.shape != (grid.n,):
         raise ValueError(f"expected {grid.n} samples, got {gamma_z.shape}")
-    cap = cfg.cap + 2.0 * cfg.gamma_prime
-    if gamma_z.min() < -1e-9 or gamma_z.max() > cap + 1e-9:
-        raise ValueError("gamma_z outside the physical range [0, 2*gamma0 + 2*gamma']")
-    gamma_z = np.clip(gamma_z, 0.0, cap)
-    cos_phi = np.clip(1.0 - (gamma_z - cfg.gamma_prime) / cfg.gamma_p, -1.0, 1.0)
+    gamma_z, cos_phi = principal_branch(gamma_z, cfg)
     sin_phi = np.sqrt(np.clip(1.0 - cos_phi**2, 0.0, None))
     return DecayProfile(grid, 0.5 * gamma_z - 0.5j * cfg.gamma_p * sin_phi)
 
@@ -114,34 +123,32 @@ def absorption_probability(
     """Excited-state amplitude from the closed-form quadrature.
 
     amplitude(t) = ∫ exp(-(Gamma(t) - Gamma(t'))) g(t') xi(t') dt'  over
-    t' <= t, evaluated with trapezoid weights.  The exponent is kept as a
-    difference with non-negative real part, so every factor has magnitude
-    <= 1 no matter how large the accumulated decay gets.
+    t' <= t, evaluated with trapezoid weights.  Below Gamma_z(end) = 1200
+    the kernel splits into exp(-Gamma(t))*exp(+Gamma(t')), both
+    representable, and the sum is one cumsum.  Past it (long storage) the
+    sum is x[k+1] = d[k]*(x[k] + h*drive[k]) + h*drive[k+1], h = dt/2, with
+    per-step decay d = exp(-(Gamma[k+1] - Gamma[k])), solved by
+    ``core.affine_scan``; a grid with a step |d| < SCAN_MIN_FACTOR is too
+    coarse for the scan and raises ValueError.
     """
     if xi_in.grid != profile.grid:
         raise ValueError("envelope and profile must share a grid")
-    n = profile.grid.n
-    dt = profile.grid.dt
+    h = 0.5 * profile.grid.dt
     drive = profile.g * xi_in.samples
 
-    amplitude = np.empty(n, dtype=np.complex128)
-    amplitude[0] = 0.0
     if profile.Gamma_z[-1] < 1200.0:
-        # Safe to exponentiate directly: split exp(-(Gamma(t)-Gamma(t')))
-        # into exp(-Gamma(t)) * exp(+Gamma(t')), both representable.
         integrand = np.exp(profile.Gamma) * drive
-        running = np.empty(n, dtype=np.complex128)
-        running[0] = 0.0
-        np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]), out=running[1:])
+        running = np.zeros_like(integrand)
+        np.cumsum(h * (integrand[1:] + integrand[:-1]), out=running[1:])
         amplitude = np.exp(-profile.Gamma) * running
     else:
-        # Long-storage fallback: step the same trapezoid sum with per-step
-        # decay factors exp(-dGamma), each of magnitude <= 1.
         decay = np.exp(-(profile.Gamma[1:] - profile.Gamma[:-1]))
-        acc = 0.0 + 0.0j
-        for k in range(n - 1):
-            acc = decay[k] * (acc + 0.5 * dt * drive[k]) + 0.5 * dt * drive[k + 1]
-            amplitude[k + 1] = acc
+        if np.abs(decay).min() < SCAN_MIN_FACTOR:
+            raise ValueError(
+                "grid too coarse for the long-storage scan: a step decays the "
+                f"amplitude by more than a factor {SCAN_MIN_FACTOR}; refine dt"
+            )
+        amplitude = affine_scan(decay, decay * (h * drive[:-1]) + h * drive[1:], 0j)
     P = np.abs(amplitude) ** 2
     return ExcitationTrace(grid=profile.grid, P=P, amplitude=amplitude)
 

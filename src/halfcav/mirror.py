@@ -4,7 +4,8 @@ On the principal branch the mirror displacement away from the node is
 l/lambda = arccos(1 - gamma_z/gamma0) / (4*pi), running from 0 (node,
 coupling off) to 1/4 (antinode, coupling 2*gamma0).  This makes the
 decay-rate <-> displacement map a bijection and fixes the sign of the
-level shift.
+level shift.  The branch map and its rate range live in
+``dynamics.principal_branch``, which the complex decay profile uses too.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import MemoryConfig, TimeGrid, _freeze
+from .dynamics import principal_branch
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,8 @@ def trajectory_from_decay(
             "decay-to-displacement inversion is only defined for gamma' = 0; "
             "with environment decay the node offset changes"
         )
-    gz = np.asarray(gamma_z, dtype=float)
-    if gz.min() < -1e-9 or gz.max() > cfg.cap + 1e-9:
-        raise ValueError("gamma_z outside [0, 2*gamma0] beyond tolerance")
-    phase = np.arccos(np.clip(1.0 - gz / cfg.gamma0, -1.0, 1.0))
-    return MirrorTrajectory(grid, phase / (4.0 * np.pi))
+    _, cos_phi = principal_branch(gamma_z, cfg)
+    return MirrorTrajectory(grid, np.arccos(cos_phi) / (4.0 * np.pi))
 
 
 def feasibility_report(traj: MirrorTrajectory) -> dict:

@@ -16,6 +16,9 @@ from .core import ComplexEnvelope, TimeGrid, squared_norm
 # Relative intensity below which a sample does not count as pulse support.
 SUPPORT_CUTOFF = 1e-12
 
+# A time bin's grid must reach PULSE_WINDOW/sigma beyond both bin centers.
+PULSE_WINDOW = 6.0
+
 
 @dataclass(frozen=True)
 class TimeBinSpec:
@@ -60,8 +63,8 @@ def make_time_bin(spec: TimeBinSpec, grid: TimeGrid) -> ComplexEnvelope:
     N is fixed numerically so that the sampled ∫|xi|^2 dt = 1; this absorbs
     the bin overlap, which the per-bin Gaussian constant would miss.
     """
-    lo = spec.t1 - 6.0 / spec.sigma
-    hi = spec.t2 + 6.0 / spec.sigma
+    lo = spec.t1 - PULSE_WINDOW / spec.sigma
+    hi = spec.t2 + PULSE_WINDOW / spec.sigma
     if grid.t_start > lo or grid.t_end < hi:
         raise ValueError(
             f"grid [{grid.t_start:.6g}, {grid.t_end:.6g}] too narrow for the "

@@ -7,10 +7,11 @@ as the envelope
 
 whose intensity is P0 * gamma_z_r(t) * exp(-Gamma_z_r(t)).  Matching that
 intensity to a target shape |xi_tgt|^2 gives the closed form
-eta_r*|xi_tgt|^2 / (1 - eta_r*∫|xi_tgt|^2) below the 2*gamma0 bound; the
-capped case is the time-reversed image of the write synthesis (emission is
-absorption run backwards), which maximizes the target-projected emitted
-energy eta_r * F.
+eta_r*|xi_tgt|^2 / (1 - eta_r*∫|xi_tgt|^2) below the 2*gamma0 bound.  The
+read program, capped or not, is the write's builder
+(``write_optimizer.optimal_program``) run backwards over the target's
+support: emission is absorption run backwards, and the capped result
+maximizes the target-projected emitted energy eta_r * F.
 
 The complex gamma_r imprints the level-shift chirp on the raw envelope.  By
 default the returned envelope is de-chirped (the phases arg(gamma_r) and
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, TimeGrid, squared_norm, trapz
-from .dynamics import DecayProfile, profile_from_gamma_z
-from .pulses import fidelity, support_indices
-from .write_optimizer import ETA_TARGET, WriteResult, _synthesize_gamma_z
+from .core import ComplexEnvelope, MemoryConfig, squared_norm
+from .dynamics import DecayProfile
+from .pulses import fidelity
+from .write_optimizer import WriteResult, optimal_program
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,6 @@ class ReadResult:
     fidelity_vs_target: float
     capped: bool
     P0: float
-    t_r0: float
 
 
 def output_envelope(
@@ -85,28 +85,16 @@ def read_profile_for_target(
     norm = squared_norm(target)
     if norm <= 0.0:
         raise ValueError("target envelope has zero norm")
-    grid = target.grid
     q2 = np.abs(target.samples) ** 2 / norm
-    i0, i1 = support_indices(target)
-
-    eps = (1.0 - ETA_TARGET) / ETA_TARGET
-    gamma_z = np.zeros(grid.n)
-    gamma_z[i0 : i1 + 1] = _synthesize_gamma_z(
-        q2[i0 : i1 + 1][::-1], grid.dt, cfg.cap, eps
-    )[::-1]
-    profile = profile_from_gamma_z(grid, gamma_z, cfg)
-    capped = bool(gamma_z.max() >= cfg.cap - 1e-12)
-
+    profile, capped, _ = optimal_program(target, q2, cfg, reverse=True)
     xi_rep = output_envelope(profile, P0, cfg, dechirp=phase_compensation)
-    eta_r = float(trapz(np.abs(xi_rep.samples) ** 2, grid)) / P0
     return ReadResult(
         profile=profile,
-        eta_r=eta_r,
+        eta_r=squared_norm(xi_rep) / P0,
         xi_out=xi_rep,
         fidelity_vs_target=fidelity(xi_rep, target),
         capped=capped,
         P0=P0,
-        t_r0=float(grid.times[i0]),
     )
 
 

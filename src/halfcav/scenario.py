@@ -25,9 +25,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, TimeGrid, _freeze, trapz
+from .core import ComplexEnvelope, MemoryConfig, TimeGrid, _freeze, squared_norm
 from .dynamics import absorption_probability, bloch_ode_oracle, profile_from_gamma_z
-from .pulses import TimeBinSpec, make_time_bin, support_indices
+from .pulses import PULSE_WINDOW, TimeBinSpec, make_time_bin, support_indices
 from .read_shaper import ReadResult, read_profile_for_target, total_efficiency
 from .write_optimizer import WriteResult, optimal_write_profile
 
@@ -38,6 +38,10 @@ DT_RULE_FACTOR = 50.0
 
 # Seeded random (profile, pulse) pairs the oracle checks besides the write.
 ORACLE_RANDOM_CASES = 20
+
+# Most hold steps storage_T/dt: at 48 B of peak RSS and 61 B of CSV per timeline
+# sample, about 1 GB and 1.2 GB (tests and benchmarks reach 231,771 samples).
+MAX_HOLD_STEPS = 20_000_000
 
 # JSON values a config field of each annotated type accepts.
 _JSON_TYPES = {
@@ -94,8 +98,10 @@ class GridSpec:
             raise ValueError(
                 "grid.dt_factor must be at least 1 (dt <= min(1/gamma0, 1/sigma))"
             )
-        if self.padding <= 6.0:
-            raise ValueError("grid.padding must exceed 6 (pulse construction window)")
+        if self.padding <= PULSE_WINDOW:
+            raise ValueError(
+                f"grid.padding must exceed {PULSE_WINDOW:g} (pulse construction window)"
+            )
 
 
 @dataclass(frozen=True)
@@ -133,10 +139,10 @@ class ScenarioConfig:
         # this config takes (_step at the largest sigma, a sweep's included).
         sigma = max(self.pulse.sigma, self.sweep.sigma_max if self.sweep else 0.0)
         dt = min(1.0 / self.memory.gamma0, 1.0 / sigma) / self.grid.dt_factor
-        if dt == 0.0 or not math.isfinite(self.storage_T / dt):
+        if dt == 0.0 or not self.storage_T / dt <= MAX_HOLD_STEPS:
             raise ValueError(
-                f"storage_T / dt must be finite, got storage_T={self.storage_T!r} "
-                f"and dt={dt!r}"
+                f"storage_T / dt must be finite and at most {MAX_HOLD_STEPS} hold "
+                f"steps, got storage_T={self.storage_T!r} and dt={dt!r}"
             )
         if self.memory.gamma_prime != 0.0:
             raise ValueError(
@@ -192,9 +198,9 @@ class StoreRun:
     """All artifacts of one store/retrieve execution.
 
     ``write`` and ``read`` are computed on the write-phase grid, on which
-    ``xi_segment`` is the input; the read phase is that grid moved
-    ``read_offset`` samples later on the timeline ``grid``, so read times
-    such as ``read.t_r0`` are phase-grid times.  The full-timeline columns
+    ``xi_segment`` is the input with support [j0, j1] = ``support``; the
+    read phase is that grid moved ``read_offset`` samples later on the
+    timeline ``grid``.  The full-timeline columns
     (``xi_in``, ``xi_out``, ``gamma_w``, ``gamma_r``, ``gamma_z``,
     ``trace_total``) are assembled from the two segments on first use and
     then kept.
@@ -203,17 +209,13 @@ class StoreRun:
     config: ScenarioConfig
     grid: TimeGrid
     xi_segment: ComplexEnvelope
+    support: tuple[int, int]
     write: WriteResult
     read: ReadResult
     read_offset: int
     eta: float
     fidelity: float
     t_mid: float
-
-    def _support(self) -> tuple[int, int]:
-        """The input support [j0, j1] on the write-phase grid."""
-        g0 = self.xi_segment.grid
-        return g0.index_of(self.write.t_w), g0.index_of(self.write.t_w0)
 
     def _on_timeline(self, values: np.ndarray, at: int) -> np.ndarray:
         """Phase-grid values placed from timeline sample ``at`` on, zero
@@ -262,12 +264,12 @@ class StoreRun:
         P[:k] = eta_w
         P[k : k + m] = read_P[:m]
         P[k + m :] = read_P[-1]
-        j1 = self._support()[1]
+        j1 = self.support[1]
         P[: j1 + 1] = self.write.trace.P[: j1 + 1]
         return _freeze(P)
 
     def record(self) -> dict:
-        j0 = self._support()[0]
+        j0 = self.support[0]
         return {
             "config": self.config.to_dict(),
             "eta_w": self.write.eta_w,
@@ -353,6 +355,7 @@ def build_store_run(cfg: ScenarioConfig) -> StoreRun:
         config=cfg,
         grid=grid,
         xi_segment=xi,
+        support=(j0, j1),
         write=w,
         read=r,
         read_offset=(j1 - j0) + hold_steps,
@@ -403,8 +406,7 @@ def _random_envelope(rng: np.random.Generator, grid: TimeGrid) -> ComplexEnvelop
         + rng.uniform(0.0, 2.0 * np.pi)
     )
     env = ComplexEnvelope(grid, body * ripple * np.exp(1j * phase))
-    nrm = math.sqrt(float(trapz(np.abs(env.samples) ** 2, grid)))
-    return env.with_samples(env.samples / nrm)
+    return env.with_samples(env.samples / math.sqrt(squared_norm(env)))
 
 
 def oracle_check(cfg: ScenarioConfig, seed: int = 12345) -> dict:
@@ -429,7 +431,7 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345) -> dict:
 
     if not coarse:
         rng = np.random.default_rng(seed)
-        rnd_grid = TimeGrid(0.0, 20.0, 16001)
+        rnd_grid = TimeGrid(0.0, 20.0 / mem.gamma0, 16001)  # 20 lifetimes
         for i in range(ORACLE_RANDOM_CASES):
             gz = _random_smooth_rate(rng, rnd_grid, mem.cap)
             profile = profile_from_gamma_z(rnd_grid, gz, mem)

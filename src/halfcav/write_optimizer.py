@@ -19,8 +19,8 @@ concave in the absorption kernel).
 The rate is synthesized one arc at a time.  On an uncapped arc Heun's
 method for r is the trapezoid rule, so the whole arc is one cumulative sum;
 only the capped samples and the steps into and out of them are stepped one
-by one.  A capped read is the same synthesis run on the reversed target
-(``read_shaper``).
+by one.  ``optimal_program`` runs it forward for a write and backwards
+for a read (``read_shaper``).
 
 The level-shift phase Im(Gamma) is compensated by default: the effective
 absorbed envelope is |xi| * exp(-i*Im Gamma(t)), which aligns the quadrature
@@ -117,6 +117,24 @@ def _synthesize_gamma_z(q2: np.ndarray, dt: float, cap: float, eps: float) -> np
     return np.minimum(q2 / r, cap)
 
 
+def optimal_program(
+    env: ComplexEnvelope, q2: np.ndarray, cfg: MemoryConfig, reverse: bool = False
+) -> tuple[DecayProfile, bool, tuple[int, int]]:
+    """Optimal program for intensities q2, synthesized over env's support
+    [i0, i1] (backwards for a read) and 0 outside it.  Returns the profile,
+    whether the rate reaches the cap, and (i0, i1)."""
+    grid = env.grid
+    i0, i1 = support_indices(env)
+    step = -1 if reverse else 1
+    eps = (1.0 - ETA_TARGET) / ETA_TARGET
+    gamma_z = np.zeros(grid.n)
+    gamma_z[i0 : i1 + 1] = _synthesize_gamma_z(
+        q2[i0 : i1 + 1][::step], grid.dt, cfg.cap, eps
+    )[::step]
+    capped = bool(gamma_z.max() >= cfg.cap - 1e-12)
+    return profile_from_gamma_z(grid, gamma_z, cfg), capped, (i0, i1)
+
+
 def optimal_write_profile(
     xi_in: ComplexEnvelope,
     cfg: MemoryConfig,
@@ -129,19 +147,9 @@ def optimal_write_profile(
     The reported eta_w is the achieved P(t_w0) evaluated through the
     quadrature, so it equals trace.P at the window end by construction.
     """
-    if abs(squared_norm(xi_in) - 1.0) > max(NORM_TOL, 1e-9):
+    if abs(squared_norm(xi_in) - 1.0) > NORM_TOL:
         raise ValueError("input envelope must be normalized (∫|xi|^2 dt = 1)")
-    grid = xi_in.grid
-    i0, i1 = support_indices(xi_in)
-    q2 = np.abs(xi_in.samples) ** 2
-
-    eps = (1.0 - ETA_TARGET) / ETA_TARGET
-    gamma_z = np.zeros(grid.n)
-    gamma_z[i0 : i1 + 1] = _synthesize_gamma_z(
-        q2[i0 : i1 + 1], grid.dt, cfg.cap, eps
-    )
-    profile = profile_from_gamma_z(grid, gamma_z, cfg)
-    capped = bool(gamma_z.max() >= cfg.cap - 1e-12)
+    profile, capped, (i0, i1) = optimal_program(xi_in, np.abs(xi_in.samples) ** 2, cfg)
 
     if phase_compensation:
         xi_eff = xi_in.with_samples(
@@ -157,8 +165,8 @@ def optimal_write_profile(
         trace=trace,
         capped=capped,
         xi_effective=xi_eff,
-        t_w=float(grid.times[i0]),
-        t_w0=float(grid.times[i1]),
+        t_w=float(xi_in.grid.times[i0]),
+        t_w0=float(xi_in.grid.times[i1]),
     )
 
 

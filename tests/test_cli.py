@@ -96,8 +96,11 @@ class TestConfigRejected:
         "config",
         [{"storage_T": 1e308, "sweep": SWEEP3},
          # Finite at the pulse's sigma, infinite at the sweep's sigma_max.
-         {"storage_T": 1e305, "sweep": {**SWEEP3, "sigma_max": 1e4}}],
-        ids=["pulse_sigma", "sweep_sigma_max"],
+         {"storage_T": 1e305, "sweep": {**SWEEP3, "sigma_max": 1e4}},
+         # Finite, but a timeline of 2e11 or 2e302 samples.
+         {"storage_T": 1e9, "sweep": SWEEP3},
+         {"storage_T": 1e300, "sweep": SWEEP3}],
+        ids=["pulse_sigma", "sweep_sigma_max", "finite_1e9", "finite_1e300"],
     )
     @pytest.mark.parametrize("command", ["store", "sweep", "oracle", "mirror"])
     def test_infinite_hold_rejected_before_compute(self, tmp_path, command, config, capsys):

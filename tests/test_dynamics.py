@@ -44,6 +44,21 @@ def smooth_pulse(grid: TimeGrid, seed: int) -> ComplexEnvelope:
     return env.with_samples(env.samples / math.sqrt(squared_norm(env)))
 
 
+def _reference_long_storage(profile, xi_in):
+    """The per-sample loop that stepped absorption_probability's trapezoid
+    sum past Gamma_z(end) = 1200; the scan there must reproduce it."""
+    dt = profile.grid.dt
+    drive = profile.g * xi_in.samples
+    decay = np.exp(-(profile.Gamma[1:] - profile.Gamma[:-1]))
+    amplitude = np.empty(profile.grid.n, dtype=np.complex128)
+    amplitude[0] = 0.0
+    acc = 0.0 + 0.0j
+    for k in range(profile.grid.n - 1):
+        acc = decay[k] * (acc + 0.5 * dt * drive[k]) + 0.5 * dt * drive[k + 1]
+        amplitude[k + 1] = acc
+    return amplitude
+
+
 def _reference_oracle(profile, xi_in):
     """The RK4 oracle stepped sample by sample on Python scalars: the three
     components of the state, each RK4 stage written out.  The scan form in
@@ -212,6 +227,30 @@ class TestAbsorptionProbability:
         # free decay over 3/gamma0 at rate 2*gamma0, clear of the drive edge
         assert trace.P[i9] / trace.P[i6] == pytest.approx(math.exp(-6.0), rel=1e-6)
         assert trace.P[-1] == 0.0  # underflow to exact zero, not overflow
+        assert np.max(np.abs(trace.amplitude - _reference_long_storage(prof, xi))) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_long_storage_scan_matches_loop(self, seed):
+        # A random rate over 3000/gamma0: Gamma_z(end) is past the 1200
+        # switch, and the level shift varies along the grid.
+        grid = TimeGrid(0.0, 3000.0, 150001)
+        prof = profile_from_gamma_z(grid, smooth_rate(grid, seed), MEM)
+        assert prof.Gamma_z[-1] >= 1200.0
+        xi = smooth_pulse(grid, seed + 1)
+        ref = _reference_long_storage(prof, xi)
+        amplitude = absorption_probability(prof, xi).amplitude
+        assert np.max(np.abs(amplitude - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_long_storage_too_coarse_rejected(self):
+        # dt = 3 at gamma_z = 2: each step decays the amplitude by e^-3, and
+        # a 256-step block of the scan would underflow.  The loop stays
+        # finite there; the scan refuses the grid rather than return nan.
+        grid = TimeGrid(0.0, 3000.0, 1001)
+        prof = profile_from_gamma_z(grid, np.full(grid.n, 2.0), MEM)
+        xi = smooth_pulse(grid, 5)
+        assert np.all(np.isfinite(_reference_long_storage(prof, xi)))
+        with pytest.raises(ValueError, match="too coarse"):
+            absorption_probability(prof, xi)
 
 
 class TestBlochOdeOracle:

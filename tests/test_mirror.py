@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from halfcav.core import MemoryConfig, TimeGrid
-from halfcav.dynamics import decay_from_mirror
+from halfcav.dynamics import decay_from_mirror, profile_from_gamma_z
 from halfcav.mirror import feasibility_report, trajectory_from_decay
 from halfcav.scenario import ScenarioConfig, build_store_run
 
@@ -25,11 +25,18 @@ def test_round_trip_through_decay_from_mirror():
     assert np.max(np.abs(back - gz)) <= 1e-12
 
 
-@pytest.mark.parametrize("bad", [-2e-9, 2.0 + 2e-9])
-def test_rate_outside_range_rejected(bad):
+@pytest.mark.parametrize(
+    "bad, convert",
+    [pytest.param(bad, convert, id=f"{prefix}{bad}")
+     for prefix, convert in [("", trajectory_from_decay), ("profile-", profile_from_gamma_z)]
+     for bad in (-2e-9, 2.0 + 2e-9)],
+)
+def test_rate_outside_range_rejected(bad, convert):
+    # The mirror program and the complex profile share one rate range.
     grid = TimeGrid(0.0, 1.0, 3)
-    with pytest.raises(ValueError):
-        trajectory_from_decay(grid, np.array([0.0, bad, 1.0]), MEM)
+    with pytest.raises(ValueError, match="gamma_z outside"):
+        convert(grid, np.array([0.0, bad, 1.0]), MEM)
+    convert(grid, np.array([0.0, bad - np.sign(bad) * 1.5e-9, 1.0]), MEM)
 
 
 def test_feasibility_report_keys():

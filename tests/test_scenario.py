@@ -18,10 +18,12 @@ from halfcav.mirror import trajectory_from_decay
 from halfcav.pulses import make_time_bin, shift, support_indices
 from halfcav.read_shaper import read_profile_for_target, total_efficiency
 from halfcav.scenario import (
+    MAX_HOLD_STEPS,
     ScenarioConfig,
     _step,
     build_store_run,
     default_write_grid,
+    oracle_check,
     sweep_point,
 )
 from halfcav.write_optimizer import optimal_write_profile
@@ -99,7 +101,8 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
                      (run.eta, ref.eta), (run.fidelity, ref.fidelity)]:
         assert abs(new - old) <= tol
     old_landmarks = {"t_w": ref.write.t_w, "t_w0": ref.write.t_w0,
-                     "t_r0": ref.read.t_r0, "t_r": float(ref.grid.times[-1])}
+                     "t_r0": float(ref.grid.times[support_indices(ref.target)[0]]),
+                     "t_r": float(ref.grid.times[-1])}
     for key, value in run.record()["landmarks"].items():
         assert abs(value - (old_landmarks[key] - ref.t_mid)) <= tol, key
 
@@ -150,7 +153,7 @@ def test_store_run_invariants(storage_T, sigma, separation, phi):
 
     grid = run.grid
     i_w, i_w0 = (grid.index_of(t) for t in (run.write.t_w, run.write.t_w0))
-    i_r0 = run.read_offset + run.read.profile.grid.index_of(run.read.t_r0)
+    i_r0 = run.read_offset + np.flatnonzero(run.read.profile.gamma_z)[0]
     assert i_r0 - i_w0 == round(storage_T / (min(1.0, 1.0 / sigma) / 200.0))
     k, n = i_r0 - i_w, grid.n
     target = shift(run.xi_in, run.read_offset)
@@ -206,3 +209,28 @@ def test_sweep_point_work_is_flat_in_storage_time(monkeypatch):
             "absorption_probability", "profile_from_gamma_z"}
         assert {n for _, n in seen} == {default_write_grid(cfg).n}
     assert sizes[30.0] == sizes[3000.0]
+
+
+@pytest.mark.parametrize("gamma0", [0.5, 2.0, 4.0])
+def test_oracle_cases_scale_with_gamma0(gamma0):
+    # gamma0 is the unit of inverse time: with sigma scaled by gamma0 and
+    # t2 and storage_T divided by it, every case of the oracle (the write
+    # and the seeded random pairs) is the same problem in rescaled time.
+    default = oracle_check(ScenarioConfig.from_dict({}))
+    scaled = oracle_check(ScenarioConfig.from_dict({
+        "memory": {"gamma0": gamma0, "tau": 0.0125},
+        "pulse": {"t2": 20.0 / gamma0, "sigma": 0.2 * gamma0},
+        "storage_T": 30.0 / gamma0,
+    }))
+    assert len(scaled["cases"]) == len(default["cases"]) == 21
+    for new, old in zip(scaled["cases"], default["cases"]):
+        assert new["case"] == old["case"]
+        assert new["max_abs_dP"] == pytest.approx(old["max_abs_dP"], rel=1e-6), new["case"]
+    assert scaled["passed"] is True
+
+
+def test_hold_length_bounded_at_load():
+    dt = _step(ScenarioConfig.from_dict({}), 200.0)
+    ScenarioConfig.from_dict({"storage_T": MAX_HOLD_STEPS * dt * (1.0 - 1e-9)})
+    with pytest.raises(ValueError, match="storage_T / dt must be finite and at most"):
+        ScenarioConfig.from_dict({"storage_T": MAX_HOLD_STEPS * dt * (1.0 + 1e-9)})
