@@ -107,7 +107,6 @@ def timeseries_columns(run: StoreRun) -> dict:
 
 
 def emit_store(run: StoreRun, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     ts_path = out_dir / "timeseries.csv"
     columns = timeseries_columns(run)
     write_csv(ts_path, list(columns), list(columns.values()))
@@ -128,8 +127,6 @@ def parse_threads(raw: str | None) -> int | None:
 
 def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -> list[dict]:
     """Run the sweep on up to ``threads`` workers (default: one per CPU)."""
-    if cfg.sweep is None:
-        raise ValueError("config has no sweep section")
     sigmas = [float(s) for s in cfg.sweep.sigmas()]
     max_workers = min(os.cpu_count() or 1, threads or len(sigmas), len(sigmas))
     if max_workers > 1:
@@ -137,14 +134,12 @@ def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -
             rows = list(pool.map(partial(sweep_point, cfg), sigmas))
     else:
         rows = [sweep_point(cfg, s) for s in sigmas]
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = ["sigma_over_gamma0", "eta_w", "eta_r", "eta", "F"]
     write_csv(out_dir / "sweep.csv", header, [[row[k] for row in rows] for k in header])
     return rows
 
 
 def emit_mirror(run: StoreRun, out_dir: Path) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
     traj = trajectory_from_decay(run.grid, run.gamma_z, run.config.memory)
     write_csv(
         out_dir / "mirror.csv",
@@ -170,6 +165,8 @@ def main(argv: list[str] | None = None) -> int:
         if name == "oracle":
             p.add_argument("--seed", type=int, default=12345, help="RNG seed")
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        parser.error("--seed must be non-negative")
 
     try:
         cfg = load_config(args.config)
@@ -179,11 +176,19 @@ def main(argv: list[str] | None = None) -> int:
     threads = None
     if args.command == "sweep":
         try:
+            if cfg.sweep is None:
+                raise ValueError("config has no sweep section")
             threads = parse_threads(os.environ.get("HALFCAV_THREADS"))
         except ValueError as exc:
             print(f"halfcav: {exc}", file=sys.stderr)
             return 2
     out_dir = Path(args.out)
+    if args.command != "oracle":
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"halfcav: cannot create the output directory: {exc}", file=sys.stderr)
+            return 2
     warning = resolution_warning(cfg)
     if warning is not None and args.command != "oracle":
         print(f"halfcav: {warning}; results are not resolved", file=sys.stderr)
@@ -193,11 +198,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0
     if args.command == "sweep":
-        try:
-            emit_sweep(cfg, out_dir, threads)
-        except ValueError as exc:
-            print(f"halfcav: {exc}", file=sys.stderr)
-            return 2
+        emit_sweep(cfg, out_dir, threads)
         return 0
     if args.command == "oracle":
         report = oracle_check(cfg, seed=args.seed)

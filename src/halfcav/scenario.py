@@ -13,8 +13,8 @@ the read is closed-form, eta_w*exp(-Gamma_z_r(t)), so no quadrature runs
 on the full timeline.
 
 The full timeline (input, both programs and their sum, the emitted
-envelope and the population trace) is assembled from the two segments on
-first use, for the exports only; a sweep point never builds it.
+envelope and the population trace) ends two samples after the read support
+and is assembled on first use, for the exports only.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import ComplexEnvelope, MemoryConfig, TimeGrid, _freeze, squared_norm
 from .dynamics import absorption_probability, bloch_ode_oracle, profile_from_gamma_z
-from .pulses import PULSE_WINDOW, TimeBinSpec, make_time_bin, support_indices
+from .pulses import PULSE_WINDOW, TimeBinSpec, make_time_bin
 from .read_shaper import ReadResult, read_profile_for_target, total_efficiency
 from .write_optimizer import WriteResult, optimal_write_profile
 
@@ -39,9 +39,9 @@ DT_RULE_FACTOR = 50.0
 # Seeded random (profile, pulse) pairs the oracle checks besides the write.
 ORACLE_RANDOM_CASES = 20
 
-# Most hold steps storage_T/dt: at 48 B of peak RSS and 61 B of CSV per timeline
+# Most store timeline samples: at 48 B of peak RSS and 61 B of CSV per timeline
 # sample, about 1 GB and 1.2 GB (tests and benchmarks reach 231,771 samples).
-MAX_HOLD_STEPS = 20_000_000
+MAX_TIMELINE_SAMPLES = 20_000_000
 
 # JSON values a config field of each annotated type accepts.
 _JSON_TYPES = {
@@ -135,20 +135,24 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.storage_T < 0:
             raise ValueError("storage_T must be non-negative")
-        # The hold is round(storage_T/dt) steps, on the finest step a run of
-        # this config takes (_step at the largest sigma, a sweep's included).
-        sigma = max(self.pulse.sigma, self.sweep.sigma_max if self.sweep else 0.0)
-        dt = min(1.0 / self.memory.gamma0, 1.0 / sigma) / self.grid.dt_factor
-        if dt == 0.0 or not self.storage_T / dt <= MAX_HOLD_STEPS:
-            raise ValueError(
-                f"storage_T / dt must be finite and at most {MAX_HOLD_STEPS} hold "
-                f"steps, got storage_T={self.storage_T!r} and dt={dt!r}"
-            )
+        # A store timeline has fewer than 2*n0 + storage_T/dt samples, with
+        # n0 <= span/dt + 2 on the write-phase grid; this peaks at a sweep end.
+        span = self.pulse.t2 - self.pulse.t1
+        ends = (self.sweep.sigma_min, self.sweep.sigma_max) if self.sweep else ()
+        for sigma in (self.pulse.sigma, *ends):
+            dt = _step(self, sigma)
+            width = 2.0 * (span + 2.0 * self.grid.padding / sigma) + self.storage_T
+            samples = width / dt + 4.0 if dt else math.inf
+            if not samples <= MAX_TIMELINE_SAMPLES:
+                raise ValueError(
+                    f"the store timeline must be finite and at most {MAX_TIMELINE_SAMPLES} "
+                    f"samples, got {samples:.3g} at sigma={sigma!r} and dt={dt!r}"
+                )
         if self.memory.gamma_prime != 0.0:
             raise ValueError(
                 "memory.gamma_prime > 0 is not modelled end to end: pulse-mode "
                 "coupling, environment emission, rate caps and the hold all "
-                "assume gamma' = 0 (ROADMAP.md item 2, \"Make gamma' > 0 correct "
+                "assume gamma' = 0 (ROADMAP.md, \"Make gamma' > 0 correct "
                 "end to end\"); set it to 0"
             )
 
@@ -198,18 +202,17 @@ class StoreRun:
     """All artifacts of one store/retrieve execution.
 
     ``write`` and ``read`` are computed on the write-phase grid, on which
-    ``xi_segment`` is the input with support [j0, j1] = ``support``; the
-    read phase is that grid moved ``read_offset`` samples later on the
-    timeline ``grid``.  The full-timeline columns
-    (``xi_in``, ``xi_out``, ``gamma_w``, ``gamma_r``, ``gamma_z``,
-    ``trace_total``) are assembled from the two segments on first use and
-    then kept.
+    ``xi_segment`` is the input with support [j0, j1] = ``write.support``;
+    the read phase is that grid moved ``read_offset`` samples later on the
+    timeline ``grid``, which ends two samples after the read support.  The
+    full-timeline columns (``xi_in``, ``xi_out``, ``gamma_w``, ``gamma_r``,
+    ``gamma_z``, ``trace_total``) are assembled from the two segments on
+    first use and then kept.
     """
 
     config: ScenarioConfig
     grid: TimeGrid
     xi_segment: ComplexEnvelope
-    support: tuple[int, int]
     write: WriteResult
     read: ReadResult
     read_offset: int
@@ -219,8 +222,8 @@ class StoreRun:
 
     def _on_timeline(self, values: np.ndarray, at: int) -> np.ndarray:
         """Phase-grid values placed from timeline sample ``at`` on, zero
-        elsewhere.  Samples past the timeline end are dropped: the read
-        support ends inside the timeline and its rate is zero after it."""
+        elsewhere.  Samples past the timeline end are dropped: they lie
+        past both supports, where both rates are zero."""
         out = np.zeros(self.grid.n, dtype=values.dtype)
         m = min(values.size, self.grid.n - at)
         out[at : at + m] = values[:m]
@@ -264,12 +267,12 @@ class StoreRun:
         P[:k] = eta_w
         P[k : k + m] = read_P[:m]
         P[k + m :] = read_P[-1]
-        j1 = self.support[1]
+        j1 = self.write.support[1]
         P[: j1 + 1] = self.write.trace.P[: j1 + 1]
         return _freeze(P)
 
     def record(self) -> dict:
-        j0 = self.support[0]
+        j0, j1 = self.write.support
         return {
             "config": self.config.to_dict(),
             "eta_w": self.write.eta_w,
@@ -279,8 +282,8 @@ class StoreRun:
             "capped_w": self.write.capped,
             "capped_r": self.read.capped,
             "landmarks": {
-                "t_w": self.write.t_w - self.t_mid,
-                "t_w0": self.write.t_w0 - self.t_mid,
+                "t_w": float(self.xi_segment.grid.times[j0]) - self.t_mid,
+                "t_w0": float(self.xi_segment.grid.times[j1]) - self.t_mid,
                 "t_r0": float(self.grid.times[self.read_offset + j0]) - self.t_mid,
                 "t_r": self.grid.t_end - self.t_mid,
             },
@@ -300,21 +303,19 @@ def resolution_warning(cfg: ScenarioConfig) -> str | None:
     )
 
 
-def _step(cfg: ScenarioConfig, factor: float) -> float:
-    """Step resolving both the atomic lifetime and the pulse,
-    min(1/gamma0, 1/sigma)/factor."""
-    return min(1.0 / cfg.memory.gamma0, 1.0 / cfg.pulse.sigma) / factor
+def _step(cfg: ScenarioConfig, sigma: float) -> float:
+    """Step resolving both the atomic lifetime and a pulse of bandwidth
+    sigma, min(1/gamma0, 1/sigma)/dt_factor."""
+    return min(1.0 / cfg.memory.gamma0, 1.0 / sigma) / cfg.grid.dt_factor
 
 
-def default_write_grid(cfg: ScenarioConfig, t_end_min: float | None = None) -> TimeGrid:
-    """Grid on the configured step from the padded pulse start through
-    t_end_min (by default the padded pulse end, i.e. the write phase only)."""
-    dt = _step(cfg, cfg.grid.dt_factor)
+def default_write_grid(cfg: ScenarioConfig) -> TimeGrid:
+    """The write-phase grid: the configured step from the padded pulse
+    start through the padded pulse end."""
+    dt = _step(cfg, cfg.pulse.sigma)
     pad = cfg.grid.padding / cfg.pulse.sigma
     t_start = cfg.pulse.t1 - pad
-    if t_end_min is None:
-        t_end_min = cfg.pulse.t2 + pad
-    m = math.ceil((t_end_min - t_start) / dt)
+    m = math.ceil((cfg.pulse.t2 + pad - t_start) / dt)
     return TimeGrid(t_start, t_start + m * dt, m + 1)
 
 
@@ -326,42 +327,35 @@ def build_store_run(cfg: ScenarioConfig) -> StoreRun:
     steps, so the read phase is g0 moved k = (j1 - j0) + round(storage_T/dt)
     samples later and its target is the input itself: the read is shaped
     toward the same g0 envelope, and its support sits at [j0 + k, j1 + k]
-    on the timeline.  The timeline keeps g0's start and step and runs past
-    the read support by a drain tail; only its size is computed here.
+    on the timeline.  The timeline keeps g0's start and step and ends two
+    samples after the read support; past it every rate is 0 and P is flat.
     Raises RuntimeError when an uncapped read leaves more than 1e-6 of the
     stored population, eta_w*exp(-Gamma_z_r(end)), in the atom; the read
     rate is zero past its support, so no longer grid would drain it.
     """
-    pulse, mem, dt = cfg.pulse, cfg.memory, _step(cfg, cfg.grid.dt_factor)
-
     g0 = default_write_grid(cfg)
-    xi = make_time_bin(pulse, g0)
-    j0, j1 = support_indices(xi)
-    t_w = float(g0.times[j0])
-    t_w0 = float(g0.times[j1])
-    hold_steps = round(cfg.storage_T / dt)
-    storage = hold_steps * dt
-    t_r0 = t_w0 + storage
-    tail = 12.0 / min(pulse.sigma, mem.gamma0)
-    grid = default_write_grid(cfg, max(t_w0 + (t_r0 - t_w) + 2.0 * dt, t_r0 + tail))
-
-    w = optimal_write_profile(xi, mem, cfg.phase_compensation)
-    r = read_profile_for_target(xi, w.eta_w, mem, cfg.phase_compensation)
+    xi = make_time_bin(cfg.pulse, g0)
+    w = optimal_write_profile(xi, cfg.memory, cfg.phase_compensation)
+    r = read_profile_for_target(xi, w.eta_w, cfg.memory, cfg.phase_compensation)
     residual = w.eta_w * math.exp(-float(r.profile.Gamma_z[-1]))
     if not r.capped and residual > 1e-6 * w.eta_w:
         raise RuntimeError("read window failed to drain the stored population")
 
+    j0, j1 = w.support
+    dt = _step(cfg, cfg.pulse.sigma)
+    hold_steps = round(cfg.storage_T / dt)
+    read_offset = (j1 - j0) + hold_steps
+    n = j1 + read_offset + 3
     return StoreRun(
         config=cfg,
-        grid=grid,
+        grid=TimeGrid(g0.t_start, g0.t_start + (n - 1) * dt, n),
         xi_segment=xi,
-        support=(j0, j1),
         write=w,
         read=r,
-        read_offset=(j1 - j0) + hold_steps,
+        read_offset=read_offset,
         eta=total_efficiency(w, r),
         fidelity=r.fidelity_vs_target,
-        t_mid=t_w0 + 0.5 * storage,
+        t_mid=float(g0.times[j1]) + 0.5 * hold_steps * dt,
     )
 
 

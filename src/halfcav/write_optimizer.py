@@ -49,15 +49,15 @@ _FIRST_WINDOW = 256
 
 @dataclass(frozen=True)
 class WriteResult:
-    """Outcome of the write optimization."""
+    """Outcome of the write optimization; ``support`` = (i0, i1) is the
+    write window, the input's support on its grid."""
 
     profile: DecayProfile
     eta_w: float
     trace: ExcitationTrace
     capped: bool
     xi_effective: ComplexEnvelope
-    t_w: float
-    t_w0: float
+    support: tuple[int, int]
 
 
 def _synthesize_gamma_z(q2: np.ndarray, dt: float, cap: float, eps: float) -> np.ndarray:
@@ -165,8 +165,7 @@ def optimal_write_profile(
         trace=trace,
         capped=capped,
         xi_effective=xi_eff,
-        t_w=float(xi_in.grid.times[i0]),
-        t_w0=float(xi_in.grid.times[i1]),
+        support=(i0, i1),
     )
 
 

@@ -99,14 +99,23 @@ class TestConfigRejected:
          {"storage_T": 1e305, "sweep": {**SWEEP3, "sigma_max": 1e4}},
          # Finite, but a timeline of 2e11 or 2e302 samples.
          {"storage_T": 1e9, "sweep": SWEEP3},
-         {"storage_T": 1e300, "sweep": SWEEP3}],
-        ids=["pulse_sigma", "sweep_sigma_max", "finite_1e9", "finite_1e300"],
+         {"storage_T": 1e300, "sweep": SWEEP3},
+         # No hold, but a write-phase grid of 3.2e8, 4e10 or 4e12 samples.
+         {"pulse": {"sigma": 1e-5}, "sweep": SWEEP3},
+         {"pulse": {"t2": 1e8}, "sweep": SWEEP3},
+         {"grid": {"padding": 1e9}, "sweep": SWEEP3},
+         # The sweep's widest pulse, at sigma_min.
+         {"sweep": {**SWEEP3, "sigma_min": 1e-6}}],
+        ids=["pulse_sigma", "sweep_sigma_max", "finite_1e9", "finite_1e300",
+             "narrow_pulse", "far_bins", "wide_padding", "sweep_sigma_min"],
     )
     @pytest.mark.parametrize("command", ["store", "sweep", "oracle", "mirror"])
     def test_infinite_hold_rejected_before_compute(self, tmp_path, command, config, capsys):
         assert run_cli(tmp_path, command, config) == 2
         err = capsys.readouterr()
-        assert err.err.startswith("halfcav: invalid config: storage_T / dt must be finite")
+        assert err.err.startswith(
+            "halfcav: invalid config: the store timeline must be finite and at most"
+        )
         assert err.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -127,6 +136,37 @@ class TestConfigRejected:
             main([command, "--seed", "1", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr()
+        assert err.err.endswith("error: --seed must be non-negative\n")
+        assert err.out == ""
+
+    @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
+    def test_out_naming_a_file_rejected_before_compute(self, tmp_path, command, capsys, monkeypatch):
+        def compute(*args, **kwargs):
+            raise AssertionError("computed before the output directory was made")
+
+        monkeypatch.setattr(cli, "build_store_run", compute)
+        monkeypatch.setattr(cli, "emit_sweep", compute)
+        (tmp_path / "out").write_text("")
+        assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 2
+        err = capsys.readouterr()
+        assert err.err.startswith("halfcav: cannot create the output directory: ")
+        assert err.err.count("\n") == 1
+        assert err.out == ""
+        assert (tmp_path / "out").read_text() == ""
+
+
+def test_slow_atom_timeline_ends_after_the_read(tmp_path):
+    # gamma0 = 1e-6, a lifetime of 1e6: the timeline still ends two samples
+    # after the read support, 7,556 samples on the pulse's step.
+    assert run_cli(tmp_path, "store", {"memory": {"gamma0": 1e-6}}) == 0
+    rows = (tmp_path / "out" / "timeseries.csv").read_text().count("\n") - 1
+    assert rows == 7_556
 
 
 class TestConfigRoundTrip:

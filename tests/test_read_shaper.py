@@ -164,7 +164,7 @@ class TestEndToEndProperties:
         run = build_store_run(ScenarioConfig.from_dict({}))
         # The read runs on the phase grid, read_offset samples later on the timeline.
         g0 = run.read.profile.grid
-        i_r0 = run.support[0]  # the read target is the input itself
+        i_r0 = run.write.support[0]  # the read target is the input itself
         P = run.trace_total[run.read_offset : run.read_offset + g0.n]
         emitted = cumtrapz(np.abs(run.read.xi_out.samples) ** 2, g0)[: P.size]
         resid = P[i_r0] - P[i_r0:] - (emitted[i_r0:] - emitted[i_r0])
@@ -186,8 +186,7 @@ class TestEndToEndProperties:
         )
         run = build_store_run(cfg)
         g0 = run.write.profile.grid  # the read's phase grid too
-        i0 = g0.index_of(run.write.t_w)
-        i1 = g0.index_of(run.write.t_w0)
+        i0, i1 = run.write.support
         j0 = np.flatnonzero(run.read.profile.gamma_z)[0]  # where the read starts
         wseg = run.write.profile.gamma_z[i0 : i1 + 1]
         rseg = run.read.profile.gamma_z[j0 : j0 + wseg.size]

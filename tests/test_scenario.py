@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from halfcav import dynamics, read_shaper, scenario, write_optimizer
 from halfcav.cli import timeseries_columns
+from halfcav.core import TimeGrid
 from halfcav.dynamics import absorption_probability, profile_from_gamma_z
 from halfcav.mirror import trajectory_from_decay
 from halfcav.pulses import make_time_bin, shift, support_indices
 from halfcav.read_shaper import read_profile_for_target, total_efficiency
 from halfcav.scenario import (
-    MAX_HOLD_STEPS,
+    MAX_TIMELINE_SAMPLES,
     ScenarioConfig,
     _step,
     build_store_run,
@@ -52,8 +53,9 @@ def _config(storage_T, sigma, separation, phi):
 
 def _reference_store_run(cfg: ScenarioConfig):
     """The full-timeline builder that computed write, read and a composite
-    population trace on the whole store timeline (returns its fields)."""
-    pulse, mem, dt = cfg.pulse, cfg.memory, _step(cfg, cfg.grid.dt_factor)
+    population trace on the whole store timeline, sized by a drain tail
+    past the read (returns its fields)."""
+    pulse, mem, dt = cfg.pulse, cfg.memory, _step(cfg, cfg.pulse.sigma)
 
     # The write support on the write-phase grid fixes the grid end; the
     # full grid has the same start and step, so the support keeps its indices.
@@ -65,7 +67,9 @@ def _reference_store_run(cfg: ScenarioConfig):
     storage = hold_steps * dt
     t_r0 = t_w0 + storage
     tail = 12.0 / min(pulse.sigma, mem.gamma0)
-    grid = default_write_grid(cfg, max(t_w0 + (t_r0 - t_w) + 2.0 * dt, t_r0 + tail))
+    t_end_min = max(t_w0 + (t_r0 - t_w) + 2.0 * dt, t_r0 + tail)
+    m = math.ceil((t_end_min - g0.t_start) / dt)
+    grid = TimeGrid(g0.t_start, g0.t_start + m * dt, m + 1)
 
     xi_in = make_time_bin(pulse, grid)
     w = optimal_write_profile(xi_in, mem, cfg.phase_compensation)
@@ -94,15 +98,19 @@ def _reference_store_run(cfg: ScenarioConfig):
 def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
     """Efficiencies, F, landmarks, every timeseries.csv and mirror.csv
     column and the residual population at the grid end agree with the
-    reference builder within tol (absolute).  Returns both runs."""
+    reference builder within tol (absolute).  The reference's timeline has
+    the same start and step and may run longer; its rows past the new one
+    are flat.  Returns both runs."""
     run, ref = build_store_run(cfg), _reference_store_run(cfg)
-    assert run.grid == ref.grid
+    n = run.grid.n
+    assert run.grid.t_start == ref.grid.t_start and n <= ref.grid.n
     for new, old in [(run.write.eta_w, ref.write.eta_w), (run.read.eta_r, ref.read.eta_r),
                      (run.eta, ref.eta), (run.fidelity, ref.fidelity)]:
         assert abs(new - old) <= tol
-    old_landmarks = {"t_w": ref.write.t_w, "t_w0": ref.write.t_w0,
+    j0, j1 = ref.write.support
+    old_landmarks = {"t_w": float(ref.grid.times[j0]), "t_w0": float(ref.grid.times[j1]),
                      "t_r0": float(ref.grid.times[support_indices(ref.target)[0]]),
-                     "t_r": float(ref.grid.times[-1])}
+                     "t_r": float(ref.grid.times[n - 1])}
     for key, value in run.record()["landmarks"].items():
         assert abs(value - (old_landmarks[key] - ref.t_mid)) <= tol, key
 
@@ -129,14 +137,20 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
     # right after the write (storage_T near 0).  P is compared with the
     # same quadrature on the input confined to its support; the residual
     # at the grid end with the reference's own trace.
-    j0, j1 = support_indices(ref.write.xi_effective)
     confined = np.zeros(ref.grid.n, dtype=complex)
     confined[j0 : j1 + 1] = ref.write.xi_effective.samples[j0 : j1 + 1]
     old_columns["P"] = absorption_probability(
         ref.profile_total, ref.write.xi_effective.with_samples(confined)).P
     for name, column in new_columns.items():
-        assert column.shape == (run.grid.n,)
-        assert np.max(np.abs(column - old_columns[name])) <= tol, name
+        assert column.shape == (n,)
+        assert np.max(np.abs(column - old_columns[name][:n])) <= tol, name
+        # Past the new timeline the input's sampled tail is below tol and
+        # every other column keeps its last value.
+        extra = old_columns[name][n - 1 :]
+        if name.startswith("xi_in"):
+            assert np.max(np.abs(extra)) <= tol, name
+        elif name != "t":
+            assert np.max(np.abs(extra - extra[0])) <= tol, name
     assert abs(run.trace_total[-1] - ref.trace_total[-1]) <= tol
     return run, ref
 
@@ -152,7 +166,8 @@ def test_store_run_invariants(storage_T, sigma, separation, phi):
     assert run.eta == run.write.eta_w * run.read.eta_r
 
     grid = run.grid
-    i_w, i_w0 = (grid.index_of(t) for t in (run.write.t_w, run.write.t_w0))
+    i_w, i_w0 = run.write.support
+    assert grid.n == i_w0 + run.read_offset + 3
     i_r0 = run.read_offset + np.flatnonzero(run.read.profile.gamma_z)[0]
     assert i_r0 - i_w0 == round(storage_T / (min(1.0, 1.0 / sigma) / 200.0))
     k, n = i_r0 - i_w, grid.n
@@ -168,10 +183,11 @@ def test_benchmark_configs_match_reference(raw):
     # With a hold and no capped arc, the velocity itself and the
     # reference's own trace agree too.
     mem = run.config.memory
+    n = run.grid.n
     velocity = trajectory_from_decay(run.grid, run.gamma_z, mem).velocity
     old = trajectory_from_decay(ref.grid, ref.profile_total.gamma_z, mem).velocity
-    assert np.max(np.abs(velocity - old)) <= 1e-12
-    assert np.max(np.abs(run.trace_total - ref.trace_total)) <= 1e-12
+    assert np.max(np.abs(velocity - old[:n])) <= 1e-12
+    assert np.max(np.abs(run.trace_total - ref.trace_total[:n])) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -230,7 +246,11 @@ def test_oracle_cases_scale_with_gamma0(gamma0):
 
 
 def test_hold_length_bounded_at_load():
-    dt = _step(ScenarioConfig.from_dict({}), 200.0)
-    ScenarioConfig.from_dict({"storage_T": MAX_HOLD_STEPS * dt * (1.0 - 1e-9)})
-    with pytest.raises(ValueError, match="storage_T / dt must be finite and at most"):
-        ScenarioConfig.from_dict({"storage_T": MAX_HOLD_STEPS * dt * (1.0 + 1e-9)})
+    # The load-time bound is 2*n0 + storage_T/dt to within a few samples,
+    # n0 the write-phase grid's, and the timeline of an accepted hold fits.
+    cfg = ScenarioConfig.from_dict({})
+    dt, n0 = _step(cfg, cfg.pulse.sigma), default_write_grid(cfg).n
+    longest = ScenarioConfig.from_dict({"storage_T": (MAX_TIMELINE_SAMPLES - 2 * n0 - 3) * dt})
+    assert build_store_run(longest).grid.n <= MAX_TIMELINE_SAMPLES
+    with pytest.raises(ValueError, match="the store timeline must be finite and at most"):
+        ScenarioConfig.from_dict({"storage_T": (MAX_TIMELINE_SAMPLES - 2 * n0 + 3) * dt})

@@ -112,7 +112,7 @@ class TestOptimalWriteProfile:
     def test_result_invariants(self):
         env = timebin_env(0.2)
         w = optimal_write_profile(env, MEM)
-        i1 = env.grid.index_of(w.t_w0)
+        i1 = w.support[1]
         assert w.eta_w == w.trace.P[i1]
         assert w.capped == (w.profile.gamma_z.max() >= MEM.cap - 1e-12)
         assert 0.0 <= w.trace.P.max() <= 1.0
