@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -130,6 +129,9 @@ def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -
     sigmas = [float(s) for s in cfg.sweep.sigmas()]
     max_workers = min(os.cpu_count() or 1, threads or len(sigmas), len(sigmas))
     if max_workers > 1:
+        # Imported here so the other subcommands never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             rows = list(pool.map(partial(sweep_point, cfg), sigmas))
     else:

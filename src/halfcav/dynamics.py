@@ -14,6 +14,12 @@ map and its rate range, for the profiles here and for ``mirror`` alike.
 Two independent routes compute the excited-state population driven by an
 input envelope: a closed-form cumulative quadrature and a fixed-step RK4
 integration of the underlying three-component equation of motion.  The
+quadrature is one trapezoid kernel, ``_trapezoid_amplitude``, run in one of
+two frames: in the lab frame on the complex Gamma and drive g*xi
+(``absorption_probability``), or, for the phase-compensated write, in the
+frame co-rotating with the shifted resonance on Gamma_z/2 = Re Gamma and the
+real drive g*|xi|, where no complex number appears
+(``write_optimizer.optimal_write_profile``).  The
 equation is linear, so every RK4 step is an affine map of the state and the
 integration runs as two blocked scans (``core.affine_scan``), not a loop
 over samples.  Their agreement is the main numerical cross-check of the
@@ -70,7 +76,13 @@ class DecayProfile:
 
 @dataclass(frozen=True)
 class ExcitationTrace:
-    """Excited-state probability P(t) and the complex amplitude behind it."""
+    """Excited-state probability P(t) and the amplitude behind it.
+
+    ``absorption_probability`` and the oracle give the complex lab-frame
+    amplitude.  A phase-compensated write gives it in the frame co-rotating
+    with the shifted resonance, where it is real (``WriteResult``); P is
+    the same in both frames.
+    """
 
     grid: TimeGrid
     P: np.ndarray
@@ -117,38 +129,56 @@ def decay_from_mirror(trajectory, cfg: MemoryConfig) -> DecayProfile:
     )
 
 
+# Gamma_z(end) from which the quadrature runs as a scan.  Below it the
+# factors exp(+E) with Re E = Gamma_z/2 < 600 stay finite (the float64 limit
+# is e^709).
+LONG_STORAGE_GAMMA_Z = 1200.0
+
+
+def _trapezoid_amplitude(exponent: np.ndarray, drive: np.ndarray, dt: float) -> np.ndarray:
+    """amplitude(t) = ∫ exp(-(E(t) - E(t'))) drive(t') dt'  over t' <= t,
+    with trapezoid weights, for an exponent series E with Re E = Gamma_z/2.
+
+    Below Gamma_z(end) = LONG_STORAGE_GAMMA_Z the kernel splits into
+    exp(-E(t))*exp(+E(t')), both representable, and the sum is one cumsum.
+    Past it (long storage) the sum is x[k+1] = d[k]*(x[k] + h*drive[k]) +
+    h*drive[k+1], h = dt/2, with per-step decay d = exp(-(E[k+1] - E[k])),
+    solved by ``core.affine_scan``; a grid with a step |d| < SCAN_MIN_FACTOR
+    is too coarse for the scan and raises ValueError.  The amplitude has
+    the dtype of E and drive together: a real E and drive keep it real.
+    """
+    h = 0.5 * dt
+    if 2.0 * exponent[-1].real < LONG_STORAGE_GAMMA_Z:
+        integrand = np.exp(exponent) * drive
+        running = np.zeros_like(integrand)
+        np.cumsum(h * (integrand[1:] + integrand[:-1]), out=running[1:])
+        return np.exp(-exponent) * running
+    decay = np.exp(-(exponent[1:] - exponent[:-1]))
+    if np.abs(decay).min() < SCAN_MIN_FACTOR:
+        raise ValueError(
+            "grid too coarse for the long-storage scan: a step decays the "
+            f"amplitude by more than a factor {SCAN_MIN_FACTOR}; refine dt"
+        )
+    return affine_scan(decay, decay * (h * drive[:-1]) + h * drive[1:], 0.0)
+
+
 def absorption_probability(
     profile: DecayProfile, xi_in: ComplexEnvelope
 ) -> ExcitationTrace:
-    """Excited-state amplitude from the closed-form quadrature.
+    """Excited-state amplitude from the closed-form quadrature, in the lab
+    frame.
 
     amplitude(t) = ∫ exp(-(Gamma(t) - Gamma(t'))) g(t') xi(t') dt'  over
-    t' <= t, evaluated with trapezoid weights.  Below Gamma_z(end) = 1200
-    the kernel splits into exp(-Gamma(t))*exp(+Gamma(t')), both
-    representable, and the sum is one cumsum.  Past it (long storage) the
-    sum is x[k+1] = d[k]*(x[k] + h*drive[k]) + h*drive[k+1], h = dt/2, with
-    per-step decay d = exp(-(Gamma[k+1] - Gamma[k])), solved by
-    ``core.affine_scan``; a grid with a step |d| < SCAN_MIN_FACTOR is too
-    coarse for the scan and raises ValueError.
+    t' <= t: ``_trapezoid_amplitude`` with exponent E = Gamma and drive
+    g*xi, so the complex Gamma is integrated.  The phase-compensated write
+    calls the same kernel in the co-rotating frame instead
+    (``write_optimizer.optimal_write_profile``).
     """
     if xi_in.grid != profile.grid:
         raise ValueError("envelope and profile must share a grid")
-    h = 0.5 * profile.grid.dt
-    drive = profile.g * xi_in.samples
-
-    if profile.Gamma_z[-1] < 1200.0:
-        integrand = np.exp(profile.Gamma) * drive
-        running = np.zeros_like(integrand)
-        np.cumsum(h * (integrand[1:] + integrand[:-1]), out=running[1:])
-        amplitude = np.exp(-profile.Gamma) * running
-    else:
-        decay = np.exp(-(profile.Gamma[1:] - profile.Gamma[:-1]))
-        if np.abs(decay).min() < SCAN_MIN_FACTOR:
-            raise ValueError(
-                "grid too coarse for the long-storage scan: a step decays the "
-                f"amplitude by more than a factor {SCAN_MIN_FACTOR}; refine dt"
-            )
-        amplitude = affine_scan(decay, decay * (h * drive[:-1]) + h * drive[1:], 0j)
+    amplitude = _trapezoid_amplitude(
+        profile.Gamma, profile.g * xi_in.samples, profile.grid.dt
+    )
     P = np.abs(amplitude) ** 2
     return ExcitationTrace(grid=profile.grid, P=P, amplitude=amplitude)
 

@@ -43,6 +43,10 @@ ORACLE_RANDOM_CASES = 20
 # sample, about 1 GB and 1.2 GB (tests and benchmarks reach 231,771 samples).
 MAX_TIMELINE_SAMPLES = 20_000_000
 
+# Most sweep points: each is a full store compute, 3-60 ms on one core, so
+# 10,000 points run for minutes to hours, and more for days.
+MAX_SWEEP_POINTS = 10_000
+
 # JSON values a config field of each annotated type accepts.
 _JSON_TYPES = {
     bool: ("true or false", bool),
@@ -114,8 +118,10 @@ class SweepSpec:
     def __post_init__(self):
         if not 0 < self.sigma_min < self.sigma_max:
             raise ValueError("sweep bounds must satisfy 0 < sigma_min < sigma_max")
-        if self.n_points < 2:
-            raise ValueError("sweep.n_points must be at least 2")
+        if not 2 <= self.n_points <= MAX_SWEEP_POINTS:
+            raise ValueError(
+                f"sweep.n_points must lie in [2, {MAX_SWEEP_POINTS}], got {self.n_points}"
+            )
 
     def sigmas(self) -> np.ndarray:
         if self.log_spacing:

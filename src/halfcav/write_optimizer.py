@@ -22,20 +22,31 @@ only the capped samples and the steps into and out of them are stepped one
 by one.  ``optimal_program`` runs it forward for a write and backwards
 for a read (``read_shaper``).
 
-The level-shift phase Im(Gamma) is compensated by default: the effective
-absorbed envelope is |xi| * exp(-i*Im Gamma(t)), which aligns the quadrature
-integrand and attains the analytic efficiency.  Disabling compensation
-exposes the efficiency cost of the chirp.
+The level-shift phase Im(Gamma) is compensated by default: the input is
+taken in the frame co-rotating with the shifted atomic resonance, the frame
+the read reports its output in (``read_shaper``).  There the kernel
+exp(-(Gamma(t) - Gamma(t'))) loses its phase, and with the drive g*|xi| the
+quadrature is real: exponent Gamma_z/2 = Re Gamma, no complex exponential
+and no complex running integral.  This aligns the quadrature integrand and
+attains the analytic efficiency.  Disabling compensation absorbs the input
+as given, in the lab frame, and exposes the efficiency cost of the chirp.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import ComplexEnvelope, MemoryConfig, NORM_TOL, squared_norm
-from .dynamics import DecayProfile, ExcitationTrace, absorption_probability, profile_from_gamma_z
+from .dynamics import (
+    DecayProfile,
+    ExcitationTrace,
+    _trapezoid_amplitude,
+    absorption_probability,
+    profile_from_gamma_z,
+)
 from .pulses import support_indices
 
 # Uncapped runs target this efficiency; exactly 1 would make the optimal
@@ -50,14 +61,32 @@ _FIRST_WINDOW = 256
 @dataclass(frozen=True)
 class WriteResult:
     """Outcome of the write optimization; ``support`` = (i0, i1) is the
-    write window, the input's support on its grid."""
+    write window, the input's support on its grid.
+
+    With phase compensation the trace is taken in the co-rotating frame:
+    its amplitude is real, the lab-frame amplitude times exp(+i*Im Gamma);
+    P is the same in both frames.  Without it the trace is in the lab
+    frame.  ``xi_effective`` is the lab-frame input the write absorbs,
+    |xi|*exp(-i*Im Gamma) with compensation and xi_in without; it is
+    derived on first access, for the oracle's RK4 check, so only that check
+    integrates the complex Gamma of a compensated write.
+    """
 
     profile: DecayProfile
     eta_w: float
     trace: ExcitationTrace
     capped: bool
-    xi_effective: ComplexEnvelope
+    xi_in: ComplexEnvelope
+    phase_compensation: bool
     support: tuple[int, int]
+
+    @cached_property
+    def xi_effective(self) -> ComplexEnvelope:
+        if not self.phase_compensation:
+            return self.xi_in
+        return self.xi_in.with_samples(
+            np.abs(self.xi_in.samples) * np.exp(-1j * self.profile.Gamma.imag)
+        )
 
 
 def _synthesize_gamma_z(q2: np.ndarray, dt: float, cap: float, eps: float) -> np.ndarray:
@@ -149,22 +178,23 @@ def optimal_write_profile(
     """
     if abs(squared_norm(xi_in) - 1.0) > NORM_TOL:
         raise ValueError("input envelope must be normalized (∫|xi|^2 dt = 1)")
-    profile, capped, (i0, i1) = optimal_program(xi_in, np.abs(xi_in.samples) ** 2, cfg)
+    magnitude = np.abs(xi_in.samples)
+    profile, capped, (i0, i1) = optimal_program(xi_in, magnitude**2, cfg)
 
     if phase_compensation:
-        xi_eff = xi_in.with_samples(
-            np.abs(xi_in.samples) * np.exp(-1j * profile.Gamma.imag)
+        amplitude = _trapezoid_amplitude(
+            0.5 * profile.Gamma_z, profile.g * magnitude, xi_in.grid.dt
         )
+        trace = ExcitationTrace(grid=xi_in.grid, P=amplitude**2, amplitude=amplitude)
     else:
-        xi_eff = xi_in
-    trace = absorption_probability(profile, xi_eff)
-    eta_w = float(trace.P[i1])
+        trace = absorption_probability(profile, xi_in)
     return WriteResult(
         profile=profile,
-        eta_w=eta_w,
+        eta_w=float(trace.P[i1]),
         trace=trace,
         capped=capped,
-        xi_effective=xi_eff,
+        xi_in=xi_in,
+        phase_compensation=phase_compensation,
         support=(i0, i1),
     )
 

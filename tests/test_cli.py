@@ -3,7 +3,11 @@ trip, the CSV number format, and byte-identical outputs across runs and
 sweep worker counts.  The per-row CSV writer kept below is the reference
 for the chunked one."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 
 from halfcav import cli
 from halfcav.cli import main, write_csv
-from halfcav.scenario import ScenarioConfig
+from halfcav.scenario import MAX_SWEEP_POINTS, ScenarioConfig
 
 SWEEP3 = {"sigma_min": 0.1, "sigma_max": 1.0, "n_points": 3}
 MARKOV = {"memory": {"tau": 0.3, "markov_limit": 0.5}, "sweep": SWEEP3}
@@ -66,6 +70,18 @@ class TestConfigRejected:
     def test_exit_2(self, tmp_path, config, capsys):
         assert run_cli(tmp_path, "store", config) == 2
         assert "invalid config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n_points", [1, MAX_SWEEP_POINTS + 1, 1_000_000_000])
+    @pytest.mark.parametrize("command", ["store", "sweep", "oracle", "mirror"])
+    def test_sweep_points_bounded_at_load(self, tmp_path, command, n_points, capsys):
+        assert run_cli(tmp_path, command, {"sweep": {**SWEEP3, "n_points": n_points}}) == 2
+        err = capsys.readouterr()
+        assert err.err == (
+            "halfcav: invalid config: section 'sweep': sweep.n_points must lie in "
+            f"[2, {MAX_SWEEP_POINTS}], got {n_points}\n"
+        )
+        assert err.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_sweep_without_sweep_section(self, tmp_path, capsys):
@@ -167,6 +183,21 @@ def test_slow_atom_timeline_ends_after_the_read(tmp_path):
     assert run_cli(tmp_path, "store", {"memory": {"gamma0": 1e-6}}) == 0
     rows = (tmp_path / "out" / "timeseries.csv").read_text().count("\n") - 1
     assert rows == 7_556
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only a sweep with more than one worker uses the process pool, so
+    # importing the CLI (store, mirror, oracle) loads none of it.
+    code = (
+        "import sys, halfcav.cli; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 class TestConfigRoundTrip:

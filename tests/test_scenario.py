@@ -198,16 +198,18 @@ def test_matches_reference(storage_T, sigma, separation, phi):
 
 def test_sweep_point_work_is_flat_in_storage_time(monkeypatch):
     # Every grid that reaches a synthesis or quadrature during sweep_point
-    # is the write-phase grid, whatever the storage time.
+    # is the write-phase grid, whatever the storage time.  The compensated
+    # write runs the quadrature kernel on its exponent series directly.
     seen = []
     for module, name in [(write_optimizer, "optimal_write_profile"),
                          (read_shaper, "read_profile_for_target"),
-                         (dynamics, "absorption_probability"),
+                         (dynamics, "_trapezoid_amplitude"),
                          (dynamics, "profile_from_gamma_z")]:
         original = getattr(module, name)
 
         def spy(first, *args, _name=name, _original=original, **kwargs):
-            seen.append((_name, getattr(first, "grid", first).n))
+            n = len(first) if isinstance(first, np.ndarray) else getattr(first, "grid", first).n
+            seen.append((_name, n))
             return _original(first, *args, **kwargs)
 
         for bound_in in (scenario, write_optimizer, read_shaper, dynamics):
@@ -222,9 +224,29 @@ def test_sweep_point_work_is_flat_in_storage_time(monkeypatch):
         sizes[storage_T] = list(seen)
         assert {name for name, _ in seen} == {
             "optimal_write_profile", "read_profile_for_target",
-            "absorption_probability", "profile_from_gamma_z"}
+            "_trapezoid_amplitude", "profile_from_gamma_z"}
         assert {n for _, n in seen} == {default_write_grid(cfg).n}
     assert sizes[30.0] == sizes[3000.0]
+
+
+@pytest.mark.parametrize("compensated", [True, False])
+def test_compensated_path_never_integrates_complex_gamma(monkeypatch, compensated):
+    # With phase compensation the write runs in the co-rotating frame and
+    # the read is de-chirped, so no complex exponential or complex running
+    # integral of Gamma is computed; without it both read Gamma.
+    def forbidden(profile):
+        raise AssertionError("DecayProfile.Gamma read")
+
+    monkeypatch.setattr(dynamics.DecayProfile, "Gamma", property(forbidden))
+    cfg = ScenarioConfig.from_dict({"phase_compensation": compensated})
+    calls = [lambda: build_store_run(cfg), lambda: sweep_point(cfg, 0.02),
+             lambda: sweep_point(cfg, 5.0)]
+    for call in calls:
+        if compensated:
+            call()
+        else:
+            with pytest.raises(AssertionError, match="Gamma read"):
+                call()
 
 
 @pytest.mark.parametrize("gamma0", [0.5, 2.0, 4.0])

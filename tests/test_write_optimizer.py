@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from halfcav import write_optimizer
 from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz, squared_norm
 from halfcav.dynamics import profile_from_gamma_z
 from halfcav.pulses import TimeBinSpec, make_time_bin, support_indices
@@ -254,6 +255,65 @@ class TestSynthesisMatchesReferenceLoop:
     def test_last_sample_capped(self):
         gz = self.assert_matches(*rising_edge())
         assert gz[-1] == MEM.cap
+
+
+def _reference_lab_quadrature(profile, xi_in):
+    """P from the lab-frame closed form the compensated write replaced: the
+    complex Gamma in two complex exponentials around one cumsum."""
+    h = 0.5 * profile.grid.dt
+    drive = profile.g * xi_in.samples
+    integrand = np.exp(profile.Gamma) * drive
+    running = np.zeros_like(integrand)
+    np.cumsum(h * (integrand[1:] + integrand[:-1]), out=running[1:])
+    amplitude = np.exp(-profile.Gamma) * running
+    return np.abs(amplitude) ** 2
+
+
+class TestCoRotatingWrite:
+    """The compensated write runs the quadrature kernel on Gamma_z/2 and the
+    real drive g*|xi|; its P is the lab-frame quadrature of xi_effective."""
+
+    def assert_matches_lab_frame(self, w):
+        assert w.trace.amplitude.dtype == np.float64
+        P = _reference_lab_quadrature(w.profile, w.xi_effective)
+        assert np.max(np.abs(w.trace.P - P)) <= 1e-14
+
+    def test_default_write(self):
+        self.assert_matches_lab_frame(optimal_write_profile(timebin_env(0.2), MEM))
+
+    def test_capped_write(self):
+        w = optimal_write_profile(timebin_env(5.0), MEM)
+        assert w.capped
+        self.assert_matches_lab_frame(w)
+
+    def test_time_bin_with_relative_phase(self):
+        env = timebin_env(0.2)
+        spec = TimeBinSpec(alpha=SQ2, beta=SQ2, t1=0.0, t2=20.0, sigma=0.2, phi=2.7)
+        self.assert_matches_lab_frame(
+            optimal_write_profile(make_time_bin(spec, env.grid), MEM)
+        )
+
+    def test_long_storage_scan(self, monkeypatch):
+        # No optimal write reaches Gamma_z(end) = 1200, so the program is
+        # replaced by a fixed one that does (1280 here), which takes the
+        # kernel's scan branch; exp(+Re Gamma) <= e^640 keeps the
+        # reference finite.
+        grid = TimeGrid(0.0, 800.0, 80001)
+        t = grid.times
+        profile = profile_from_gamma_z(grid, 1.6 + 0.3 * np.sin(t / 5.0), MEM)
+        assert 1200.0 <= profile.Gamma_z[-1] < 1400.0
+        env = ComplexEnvelope(grid, np.exp(-0.5 * ((t - 780.0) / 2.0) ** 2))
+        env = env.with_samples(env.samples / math.sqrt(squared_norm(env)))
+        monkeypatch.setattr(
+            write_optimizer, "optimal_program",
+            lambda env, q2, cfg: (profile, False, support_indices(env)),
+        )
+        self.assert_matches_lab_frame(optimal_write_profile(env, MEM))
+
+    def test_uncompensated_write_is_lab_frame(self):
+        w = optimal_write_profile(timebin_env(0.2), MEM, phase_compensation=False)
+        assert w.xi_effective is w.xi_in
+        assert np.array_equal(w.trace.P, _reference_lab_quadrature(w.profile, w.xi_in))
 
 
 class TestWriteEfficiency:
