@@ -9,9 +9,12 @@ Subcommands:
 All emitted files are deterministic byte-for-byte for a fixed config (and,
 for oracle, a fixed --seed, the only subcommand that draws random numbers):
 floats are written with 17 significant digits, JSON keys are sorted, and
-sweep rows are written in input order regardless of worker scheduling.
-The sweep runs on one worker process per CPU, at most HALFCAV_THREADS (a
-positive integer) when that is set; any other value exits 2.
+sweep points and CSV row chunks are written in input order regardless of
+worker scheduling.  The sweep points and the row chunks of every CSV run on
+one worker process per CPU this process may use, at most HALFCAV_THREADS (a
+positive integer) when that is set; any other value exits 2, on every
+subcommand, before anything is computed or written.  With one worker, or
+one item, no process pool starts.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +38,79 @@ from .scenario import (
 )
 
 
-# Rows formatted and held in memory at a time by write_csv.
+# Rows formatted and held in memory at a time by one write_csv chunk.
 CSV_CHUNK_ROWS = 4096
 
+# Items a pool worker reads through every call, set once per worker process
+# by the pool's initializer; never set in the parent.
+_worker_shared: tuple = ()
 
-def write_csv(path: Path, header: list[str], columns: list) -> None:
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set, where os has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share(*shared) -> None:
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _call_shared(fn, item):
+    return fn(*_worker_shared, item)
+
+
+def pool_map(fn, items, threads: int | None, shared: tuple = ()):
+    """Yield ``fn(*shared, item)`` for each of ``items``, in order.
+
+    The work runs on min(_usable_cpus(), threads, len(items)) worker
+    processes (``threads`` None: no cap), and in this process, with no pool,
+    when that is 1.  ``shared`` goes to each worker once, through the pool's
+    initializer, so under fork the workers inherit it unpickled.  At most
+    2 x workers items are in flight, so a caller that consumes each result
+    as it arrives holds a bounded number of them.
+    """
+    workers = min(_usable_cpus(), threads or len(items), len(items))
+    if workers <= 1:
+        for item in items:
+            yield fn(*shared, item)
+        return
+    # Imported here so a run with one worker never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, initializer=_share, initargs=shared) as pool:
+        pending = deque()
+        for item in items:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_call_shared, fn, item))
+        while pending:
+            yield pending.popleft().result()
+
+
+def _format_chunk(arrays: list, rows: slice) -> str:
+    """The CSV text of ``rows``: the first field of each row formatted, the
+    rest of the row (its tail) only where it differs from the row before."""
+    tail_format = ",%.17g" * (len(arrays) - 1) + "\n"
+    n = rows.stop - rows.start
+    tail = np.empty((n, len(arrays) - 1))
+    for j, a in enumerate(arrays[1:]):
+        tail[:, j] = a[rows]
+    bits = tail.view(np.int64)
+    changed = np.ones(n, dtype=bool)
+    changed[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    tails = np.array(
+        [tail_format % tuple(r) for r in tail[changed].tolist()], dtype=object
+    )
+    parts = [""] * (2 * n)
+    parts[0::2] = ["%.17g" % v for v in arrays[0][rows].tolist()]
+    parts[1::2] = tails[np.cumsum(changed) - 1].tolist()
+    return "".join(parts)
+
+
+def write_csv(path: Path, header: list[str], columns: list, threads: int | None = None) -> None:
     """Write columns of floats, each with 17 significant digits ("%.17g").
 
     The bytes are those of formatting every field of every row, with fewer
@@ -48,31 +119,25 @@ def write_csv(path: Path, header: list[str], columns: list) -> None:
     only where it differs from the tail of the row before.  Tails are
     compared bit for bit, so -0.0 and 0.0 stay apart.  A run of equal tails,
     such as the hold rows of the store timeline where only t moves, reuses
-    one string.  The chunk is bounded because a chunk's strings, about
-    0.8 kB a row, are held until it is written: on a storage_T = 1000 store
-    (perfbench store_long_hold) 4,096-row chunks raise the peak RSS from 64
-    to 67 MB, and 32,768-row chunks to 75 MB for no further speed.
+    one string.  Each chunk restarts the reuse, so its text depends on its
+    own rows only: the chunks are formatted on pool_map's workers (at most
+    ``threads``) and written in order as they arrive, and the file is the
+    same at any worker count.
+
+    Memory is bounded by the chunks in flight, at most 2 x workers of them,
+    each about 0.8 kB a row until it is written.  On a storage_T = 1000
+    store (perfbench store_long_hold, 2 CPUs) the peak RSS is about 63.5 MB
+    formatting in process and 69 MB on two workers, the difference mostly
+    the pool's modules and the heap of its result thread; 32,768-row chunks
+    raised the in-process peak by 8 MB for no further speed.
     """
     arrays = [np.asarray(c, dtype=np.float64) for c in columns]
     n = min((len(a) for a in arrays), default=0)
-    tail_format = ",%.17g" * (len(arrays) - 1) + "\n"
+    chunks = [slice(start, min(start + CSV_CHUNK_ROWS, n)) for start in range(0, n, CSV_CHUNK_ROWS)]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n, CSV_CHUNK_ROWS):
-            stop = min(start + CSV_CHUNK_ROWS, n)
-            tail = np.empty((stop - start, len(arrays) - 1))
-            for j, a in enumerate(arrays[1:]):
-                tail[:, j] = a[start:stop]
-            bits = tail.view(np.int64)
-            changed = np.ones(stop - start, dtype=bool)
-            changed[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-            tails = np.array(
-                [tail_format % tuple(r) for r in tail[changed].tolist()], dtype=object
-            )
-            parts = [""] * (2 * (stop - start))
-            parts[0::2] = ["%.17g" % v for v in arrays[0][start:stop].tolist()]
-            parts[1::2] = tails[np.cumsum(changed) - 1].tolist()
-            fh.write("".join(parts))
+        # writelines drops each chunk's text before it asks for the next.
+        fh.writelines(pool_map(_format_chunk, chunks, threads, shared=(arrays,)))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -105,10 +170,10 @@ def timeseries_columns(run: StoreRun) -> dict:
     }
 
 
-def emit_store(run: StoreRun, out_dir: Path) -> dict:
+def emit_store(run: StoreRun, out_dir: Path, threads: int | None = None) -> dict:
     ts_path = out_dir / "timeseries.csv"
     columns = timeseries_columns(run)
-    write_csv(ts_path, list(columns), list(columns.values()))
+    write_csv(ts_path, list(columns), list(columns.values()), threads)
     record = run.record()
     record["files"] = {"timeseries": ts_path.name, "run": "run.json"}
     write_json(out_dir / "run.json", record)
@@ -116,7 +181,7 @@ def emit_store(run: StoreRun, out_dir: Path) -> dict:
 
 
 def parse_threads(raw: str | None) -> int | None:
-    """The HALFCAV_THREADS cap on sweep workers, or None when unset."""
+    """The HALFCAV_THREADS cap on pool workers, or None when unset."""
     if not raw:
         return None
     if raw.isdecimal() and int(raw) >= 1:
@@ -127,26 +192,19 @@ def parse_threads(raw: str | None) -> int | None:
 def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -> list[dict]:
     """Run the sweep on up to ``threads`` workers (default: one per CPU)."""
     sigmas = [float(s) for s in cfg.sweep.sigmas()]
-    max_workers = min(os.cpu_count() or 1, threads or len(sigmas), len(sigmas))
-    if max_workers > 1:
-        # Imported here so the other subcommands never load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(partial(sweep_point, cfg), sigmas))
-    else:
-        rows = [sweep_point(cfg, s) for s in sigmas]
+    rows = list(pool_map(sweep_point, sigmas, threads, shared=(cfg,)))
     header = ["sigma_over_gamma0", "eta_w", "eta_r", "eta", "F"]
-    write_csv(out_dir / "sweep.csv", header, [[row[k] for row in rows] for k in header])
+    write_csv(out_dir / "sweep.csv", header, [[row[k] for row in rows] for k in header], threads)
     return rows
 
 
-def emit_mirror(run: StoreRun, out_dir: Path) -> dict:
+def emit_mirror(run: StoreRun, out_dir: Path, threads: int | None = None) -> dict:
     traj = trajectory_from_decay(run.grid, run.gamma_z, run.config.memory)
     write_csv(
         out_dir / "mirror.csv",
         ["t", "gamma_z", "l_over_lambda", "velocity"],
         [run.grid.times - run.t_mid, run.gamma_z, traj.l_over_lambda, traj.velocity],
+        threads,
     )
     report = feasibility_report(traj)
     write_json(out_dir / "feasibility.json", report)
@@ -175,15 +233,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"halfcav: invalid config: {exc}", file=sys.stderr)
         return 2
-    threads = None
-    if args.command == "sweep":
-        try:
-            if cfg.sweep is None:
-                raise ValueError("config has no sweep section")
-            threads = parse_threads(os.environ.get("HALFCAV_THREADS"))
-        except ValueError as exc:
-            print(f"halfcav: {exc}", file=sys.stderr)
-            return 2
+    try:
+        if args.command == "sweep" and cfg.sweep is None:
+            raise ValueError("config has no sweep section")
+        threads = parse_threads(os.environ.get("HALFCAV_THREADS"))
+    except ValueError as exc:
+        print(f"halfcav: {exc}", file=sys.stderr)
+        return 2
     out_dir = Path(args.out)
     if args.command != "oracle":
         try:
@@ -196,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"halfcav: {warning}; results are not resolved", file=sys.stderr)
 
     if args.command == "store":
-        record = emit_store(build_store_run(cfg), out_dir)
+        record = emit_store(build_store_run(cfg), out_dir, threads)
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0
     if args.command == "sweep":
@@ -210,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return 0 if report["passed"] else 1
     if args.command == "mirror":
-        report = emit_mirror(build_store_run(cfg), out_dir)
+        report = emit_mirror(build_store_run(cfg), out_dir, threads)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0
     return 2

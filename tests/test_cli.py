@@ -1,7 +1,8 @@
 """Command-line contract: exit codes, load-time rejection, the config round
 trip, the CSV number format, and byte-identical outputs across runs and
-sweep worker counts.  The per-row CSV writer kept below is the reference
-for the chunked one."""
+worker counts.  The per-row CSV writer kept below is the reference for the
+chunked one."""
+import concurrent.futures
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfcav import cli
-from halfcav.cli import main, write_csv
+from halfcav.cli import main, pool_map, write_csv
 from halfcav.scenario import MAX_SWEEP_POINTS, ScenarioConfig
 
 SWEEP3 = {"sigma_min": 0.1, "sigma_max": 1.0, "n_points": 3}
@@ -26,12 +27,23 @@ MARKOV = {"memory": {"tau": 0.3, "markov_limit": 0.5}, "sweep": SWEEP3}
 LONG_HOLD = {"pulse": {"alpha": 0.6, "beta": 0.8, "phi": 1.0}, "storage_T": 100.0}
 
 
-def _reference_write_csv(path, header, columns):
-    """The per-row writer write_csv replaced: every field formatted."""
+def _reference_write_csv(path, header, columns, threads=None):
+    """The per-row writer write_csv replaced: every field formatted, in this
+    process whatever ``threads`` asks for."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % values for values in zip(*columns))
+
+
+def cpus_allowed(n):
+    """A patch that lets this process run on ``n`` CPUs, as pool_map sees it."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True)
+
+
+class NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool started")
 
 
 def run_cli(tmp_path, command, config=None, out="out"):
@@ -135,10 +147,22 @@ class TestConfigRejected:
         assert err.out == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("threads", ["abc", "1.5", "0", "-3"])
-    def test_bad_thread_count_rejected_before_compute(self, tmp_path, threads, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "command, threads",
+        [pytest.param("sweep", t, id=t) for t in ["abc", "1.5", "0", "-3"]]
+        + [pytest.param(c, t, id=f"{c}-{t}")
+           for c in ["store", "oracle", "mirror"] for t in ["abc", "0"]],
+    )
+    def test_bad_thread_count_rejected_before_compute(
+        self, tmp_path, command, threads, capsys, monkeypatch
+    ):
+        def compute(*args, **kwargs):
+            raise AssertionError("computed before HALFCAV_THREADS was checked")
+
+        monkeypatch.setattr(cli, "build_store_run", compute)
+        monkeypatch.setattr(cli, "oracle_check", compute)
         monkeypatch.setenv("HALFCAV_THREADS", threads)
-        assert run_cli(tmp_path, "sweep", {"sweep": SWEEP3}) == 2
+        assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 2
         err = capsys.readouterr()
         assert err.err == (
             f"halfcav: HALFCAV_THREADS must be a positive integer, got '{threads}'\n"
@@ -186,8 +210,9 @@ def test_slow_atom_timeline_ends_after_the_read(tmp_path):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # Only a sweep with more than one worker uses the process pool, so
-    # importing the CLI (store, mirror, oracle) loads none of it.
+    # Only pool_map with more than one worker (sweep points, or the row
+    # chunks of a CSV) uses the process pool, so importing the CLI loads
+    # none of it, and neither does a run with HALFCAV_THREADS=1.
     code = (
         "import sys, halfcav.cli; "
         "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
@@ -379,21 +404,25 @@ class TestChunkedWriteCsv:
     """write_csv writes the reference writer's bytes."""
 
     @staticmethod
-    def assert_reference_bytes(directory, columns):
+    def assert_reference_bytes(directory, columns, threads=1):
         header = [f"c{j}" for j in range(len(columns))]
-        write_csv(directory / "new.csv", header, columns)
+        write_csv(directory / "new.csv", header, columns, threads)
         _reference_write_csv(directory / "reference.csv", header, columns)
         assert (directory / "new.csv").read_bytes() == (directory / "reference.csv").read_bytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(columns=csv_columns(), chunk=st.integers(1, 8))
-    @example(columns=[[1.0, 2.0, 3.0, 4.0], [0.0, -0.0, 0.0, -0.0]], chunk=3)
-    @example(columns=[[1.0, 2.0, 3.0], [5e-324, 5e-324, -5e-324], [0.0, 0.0, 0.0]], chunk=2)
-    @example(columns=[[0.5]], chunk=1)
-    def test_reference_bytes(self, tmp_path_factory, columns, chunk):
+    @given(columns=csv_columns(), chunk=st.integers(1, 8), threads=st.just(1))
+    # A few examples on two workers: the pooled path.
+    @example(columns=[[1.0, 2.0, 3.0, 4.0], [0.0, -0.0, 0.0, -0.0]], chunk=3, threads=2)
+    @example(columns=[[1.0, 2.0, 3.0], [5e-324, 5e-324, -5e-324], [0.0, 0.0, 0.0]],
+             chunk=2, threads=2)
+    @example(columns=[np.arange(11.0), np.repeat([0.5, -0.0, 0.0], [4, 4, 3])],
+             chunk=1, threads=2)
+    @example(columns=[[0.5]], chunk=1, threads=1)
+    def test_reference_bytes(self, tmp_path_factory, columns, chunk, threads):
         # Small chunks put the runs across chunk boundaries.
-        with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk):
-            self.assert_reference_bytes(tmp_path_factory.mktemp("csv"), columns)
+        with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk), cpus_allowed(2):
+            self.assert_reference_bytes(tmp_path_factory.mktemp("csv"), columns, threads)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_runs_across_the_real_chunk_size(self, tmp_path, width):
@@ -411,18 +440,86 @@ class TestChunkedWriteCsv:
         ("store", ["timeseries.csv", "run.json"]),
         ("mirror", ["mirror.csv", "feasibility.json"]),
     ])
-    def test_long_hold_exports_match_the_reference_writer(self, tmp_path, command, files, capsys):
-        assert run_cli(tmp_path, command, LONG_HOLD, out="chunked") == 0
-        chunked = capsys.readouterr().out
+    def test_long_hold_exports_match_the_reference_writer(
+        self, tmp_path, command, files, capsys, monkeypatch
+    ):
+        # The same bytes in this process and on two pool workers.
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        stdout = {}
+        with cpus_allowed(2):
+            for threads in ["1", "2"]:
+                monkeypatch.setenv("HALFCAV_THREADS", threads)
+                assert run_cli(tmp_path, command, LONG_HOLD, out=threads) == 0
+                stdout[threads] = capsys.readouterr().out
+                assert len(pools) == int(threads) - 1
         with mock.patch.object(cli, "write_csv", _reference_write_csv):
             assert run_cli(tmp_path, command, LONG_HOLD, out="reference") == 0
-        assert chunked and chunked == capsys.readouterr().out
+        reference = capsys.readouterr().out
+        assert reference and stdout == {"1": reference, "2": reference}
         for name in files:
-            assert (tmp_path / "chunked" / name).read_bytes() == (
-                tmp_path / "reference" / name
-            ).read_bytes()
+            expected = (tmp_path / "reference" / name).read_bytes()
+            for threads in ["1", "2"]:
+                assert (tmp_path / threads / name).read_bytes() == expected
         # The repeated tails (the hold) span several chunks.
-        rows = (tmp_path / "chunked" / files[0]).read_text().splitlines()[1:]
+        rows = (tmp_path / "2" / files[0]).read_text().splitlines()[1:]
         tails = [row.partition(",")[2] for row in rows]
         repeats = sum(a == b for a, b in zip(tails, tails[1:]))
         assert repeats > 3 * cli.CSV_CHUNK_ROWS
+
+
+class TestPoolMap:
+    """When pool_map starts a process pool, and how much it keeps in flight."""
+
+    # One usable CPU on a host that may have more, or HALFCAV_THREADS=1.
+    @pytest.mark.parametrize("threads, cpus", [("", 1), ("1", 2)], ids=["one_cpu", "one_thread"])
+    @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
+    def test_one_worker_starts_no_pool(self, tmp_path, command, threads, cpus, monkeypatch):
+        monkeypatch.setenv("HALFCAV_THREADS", threads)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        with cpus_allowed(cpus):
+            assert run_cli(tmp_path, command, {**LONG_HOLD, "sweep": SWEEP3}) == 0
+
+    def test_one_chunk_starts_no_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        columns = [np.linspace(0.0, 1.0, cli.CSV_CHUNK_ROWS), np.zeros(cli.CSV_CHUNK_ROWS)]
+        with cpus_allowed(2):
+            write_csv(tmp_path / "new.csv", ["a", "b"], columns, None)
+        _reference_write_csv(tmp_path / "reference.csv", ["a", "b"], columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @pytest.mark.parametrize("cpus, threads, workers", [(3, None, 3), (4, 2, 2)])
+    def test_items_in_flight_bounded(self, monkeypatch, cpus, threads, workers):
+        submitted = []
+
+        class FakePool:
+            def __init__(self, max_workers, initializer, initargs):
+                assert max_workers == workers
+                self.shared = initargs
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, call, fn, item):
+                submitted.append(item)
+                future = concurrent.futures.Future()
+                future.set_result(fn(*self.shared, item))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        in_flight = []
+        with cpus_allowed(cpus):
+            for received, value in enumerate(pool_map(pow, range(20), threads, (2,))):
+                assert value == 2 ** received
+                in_flight.append(len(submitted) - received)
+        assert submitted == list(range(20))
+        assert max(in_flight) == 2 * workers
