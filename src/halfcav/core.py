@@ -49,6 +49,8 @@ class MemoryConfig:
             raise ValueError("omega_a must be positive")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if not self.markov_limit > 0:
+            raise ValueError("markov_limit must be positive")
         # Snap omega_a*tau to a multiple of 2*pi (node at rest position).
         cycles = max(1, round(self.omega_a * self.tau / TWO_PI))
         tau_commensurate = TWO_PI * cycles / self.omega_a
@@ -95,12 +97,6 @@ class TimeGrid:
         t.setflags(write=False)
         return t
 
-    def index_of(self, t: float) -> int:
-        """Nearest grid index for time t (t must lie on the grid span)."""
-        if t < self.t_start - 0.5 * self.dt or t > self.t_end + 0.5 * self.dt:
-            raise ValueError(f"t={t} outside grid [{self.t_start}, {self.t_end}]")
-        return int(round((t - self.t_start) / self.dt))
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
@@ -128,10 +124,6 @@ class ComplexEnvelope:
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise ValueError("envelope samples must be finite")
         object.__setattr__(self, "samples", _freeze(samples))
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(squared_norm(self) - 1.0) < NORM_TOL
 
     def with_samples(self, samples: np.ndarray) -> "ComplexEnvelope":
         return ComplexEnvelope(self.grid, samples)

@@ -21,8 +21,10 @@ from .dynamics import principal_branch
 class MirrorTrajectory:
     """Mirror displacement in units of the transition wavelength.
 
-    ``velocity`` is d(l/lambda)/dt by central differences, in lambda*gamma0,
-    and ``v_max`` its peak magnitude; both are derived from the displacement.
+    ``velocity`` is d(l/lambda)/dt by np.gradient, in lambda*gamma0, and
+    ``v_max`` its peak magnitude.  Near the antinode, where arccos is steep,
+    the differences amplify a last-digit change of the rate by about
+    1/(2*dt), so this column cannot match a reference to 1e-12 absolute.
     """
 
     grid: TimeGrid

@@ -44,16 +44,6 @@ class TimeBinSpec:
             raise ValueError("sigma must be positive")
 
 
-def fwhm(spec: TimeBinSpec) -> float:
-    """Spectral full width at half maximum of one Gaussian bin.
-
-    For amplitude exp(-t^2 sigma^2 / 2) the spectrum is a Gaussian of
-    standard deviation sigma, so FWHM = 2*sqrt(2 ln 2)*sigma.  The memory
-    cutoff sits where this width reaches 2*gamma0.
-    """
-    return 2.0 * math.sqrt(2.0 * math.log(2.0)) * spec.sigma
-
-
 def make_time_bin(spec: TimeBinSpec, grid: TimeGrid) -> ComplexEnvelope:
     """Sample a normalized time-bin envelope on the grid.
 
@@ -92,13 +82,13 @@ def fidelity(a: ComplexEnvelope, b: ComplexEnvelope) -> float:
     return float(abs(overlap) ** 2 / (na * nb))
 
 
-def support_indices(env: ComplexEnvelope, cutoff: float = SUPPORT_CUTOFF):
-    """First and last sample index where |xi|^2 exceeds cutoff*max."""
+def support_indices(env: ComplexEnvelope):
+    """First and last sample index where |xi|^2 exceeds SUPPORT_CUTOFF*max."""
     intensity = np.abs(env.samples) ** 2
     peak = intensity.max()
     if peak == 0.0:
         raise ValueError("zero envelope has no support")
-    idx = np.nonzero(intensity > cutoff * peak)[0]
+    idx = np.nonzero(intensity > SUPPORT_CUTOFF * peak)[0]
     return int(idx[0]), int(idx[-1])
 
 

@@ -208,7 +208,7 @@ class StoreRun:
     """All artifacts of one store/retrieve execution.
 
     ``write`` and ``read`` are computed on the write-phase grid, on which
-    ``xi_segment`` is the input with support [j0, j1] = ``write.support``;
+    ``write.xi_in`` is the input with support [j0, j1] = ``write.support``;
     the read phase is that grid moved ``read_offset`` samples later on the
     timeline ``grid``, which ends two samples after the read support.  The
     full-timeline columns (``xi_in``, ``xi_out``, ``gamma_w``, ``gamma_r``,
@@ -218,13 +218,18 @@ class StoreRun:
 
     config: ScenarioConfig
     grid: TimeGrid
-    xi_segment: ComplexEnvelope
     write: WriteResult
     read: ReadResult
     read_offset: int
-    eta: float
-    fidelity: float
     t_mid: float
+
+    @property
+    def eta(self) -> float:
+        return total_efficiency(self.write, self.read)
+
+    @property
+    def fidelity(self) -> float:
+        return self.read.fidelity_vs_target
 
     def _on_timeline(self, values: np.ndarray, at: int) -> np.ndarray:
         """Phase-grid values placed from timeline sample ``at`` on, zero
@@ -237,7 +242,7 @@ class StoreRun:
 
     @cached_property
     def xi_in(self) -> ComplexEnvelope:
-        return ComplexEnvelope(self.grid, self._on_timeline(self.xi_segment.samples, 0))
+        return ComplexEnvelope(self.grid, self._on_timeline(self.write.xi_in.samples, 0))
 
     @cached_property
     def xi_out(self) -> ComplexEnvelope:
@@ -288,8 +293,8 @@ class StoreRun:
             "capped_w": self.write.capped,
             "capped_r": self.read.capped,
             "landmarks": {
-                "t_w": float(self.xi_segment.grid.times[j0]) - self.t_mid,
-                "t_w0": float(self.xi_segment.grid.times[j1]) - self.t_mid,
+                "t_w": float(self.write.xi_in.grid.times[j0]) - self.t_mid,
+                "t_w0": float(self.write.xi_in.grid.times[j1]) - self.t_mid,
                 "t_r0": float(self.grid.times[self.read_offset + j0]) - self.t_mid,
                 "t_r": self.grid.t_end - self.t_mid,
             },
@@ -355,12 +360,9 @@ def build_store_run(cfg: ScenarioConfig) -> StoreRun:
     return StoreRun(
         config=cfg,
         grid=TimeGrid(g0.t_start, g0.t_start + (n - 1) * dt, n),
-        xi_segment=xi,
         write=w,
         read=r,
         read_offset=read_offset,
-        eta=total_efficiency(w, r),
-        fidelity=r.fidelity_vs_target,
         t_mid=float(g0.times[j1]) + 0.5 * hold_steps * dt,
     )
 

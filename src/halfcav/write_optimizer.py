@@ -27,9 +27,13 @@ taken in the frame co-rotating with the shifted atomic resonance, the frame
 the read reports its output in (``read_shaper``).  There the kernel
 exp(-(Gamma(t) - Gamma(t'))) loses its phase, and with the drive g*|xi| the
 quadrature is real: exponent Gamma_z/2 = Re Gamma, no complex exponential
-and no complex running integral.  This aligns the quadrature integrand and
-attains the analytic efficiency.  Disabling compensation absorbs the input
-as given, in the lab frame, and exposes the efficiency cost of the chirp.
+and no complex running integral.  What the compensated write absorbs is
+the lab-frame input |xi|*exp(-i*Im Gamma) (``WriteResult.xi_effective``):
+it keeps the input's magnitude but not its phase, so the configured
+time-bin phase phi never reaches the atom and eta_w does not depend on it
+(ROADMAP.md, "Report the photon that the atom actually absorbs").
+Disabling compensation absorbs the input as given, in the lab frame, and
+exposes the efficiency cost of the chirp.
 """
 from __future__ import annotations
 
@@ -197,38 +201,3 @@ def optimal_write_profile(
         phase_compensation=phase_compensation,
         support=(i0, i1),
     )
-
-
-def write_efficiency(profile: DecayProfile) -> float:
-    """1 - exp(-Gamma_z) accumulated over the profile's grid.
-
-    For a write it equals the achieved P(t_w0) only for uncapped optimal
-    profiles matched to their input; for arbitrary profiles it is an upper
-    bound.  For a read it is the emitted fraction eta_r.
-    """
-    return float(1.0 - math.exp(-profile.Gamma_z[-1]))
-
-
-def optimal_input_for_profile(
-    profile: DecayProfile, eta_w: float
-) -> ComplexEnvelope:
-    """Invert the matching condition: the input a given profile absorbs best.
-
-    |xi(t)| = g(t) * exp(-(Gamma_z(end) - Gamma_z(t))/2) / sqrt(eta_w), with
-    phase -Im Gamma(t); the result is renormalized to unit norm (the raw
-    magnitude integrates to eta_max/eta_w).
-    """
-    gz_end = float(profile.Gamma_z[-1])
-    eta_max = 1.0 - math.exp(-gz_end)
-    if not 0.0 < eta_w <= eta_max + 1e-12:
-        raise ValueError(
-            f"eta_w={eta_w:.6g} not attainable; profile admits at most "
-            f"{eta_max:.6g}"
-        )
-    magnitude = (
-        profile.g * np.exp(-0.5 * (gz_end - profile.Gamma_z)) / math.sqrt(eta_w)
-    )
-    env = ComplexEnvelope(
-        profile.grid, magnitude * np.exp(-1j * profile.Gamma.imag)
-    )
-    return env.with_samples(env.samples / math.sqrt(squared_norm(env)))

@@ -8,7 +8,6 @@ from halfcav.dynamics import profile_from_gamma_z
 from halfcav.pulses import TimeBinSpec, fidelity, make_time_bin, shift, support_indices
 from halfcav.read_shaper import output_envelope, read_profile_for_target, total_efficiency
 from halfcav.scenario import ScenarioConfig, build_store_run
-from halfcav.write_optimizer import optimal_write_profile, write_efficiency
 
 MEM = MemoryConfig()
 SQ2 = math.sqrt(0.5)
@@ -128,22 +127,12 @@ class TestOutputEnvelope:
 
 
 class TestReadEfficiency:
-    # eta_r of a read profile is given by the shared formula write_efficiency
-    def test_zero_rate(self):
-        grid = TimeGrid(0.0, 5.0, 501)
-        prof = profile_from_gamma_z(grid, np.zeros(501), MEM)
-        assert write_efficiency(prof) == 0.0
-
-    def test_full_rate(self):
-        grid = TimeGrid(0.0, 5.0, 501)
-        prof = profile_from_gamma_z(grid, np.full(501, 2.0), MEM)
-        assert write_efficiency(prof) == pytest.approx(1.0 - math.exp(-10.0), abs=1e-12)
-
     def test_matches_emitted_fraction(self):
+        # A read program releases the fraction 1 - exp(-Gamma_z_r(end)).
         target = shifted_timebin(0.2)
         r = read_profile_for_target(target, P0=0.95, cfg=MEM)
         emitted = float(np.trapezoid(np.abs(r.xi_out.samples) ** 2, dx=target.grid.dt)) / 0.95
-        assert write_efficiency(r.profile) == pytest.approx(emitted, abs=1e-6)
+        assert 1.0 - math.exp(-r.profile.Gamma_z[-1]) == pytest.approx(emitted, abs=1e-6)
 
 
 class TestTotalEfficiency:

@@ -1,14 +1,16 @@
 """Properties of one store/retrieve run over the scenario parameters: the
 physical ranges of P and the efficiencies, the whole-sample read target, a
 storage gap whose decay rate is exactly zero, agreement with the
-full-timeline builder kept below as the reference, and compute work that
-does not grow with the storage time."""
+full-timeline builder kept below as the reference, compute work that
+does not grow with the storage time, and the sweep's eta_w(sigma/gamma0)
+between analytic bounds."""
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfcav import dynamics, read_shaper, scenario, write_optimizer
@@ -276,3 +278,75 @@ def test_hold_length_bounded_at_load():
     assert build_store_run(longest).grid.n <= MAX_TIMELINE_SAMPLES
     with pytest.raises(ValueError, match="the store timeline must be finite and at most"):
         ScenarioConfig.from_dict({"storage_T": (MAX_TIMELINE_SAMPLES - 2 * n0 + 3) * dt})
+
+
+# How far the sampled write may sit beyond a bound on the continuous
+# optimum.  Measured, eta_w comes within 1e-8 of the upper bound 1 at
+# sigma = 0.05 and within 9e-5 of the lower bound at sigma = 100.
+BOUND_TOL = 1e-6
+
+
+def _abs_integral(pulse) -> float:
+    """∫|xi| dt of a time bin with phi = 0 and alpha, beta >= 0, where
+    xi = (alpha*G1 + beta*G2)/sqrt(1 + 2*alpha*beta*exp(-(t2 - t1)^2*sigma^2/4))
+    with unit-norm Gaussian bins G, each of ∫G = (sigma^2/pi)^(1/4)*sqrt(2*pi)/sigma."""
+    s = pulse.sigma
+    overlap = math.exp(-((pulse.t2 - pulse.t1) * s) ** 2 / 4.0)
+    bin_integral = (s * s / math.pi) ** 0.25 * math.sqrt(2.0 * math.pi) / s
+    return (pulse.alpha + pulse.beta) * bin_integral / math.sqrt(
+        1.0 + 2.0 * pulse.alpha * pulse.beta * overlap
+    )
+
+
+def _constant_rate_efficiency(sigma: float, gamma0: float) -> float:
+    """Most population that the constant rate 2*gamma0 (the mirror at the
+    antinode), switched off at T, absorbs from a unit-norm Gaussian of
+    bandwidth sigma centred at 0, over T:
+
+        2g0*(s/sqrt(pi))*(pi/(2s^2))*exp(g0^2/s^2 - 2g0*T)*erfc((g0/s^2 - T)*s/sqrt(2))^2.
+
+    P(T) is a Gaussian convolved with a one-sided exponential, squared, so
+    it is log-concave and a golden-section search on log P finds the peak."""
+    c = math.log(gamma0 * math.sqrt(math.pi) / sigma) + (gamma0 / sigma) ** 2
+
+    def log_p(T):
+        e = math.erfc((gamma0 / sigma**2 - T) * sigma / math.sqrt(2.0))
+        return c - 2.0 * gamma0 * T + 2.0 * math.log(e) if e > 0.0 else -math.inf
+
+    lo, hi = -10.0 / sigma, 10.0 / sigma + 10.0 / gamma0
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        t1, t2 = hi - r * (hi - lo), lo + r * (hi - lo)
+        if log_p(t1) < log_p(t2):
+            lo = t1
+        else:
+            hi = t2
+    return math.exp(log_p(0.5 * (lo + hi)))
+
+
+# The paper's curve for one Gaussian: the constant rate 2*gamma0 is a
+# feasible program, so the optimum absorbs at least as much, and
+# |c| <= ∫sqrt(gamma_z)|xi| dt <= sqrt(2*gamma0)∫|xi| dt bounds it above.
+# At sigma = 2 and 50, 0.8007 <= 0.9327 <= 1 and 0.1267 <= 0.1271 <= 0.1418.
+@settings(max_examples=30, deadline=None)
+@given(sigma=st.floats(0.05, 100.0))
+@example(sigma=2.0)
+@example(sigma=50.0)
+def test_single_gaussian_efficiency_between_analytic_bounds(sigma):
+    pulse = {"alpha": 1.0, "beta": 0.0, "t1": 0.0, "t2": 1.0, "sigma": sigma}
+    cfg = ScenarioConfig.from_dict({"pulse": pulse})
+    g0 = cfg.memory.gamma0
+    eta_w = sweep_point(cfg, sigma)["eta_w"]
+    upper = min(1.0, 2.0 * g0 * _abs_integral(cfg.pulse) ** 2)
+    assert _constant_rate_efficiency(sigma, g0) - BOUND_TOL <= eta_w <= upper + BOUND_TOL
+
+
+# The upper bound for the default time bin uses the pair's ∫|xi|.
+@settings(max_examples=20, deadline=None)
+@given(sigma=st.floats(0.05, 50.0))
+@example(sigma=50.0)
+def test_time_bin_efficiency_below_analytic_bound(sigma):
+    cfg = ScenarioConfig.from_dict({})
+    eta_w = sweep_point(cfg, sigma)["eta_w"]
+    pulse = replace(cfg.pulse, sigma=sigma)
+    assert eta_w <= min(1.0, 2.0 * cfg.memory.gamma0 * _abs_integral(pulse) ** 2) + BOUND_TOL
