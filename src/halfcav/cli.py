@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mirror import feasibility_report, trajectory_from_decay
+from .mirror import feasibility_report
 from .scenario import (
     ScenarioConfig,
     StoreRun,
@@ -111,7 +111,9 @@ def _format_chunk(arrays: list, rows: slice) -> str:
 
 
 def write_csv(path: Path, header: list[str], columns: list, threads: int | None = None) -> None:
-    """Write columns of floats, each with 17 significant digits ("%.17g").
+    """Write columns of floats, each with 17 significant digits ("%.17g"),
+    one header name per column; columns of unequal length, or a header of
+    another length, raise ValueError.
 
     The bytes are those of formatting every field of every row, with fewer
     formats: the rows go out in chunks of CSV_CHUNK_ROWS, and in a chunk the
@@ -132,7 +134,10 @@ def write_csv(path: Path, header: list[str], columns: list, threads: int | None 
     raised the in-process peak by 8 MB for no further speed.
     """
     arrays = [np.asarray(c, dtype=np.float64) for c in columns]
-    n = min((len(a) for a in arrays), default=0)
+    lengths = {len(a) for a in arrays}
+    if len(header) != len(arrays) or len(lengths) > 1:
+        raise ValueError(f"{len(header)} header names for columns of lengths {sorted(lengths)}")
+    n = min(lengths, default=0)
     chunks = [slice(start, min(start + CSV_CHUNK_ROWS, n)) for start in range(0, n, CSV_CHUNK_ROWS)]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -154,25 +159,9 @@ def load_config(path: str | None) -> ScenarioConfig:
     return ScenarioConfig.from_dict(raw)
 
 
-def timeseries_columns(run: StoreRun) -> dict:
-    """The columns of timeseries.csv, by header name, on the full timeline."""
-    traj = trajectory_from_decay(run.grid, run.gamma_z, run.config.memory)
-    return {
-        "t": run.grid.times - run.t_mid,
-        "xi_in_re": run.xi_in.samples.real,
-        "xi_in_im": run.xi_in.samples.imag,
-        "xi_out_re": run.xi_out.samples.real,
-        "xi_out_im": run.xi_out.samples.imag,
-        "gamma_z_w": run.gamma_w,
-        "gamma_z_r": run.gamma_r,
-        "l_over_lambda": traj.l_over_lambda,
-        "P": run.trace_total,
-    }
-
-
 def emit_store(run: StoreRun, out_dir: Path, threads: int | None = None) -> dict:
     ts_path = out_dir / "timeseries.csv"
-    columns = timeseries_columns(run)
+    columns = run.timeseries_columns()
     write_csv(ts_path, list(columns), list(columns.values()), threads)
     record = run.record()
     record["files"] = {"timeseries": ts_path.name, "run": "run.json"}
@@ -199,13 +188,8 @@ def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -
 
 
 def emit_mirror(run: StoreRun, out_dir: Path, threads: int | None = None) -> dict:
-    traj = trajectory_from_decay(run.grid, run.gamma_z, run.config.memory)
-    write_csv(
-        out_dir / "mirror.csv",
-        ["t", "gamma_z", "l_over_lambda", "velocity"],
-        [run.grid.times - run.t_mid, run.gamma_z, traj.l_over_lambda, traj.velocity],
-        threads,
-    )
+    columns, traj = run.mirror_columns()
+    write_csv(out_dir / "mirror.csv", list(columns), list(columns.values()), threads)
     report = feasibility_report(traj)
     write_json(out_dir / "feasibility.json", report)
     return report

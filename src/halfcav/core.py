@@ -72,6 +72,17 @@ class MemoryConfig:
         """Largest attainable decay rate, 2*gamma0 (atom at an antinode)."""
         return 2.0 * self.gamma0
 
+    def require_pulse_mode(self) -> None:
+        """Raise ValueError unless gamma_prime = 0, the only case the write
+        and read programs and the mirror program are derived for."""
+        if self.gamma_prime != 0.0:
+            raise ValueError(
+                "memory.gamma_prime > 0 is not modelled end to end: pulse-mode "
+                "coupling, environment emission, rate caps and the hold all "
+                "assume gamma' = 0 (ROADMAP.md, \"Make gamma' > 0 correct "
+                "end to end\"); set it to 0"
+            )
+
 
 @dataclass(frozen=True)
 class TimeGrid:

@@ -48,12 +48,8 @@ def trajectory_from_decay(
     grid: TimeGrid, gamma_z: np.ndarray, cfg: MemoryConfig
 ) -> MirrorTrajectory:
     """Mirror program realizing a decay-rate series gamma_z on the grid
-    (pure pulse-mode case)."""
-    if cfg.gamma_prime != 0.0:
-        raise NotImplementedError(
-            "decay-to-displacement inversion is only defined for gamma' = 0; "
-            "with environment decay the node offset changes"
-        )
+    (pure pulse-mode case: ValueError for gamma' > 0)."""
+    cfg.require_pulse_mode()
     _, cos_phi = principal_branch(gamma_z, cfg)
     return MirrorTrajectory(grid, np.arccos(cos_phi) / (4.0 * np.pi))
 

@@ -201,6 +201,50 @@ class TestConfigRejected:
         assert (tmp_path / "out").read_text() == ""
 
 
+def read_columns(path):
+    """The columns of an exported CSV by header name, as floats."""
+    header, *rows = path.read_text().splitlines()
+    values = np.array([[float(field) for field in row.split(",")] for row in rows])
+    return dict(zip(header.split(","), values.T))
+
+
+@pytest.mark.parametrize("config", [{}, {"storage_T": 0, "pulse": {"sigma": 4}}],
+                         ids=["default", "shared_sample"])
+def test_store_and_mirror_exports_share_one_timeline(tmp_path, config):
+    # t and l/lambda agree bit for bit, and mirror.csv's rate is the sum of
+    # the two programs in timeseries.csv, whose supports share a sample at
+    # storage_T = 0.
+    for command in ("store", "mirror"):
+        assert run_cli(tmp_path, command, config, out=command) == 0
+    store = read_columns(tmp_path / "store" / "timeseries.csv")
+    mirror = read_columns(tmp_path / "mirror" / "mirror.csv")
+    for name in ("t", "l_over_lambda"):
+        assert store[name].tobytes() == mirror[name].tobytes()
+    assert mirror["gamma_z"].tobytes() == (store["gamma_z_w"] + store["gamma_z_r"]).tobytes()
+    shared = (store["gamma_z_w"] > 0.0) & (store["gamma_z_r"] > 0.0)
+    assert shared.any() == ("storage_T" in config)
+
+
+def test_pulse_far_from_zero_gives_the_default_outputs(tmp_path, capsys):
+    # At t1 = 1e15 the float spacing of t is 0.125, 25 steps of dt; the
+    # write-phase grid starts padding/sigma before the first bin at t = 0
+    # wherever t1 lies, so only the config echo in run.json moves.
+    far = {"pulse": {"t1": 1e15, "t2": 1000000000000020.0}}
+    for command in ("store", "mirror"):
+        for name, config in [("default", {}), ("far", far)]:
+            assert run_cli(tmp_path, command, config, out=f"{command}-{name}") == 0
+    capsys.readouterr()
+    for name in ("timeseries.csv", "mirror.csv", "feasibility.json"):
+        out = "store" if name == "timeseries.csv" else "mirror"
+        default = (tmp_path / f"{out}-default" / name).read_bytes()
+        assert default == (tmp_path / f"{out}-far" / name).read_bytes(), name
+    default, far_run = (json.loads((tmp_path / f"store-{name}" / "run.json").read_text())
+                        for name in ("default", "far"))
+    assert far_run.pop("config")["pulse"]["t1"] == 1e15
+    default.pop("config")
+    assert far_run == default
+
+
 def test_slow_atom_timeline_ends_after_the_read(tmp_path):
     # gamma0 = 1e-6, a lifetime of 1e6: the timeline still ends two samples
     # after the read support, 7,556 samples on the pulse's step.
@@ -370,6 +414,18 @@ class TestWriteCsv:
             line == format(v, ".17g")
             for line, v in zip((tmp_path / "one.csv").read_text().split()[1:], values)
         )
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [(["a", "b"], [[1.0, 2.0], [3.0]]), (["a", "b", "c"], [[1.0, 2.0], [3.0, 4.0]]),
+         (["a"], [[1.0], [2.0]])],
+        ids=["unequal_lengths", "header_longer", "header_shorter"],
+    )
+    def test_mismatched_columns_rejected(self, tmp_path, header, columns):
+        # Neither a truncated column nor a header over rows of another width.
+        with pytest.raises(ValueError, match="header names for columns of lengths"):
+            write_csv(tmp_path / "bad.csv", header, columns)
+        assert not (tmp_path / "bad.csv").exists()
 
     def test_two_columns_from_array_and_list(self, tmp_path):
         write_csv(tmp_path / "two.csv", ["a", "b"], [np.array([1.5, -0.0]), [1.0 / 3.0, 1.5e-323]])

@@ -41,5 +41,5 @@ def test_rate_outside_range_rejected(bad, convert):
 
 def test_feasibility_report_keys():
     run = build_store_run(ScenarioConfig.from_dict({}))
-    report = feasibility_report(trajectory_from_decay(run.grid, run.gamma_z, MEM))
+    report = feasibility_report(run.mirror_columns()[1])
     assert set(report) == {"v_max_lambda_gamma0", "l_max_over_lambda", "mechanically_demanding"}

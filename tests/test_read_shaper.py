@@ -142,8 +142,8 @@ class TestTotalEfficiency:
 
     def test_inconsistent_P0_rejected(self):
         run = build_store_run(ScenarioConfig.from_dict({}))
-        target = shift(run.xi_in, run.read_offset)
-        stale = read_profile_for_target(target, P0=0.5, cfg=MEM)
+        # The read's target is the input on the write-phase grid.
+        stale = read_profile_for_target(run.write.xi_in, P0=0.5, cfg=MEM)
         with pytest.raises(ValueError):
             total_efficiency(run.write, stale)
 
@@ -154,15 +154,17 @@ class TestEndToEndProperties:
         # The read runs on the phase grid, read_offset samples later on the timeline.
         g0 = run.read.profile.grid
         i_r0 = run.write.support[0]  # the read target is the input itself
-        P = run.trace_total[run.read_offset : run.read_offset + g0.n]
+        P = run.timeseries_columns()["P"][run.read_offset : run.read_offset + g0.n]
         emitted = cumtrapz(np.abs(run.read.xi_out.samples) ** 2, g0)[: P.size]
         resid = P[i_r0] - P[i_r0:] - (emitted[i_r0:] - emitted[i_r0])
         assert np.max(np.abs(resid)) <= 1e-6
 
     def test_output_matches_scaled_shifted_input(self):
         run = build_store_run(ScenarioConfig.from_dict({}))
-        out = run.xi_out.samples
-        want = math.sqrt(run.eta) * shift(run.xi_in, run.read_offset).samples
+        columns = run.timeseries_columns()
+        out = columns["xi_out_re"] + 1j * columns["xi_out_im"]
+        xi_in = ComplexEnvelope(run.grid, columns["xi_in_re"] + 1j * columns["xi_in_im"])
+        want = math.sqrt(run.eta) * shift(xi_in, run.read_offset).samples
         phase = np.vdot(want, out)
         phase /= abs(phase)
         err = math.sqrt(float(np.trapezoid(np.abs(out - phase * want) ** 2, dx=run.grid.dt)))

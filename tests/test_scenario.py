@@ -14,8 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halfcav import dynamics, read_shaper, scenario, write_optimizer
-from halfcav.cli import timeseries_columns
-from halfcav.core import TimeGrid
+from halfcav.core import ComplexEnvelope, TimeGrid
 from halfcav.dynamics import absorption_probability, profile_from_gamma_z
 from halfcav.mirror import trajectory_from_decay
 from halfcav.pulses import make_time_bin, shift, support_indices
@@ -117,21 +116,29 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
         assert abs(value - (old_landmarks[key] - ref.t_mid)) <= tol, key
 
     # The reference kept the read on the timeline, so its columns are its fields.
-    old_run = SimpleNamespace(**vars(ref), xi_out=ref.read.xi_out,
-                              gamma_w=ref.write.profile.gamma_z, gamma_r=ref.read.profile.gamma_z,
-                              gamma_z=ref.profile_total.gamma_z)
-    new_columns, old_columns = timeseries_columns(run), timeseries_columns(old_run)
+    old_traj = trajectory_from_decay(ref.grid, ref.profile_total.gamma_z, cfg.memory)
+    old_columns = {
+        "t": ref.grid.times - ref.t_mid,
+        "xi_in_re": ref.xi_in.samples.real,
+        "xi_in_im": ref.xi_in.samples.imag,
+        "xi_out_re": ref.read.xi_out.samples.real,
+        "xi_out_im": ref.read.xi_out.samples.imag,
+        "gamma_z_w": ref.write.profile.gamma_z,
+        "gamma_z_r": ref.read.profile.gamma_z,
+        "l_over_lambda": old_traj.l_over_lambda,
+        "P": ref.trace_total,
+    }
+    new_columns = run.timeseries_columns()
     assert list(new_columns) == list(old_columns)
     # mirror.csv adds the total rate and the mirror velocity to t and l/lambda.
     # The velocity is np.gradient(l)/dt, which turns a last-digit change of
     # l on a capped arc (where arccos is steep) into ~1e-11, so it is
     # compared as the displacement per step, velocity*dt.
-    mem = cfg.memory
-    new_columns["gamma_z"] = run.gamma_z
+    mirror = run.mirror_columns()[0]
+    assert list(mirror) == ["t", "gamma_z", "l_over_lambda", "velocity"]
+    new_columns["gamma_z"] = mirror["gamma_z"]
     old_columns["gamma_z"] = ref.profile_total.gamma_z
-    new_traj = trajectory_from_decay(run.grid, run.gamma_z, mem)
-    old_traj = trajectory_from_decay(ref.grid, ref.profile_total.gamma_z, mem)
-    new_columns["velocity_dt"] = new_traj.velocity * run.grid.dt
+    new_columns["velocity_dt"] = mirror["velocity"] * run.grid.dt
     old_columns["velocity_dt"] = old_traj.velocity * ref.grid.dt
     # The reference's composite quadrature also lets the input's tail past
     # its support (intensity below 1e-12 of the peak) drive the atom while
@@ -153,7 +160,7 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
             assert np.max(np.abs(extra)) <= tol, name
         elif name != "t":
             assert np.max(np.abs(extra - extra[0])) <= tol, name
-    assert abs(run.trace_total[-1] - ref.trace_total[-1]) <= tol
+    assert abs(new_columns["P"][-1] - ref.trace_total[-1]) <= tol
     return run, ref
 
 
@@ -161,8 +168,9 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
 @given(**STORE_CASES)
 def test_store_run_invariants(storage_T, sigma, separation, phi):
     run = build_store_run(_config(storage_T, sigma, separation, phi))
+    columns = run.timeseries_columns()
 
-    assert np.all((run.trace_total >= 0.0) & (run.trace_total <= 1.0))
+    assert np.all((columns["P"] >= 0.0) & (columns["P"] <= 1.0))
     assert 0.0 <= run.write.eta_w <= 1.0
     assert 0.0 <= run.read.eta_r <= 1.0
     assert run.eta == run.write.eta_w * run.read.eta_r
@@ -173,10 +181,11 @@ def test_store_run_invariants(storage_T, sigma, separation, phi):
     i_r0 = run.read_offset + np.flatnonzero(run.read.profile.gamma_z)[0]
     assert i_r0 - i_w0 == round(storage_T / (min(1.0, 1.0 / sigma) / 200.0))
     k, n = i_r0 - i_w, grid.n
-    target = shift(run.xi_in, run.read_offset)
-    assert np.array_equal(target.samples[k:], run.xi_in.samples[: n - k])
+    xi_in = ComplexEnvelope(grid, columns["xi_in_re"] + 1j * columns["xi_in_im"])
+    target = shift(xi_in, run.read_offset)
+    assert np.array_equal(target.samples[k:], xi_in.samples[: n - k])
     assert not target.samples[:k].any()
-    assert np.all(run.gamma_z[i_w0 + 1 : i_r0] == 0.0)
+    assert np.all(run.mirror_columns()[0]["gamma_z"][i_w0 + 1 : i_r0] == 0.0)
 
 
 @pytest.mark.parametrize("raw", [{}, LONG_HOLD_SEED_1], ids=["default", "long_hold_seed_1"])
@@ -186,10 +195,10 @@ def test_benchmark_configs_match_reference(raw):
     # reference's own trace agree too.
     mem = run.config.memory
     n = run.grid.n
-    velocity = trajectory_from_decay(run.grid, run.gamma_z, mem).velocity
+    velocity = run.mirror_columns()[0]["velocity"]
     old = trajectory_from_decay(ref.grid, ref.profile_total.gamma_z, mem).velocity
     assert np.max(np.abs(velocity - old[:n])) <= 1e-12
-    assert np.max(np.abs(run.trace_total - ref.trace_total[:n])) <= 1e-12
+    assert np.max(np.abs(run.timeseries_columns()["P"] - ref.trace_total[:n])) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,7 +7,9 @@ import pytest
 from halfcav import write_optimizer
 from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz, squared_norm
 from halfcav.dynamics import profile_from_gamma_z
-from halfcav.pulses import TimeBinSpec, make_time_bin, support_indices
+from halfcav.mirror import trajectory_from_decay
+from halfcav.pulses import SUPPORT_CUTOFF, TimeBinSpec, make_time_bin, support_indices
+from halfcav.read_shaper import read_profile_for_target
 from halfcav.write_optimizer import (
     ETA_TARGET,
     _synthesize_gamma_z,
@@ -18,8 +20,10 @@ MEM = MemoryConfig()
 SQ2 = math.sqrt(0.5)
 
 
-def timebin_env(sigma: float, separation: float = 20.0, per_dt: float = 200.0):
-    spec = TimeBinSpec(alpha=SQ2, beta=SQ2, t1=0.0, t2=separation, sigma=sigma)
+def timebin_env(sigma: float, separation: float = 20.0, per_dt: float = 200.0,
+                alpha: float = SQ2):
+    beta = math.sqrt(1.0 - alpha**2)
+    spec = TimeBinSpec(alpha=alpha, beta=beta, t1=0.0, t2=separation, sigma=sigma)
     pad = 8.0 / sigma
     dt = min(1.0, 1.0 / sigma) / per_dt
     n = int((separation + 2 * pad) / dt) + 1
@@ -178,6 +182,89 @@ class TestOptimalWriteProfile:
 
 
 EPS = (1.0 - ETA_TARGET) / ETA_TARGET
+
+
+def absorbed_and_gradient(env, gz):
+    """The write's discrete objective P = a^2 for the program gz, with
+    a = sum_k w_k*exp(-(Gz(i1) - Gz_k)/2)*sqrt(gz_k)*|xi_k| over the support
+    [i0, i1], trapezoid weights w_k and Gz = cumtrapz(gz); and dP/dgz_k / dt
+    on the samples k whose intensity exceeds SUPPORT_CUTOFF of the peak
+    (elsewhere gz may underflow to 0, where sqrt(gz) has no derivative)."""
+    grid = env.grid
+    i0, i1 = support_indices(env)
+    G = cumtrapz(gz, grid)
+    weights = np.zeros(grid.n)
+    weights[i0 : i1 + 1] = grid.dt
+    weights[[i0, i1]] = 0.5 * grid.dt
+    decay = weights * np.exp(-0.5 * (G[i1] - G)) * np.abs(env.samples)
+    terms = decay * np.sqrt(gz)
+    a = float(terms.sum())
+    # Gz(i1) - Gz_j weighs gz_k by dt/2 for each of j <= k < i1 and j < k <= i1.
+    running = np.cumsum(terms)
+    q2 = np.abs(env.samples) ** 2
+    k = np.flatnonzero(q2 > SUPPORT_CUTOFF * q2.max())
+    da = decay[k] / (2.0 * np.sqrt(gz[k])) - 0.25 * grid.dt * (
+        (k < i1) * running[k] + running[k] - terms[k]
+    )
+    return a * a, 2.0 * a * da / grid.dt, k
+
+
+# Single Gaussians (t2 = 1) and the default time bin, capped and uncapped.
+KKT_CASES = [pytest.param(s, 1.0, 1.0, id=f"single-{s:g}") for s in (0.05, 0.2, 1, 2, 5, 20, 50)] + [
+    pytest.param(s, 20.0, SQ2, id=f"timebin-{s:g}") for s in (0.2, 1, 3)]
+
+# Largest |dP/dgz|/dt below the cap that counts as stationary.  The optimum
+# reaches 1.2e-5 (sigma = 20); the optimum scaled by 0.95 exceeds 2.6e-2.
+KKT_TOL = 1e-4
+
+
+class TestKKTConditions:
+    """The write's program maximizes the discrete absorbed population under
+    0 <= gz <= cap: below the cap the gradient vanishes, and on the cap it
+    pushes against the bound (Karush-Kuhn-Tucker conditions)."""
+
+    @pytest.mark.parametrize("sigma, separation, alpha", KKT_CASES)
+    def test_write_program_is_stationary(self, sigma, separation, alpha):
+        env = timebin_env(sigma, separation, alpha=alpha)
+        w = optimal_write_profile(env, MEM)
+        P, grad, k = absorbed_and_gradient(env, w.profile.gamma_z)
+        assert abs(P - w.eta_w) <= 1e-10
+        capped = w.profile.gamma_z[k] >= MEM.cap
+        assert np.max(np.abs(grad[~capped])) <= KKT_TOL
+        assert np.all(grad[capped] >= 0.0)
+        assert capped.any() == w.capped
+
+    @pytest.mark.parametrize("sigma, separation, alpha", KKT_CASES)
+    def test_scaled_program_is_not_stationary(self, sigma, separation, alpha):
+        env = timebin_env(sigma, separation, alpha=alpha)
+        gz = 0.95 * optimal_write_profile(env, MEM).profile.gamma_z
+        assert np.max(np.abs(absorbed_and_gradient(env, gz)[1])) > KKT_TOL
+
+    @pytest.mark.parametrize("sigma", [2.0, 5.0])
+    def test_program_capped_too_low_is_not_stationary(self, sigma):
+        # Synthesized against 1.9*gamma0: on its flat top the gradient asks
+        # for the rate the hardware still allows.
+        env = timebin_env(sigma, 1.0, alpha=1.0)
+        i0, i1 = support_indices(env)
+        q2 = np.abs(env.samples[i0 : i1 + 1]) ** 2
+        gz = np.zeros(env.grid.n)
+        gz[i0 : i1 + 1] = _synthesize_gamma_z(q2, env.grid.dt, 0.95 * MEM.cap, EPS)
+        assert gz.max() == 0.95 * MEM.cap
+        assert np.max(np.abs(absorbed_and_gradient(env, gz)[1])) > KKT_TOL
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda env, cfg: optimal_write_profile(env, cfg),
+     lambda env, cfg: read_profile_for_target(env, 0.5, cfg),
+     lambda env, cfg: trajectory_from_decay(env.grid, np.zeros(env.grid.n), cfg)],
+    ids=["write", "read", "mirror"],
+)
+def test_environment_decay_rejected(call):
+    # gamma' > 0 is not modelled: the write and the read would report the
+    # gamma' = 0 programs and efficiencies, so they raise like the loader.
+    with pytest.raises(ValueError, match="memory.gamma_prime > 0 is not modelled"):
+        call(timebin_env(0.2), MemoryConfig(gamma_prime=0.1))
 
 
 def support_q2(env):
