@@ -7,13 +7,10 @@ fractions of the transition wavelength.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 # An envelope counts as normalized when |∫|xi|^2 dt - 1| is below this.
 NORM_TOL = 1e-9
@@ -27,40 +24,18 @@ class MemoryConfig:
     environment plus decay into the mirror-covered pulse mode).  The default
     memory mode covers the full solid angle: gamma_prime = 0, gamma_p = gamma0.
 
-    The round trip tau = 2L/c is rounded to the nearest value with
-    omega_a * tau an integer multiple of 2*pi, so that the mirror rest
-    position l = 0 puts the atom exactly at a node of the standing wave.
-    The rounding offset is kept in ``tau_adjustment``.
+    The mirror round trip is taken as instantaneous (gamma0*tau << 1), with
+    the rest position at a node, so neither tau nor omega_a enters the model.
     """
 
     gamma0: float = 1.0
     gamma_prime: float = 0.0
-    omega_a: float = 500.0
-    tau: float = TWO_PI * 5.0 / 500.0
-    markov_limit: float = 0.1
-    tau_adjustment: float = field(default=0.0, init=False, compare=False)
 
     def __post_init__(self):
         if self.gamma0 <= 0:
             raise ValueError("gamma0 must be positive")
         if not 0.0 <= self.gamma_prime <= self.gamma0:
             raise ValueError("gamma_prime must lie in [0, gamma0]")
-        if self.omega_a <= 0:
-            raise ValueError("omega_a must be positive")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if not self.markov_limit > 0:
-            raise ValueError("markov_limit must be positive")
-        # Snap omega_a*tau to a multiple of 2*pi (node at rest position).
-        cycles = max(1, round(self.omega_a * self.tau / TWO_PI))
-        tau_commensurate = TWO_PI * cycles / self.omega_a
-        object.__setattr__(self, "tau_adjustment", tau_commensurate - self.tau)
-        object.__setattr__(self, "tau", tau_commensurate)
-        if self.gamma0 * self.tau > self.markov_limit:
-            raise ValueError(
-                f"gamma0*tau = {self.gamma0 * self.tau:.3g} exceeds the Markov "
-                f"limit {self.markov_limit}; shorten the round trip"
-            )
 
     @property
     def gamma_p(self) -> float:

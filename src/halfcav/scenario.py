@@ -19,8 +19,9 @@ emitted envelope and the population trace) are laid out by
 """
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -57,11 +58,14 @@ _JSON_TYPES = {
 
 
 def _typed(cls, values: dict) -> dict:
-    """values with each float field of cls as a float, after checking each
-    bool/int/float field against its annotation: a bool only from
-    true/false, an int only from an integer, a float from either finite
-    number.  Other fields are left to cls."""
+    """values with each float field of cls as a float, after checking that
+    each key names a field of cls and each bool/int/float field matches its
+    annotation: a bool only from true/false, an int only from an integer, a
+    float from either finite number.  Other fields are left to cls."""
     hints = get_type_hints(cls)
+    unknown = sorted(set(values) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
     out = dict(values)
     for key, value in values.items():
         kind = hints.get(key)
@@ -161,13 +165,16 @@ class ScenarioConfig:
     def from_dict(raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ValueError("expected a JSON object at the top level")
-        unknown = sorted(set(raw) - {f.name for f in fields(ScenarioConfig)})
-        if unknown:
-            raise ValueError(f"unknown keys {unknown}")
+        top = _typed(ScenarioConfig, raw)
 
         def section(name, cls, defaults):
+            given = raw.get(name, {})
+            if not isinstance(given, dict):
+                raise ValueError(
+                    f"section '{name}' must be a JSON object, got {json.dumps(given)}"
+                )
             try:
-                return cls(**_typed(cls, {**defaults, **(raw.get(name) or {})}))
+                return cls(**_typed(cls, {**defaults, **given}))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"section '{name}': {exc}") from exc
 
@@ -178,21 +185,14 @@ class ScenarioConfig:
             {"alpha": SQRT_HALF, "beta": SQRT_HALF, "t1": 0.0, "t2": 20.0, "sigma": 0.2},
         )
         grid = section("grid", GridSpec, {})
-        sweep = None
-        if raw.get("sweep") is not None:
-            sweep = section("sweep", SweepSpec, {})
+        sweep = section("sweep", SweepSpec, {}) if "sweep" in raw else None
         return ScenarioConfig(
-            **{**_typed(ScenarioConfig, raw), "memory": memory, "pulse": pulse,
-               "grid": grid, "sweep": sweep}
+            **{**top, "memory": memory, "pulse": pulse, "grid": grid, "sweep": sweep}
         )
 
     def to_dict(self) -> dict:
         """The settable values, as accepted by ``from_dict``."""
-
-        def settable(obj):
-            return {f.name: getattr(obj, f.name) for f in fields(obj) if f.init}
-
-        out = {k: settable(v) if is_dataclass(v) else v for k, v in settable(self).items()}
+        out = asdict(self)
         if self.sweep is None:
             del out["sweep"]
         return out

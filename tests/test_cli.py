@@ -21,7 +21,8 @@ from halfcav.cli import main, pool_map, write_csv
 from halfcav.scenario import MAX_SWEEP_POINTS, ScenarioConfig
 
 SWEEP3 = {"sigma_min": 0.1, "sigma_max": 1.0, "n_points": 3}
-MARKOV = {"memory": {"tau": 0.3, "markov_limit": 0.5}, "sweep": SWEEP3}
+# A memory section away from the default: sigma_over_gamma0 reads sigma/2.
+GAMMA0_2 = {"memory": {"gamma0": 2.0}, "sweep": SWEEP3}
 # A time bin with alpha, beta, phi != 0 whose 20,000 hold rows (dt = 0.005)
 # span several CSV chunks.
 LONG_HOLD = {"pulse": {"alpha": 0.6, "beta": 0.8, "phi": 1.0}, "storage_T": 100.0}
@@ -73,16 +74,40 @@ class TestConfigRejected:
             {"pulse": {"phi": "1"}},
             '{"storage_T": NaN}',
             '{"pulse": {"sigma": Infinity}}',
+            {"memory": {"tau": 0.06}},
+            {"memory": {"omega_a": 500.0}},
+            {"memory": {"markov_limit": 0.1}},
+            {"memory": False},
+            {"memory": 0},
+            {"memory": None},
+            {"grid": ""},
+            {"pulse": []},
+            {"sweep": False},
         ],
         ids=["invalid_json", "not_an_object", "unknown_section_key",
              "unknown_top_level_key", "tau_adjustment", "n_override",
              "bool_from_string", "float_from_string", "float_from_bool",
-             "int_from_float", "section_float_from_string", "nan", "infinity"],
+             "int_from_float", "section_float_from_string", "nan", "infinity",
+             "tau", "omega_a", "markov_limit", "section_false", "section_zero",
+             "section_null", "section_empty_string", "section_list", "sweep_false"],
     )
     def test_exit_2(self, tmp_path, config, capsys):
         assert run_cli(tmp_path, "store", config) == 2
         assert "invalid config" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [({"memory": {"tau": 0.06, "gamma0": 1.0}}, "section 'memory': unknown keys ['tau']"),
+         ({"memory": False}, "section 'memory' must be a JSON object, got false"),
+         ({"memory": None}, "section 'memory' must be a JSON object, got null"),
+         ({"grid": ""}, "section 'grid' must be a JSON object, got \"\""),
+         ({"sweep": False}, "section 'sweep' must be a JSON object, got false")],
+        ids=["removed_key", "false", "null", "empty_string", "sweep_false"],
+    )
+    def test_section_errors_name_the_section(self, tmp_path, config, message, capsys):
+        assert run_cli(tmp_path, "store", config) == 2
+        assert capsys.readouterr().err == f"halfcav: invalid config: {message}\n"
 
     @pytest.mark.parametrize("n_points", [1, MAX_SWEEP_POINTS + 1, 1_000_000_000])
     @pytest.mark.parametrize("command", ["store", "sweep", "oracle", "mirror"])
@@ -270,7 +295,7 @@ def test_import_leaves_the_process_pool_unloaded():
 
 
 class TestConfigRoundTrip:
-    @pytest.mark.parametrize("raw", [{}, MARKOV], ids=["default", "markov_limit"])
+    @pytest.mark.parametrize("raw", [{}, GAMMA0_2], ids=["default", "gamma0"])
     def test_from_dict_inverts_to_dict(self, raw):
         cfg = ScenarioConfig.from_dict(raw)
         assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
@@ -286,9 +311,16 @@ class TestConfigRoundTrip:
             # The config echo in run.json prints the same bytes too.
             assert json.dumps(cfg.to_dict()) == json.dumps(default.to_dict())
 
-    def test_sweep_keeps_markov_limit(self, tmp_path):
-        assert run_cli(tmp_path, "sweep", MARKOV) == 0
-        assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 4
+    def test_sweep_keeps_the_memory_section(self, tmp_path):
+        assert run_cli(tmp_path, "sweep", GAMMA0_2) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        sigmas = [float(line.split(",")[0]) for line in lines[1:]]
+        assert sigmas == [s / 2.0 for s in np.geomspace(0.1, 1.0, 3)]
+
+    def test_store_at_gamma0_2(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "store", {"memory": {"gamma0": 2}}) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["memory"] == {
+            "gamma0": 2.0, "gamma_prime": 0.0}
 
 
 class TestSettableSurface:
@@ -310,7 +342,7 @@ class TestSettableSurface:
             return {k: keys(v) if isinstance(v, dict) else None for k, v in d.items()}
 
         assert keys(ScenarioConfig.from_dict({"sweep": SWEEP3}).to_dict()) == {
-            "memory": dict.fromkeys(["gamma0", "gamma_prime", "omega_a", "tau", "markov_limit"]),
+            "memory": dict.fromkeys(["gamma0", "gamma_prime"]),
             "pulse": dict.fromkeys(["alpha", "beta", "t1", "t2", "sigma", "phi"]),
             "storage_T": None,
             "grid": dict.fromkeys(["dt_factor", "padding"]),

@@ -20,7 +20,6 @@ class TestMemoryConfig:
         assert cfg.gamma_prime == 0.0
         assert cfg.gamma_p == 1.0
         assert cfg.cap == 2.0
-        assert cfg.gamma0 * cfg.tau < 0.1
 
     def test_rate_split(self):
         cfg = MemoryConfig(gamma_prime=0.3)
@@ -29,26 +28,6 @@ class TestMemoryConfig:
     def test_gamma_prime_out_of_range(self):
         with pytest.raises(ValueError):
             MemoryConfig(gamma_prime=1.5)
-
-    def test_markov_limit_rejected(self):
-        with pytest.raises(ValueError, match="Markov"):
-            MemoryConfig(tau=0.5)
-
-    @pytest.mark.parametrize("limit", [0.0, -0.1])
-    def test_non_positive_markov_limit_rejected(self, limit):
-        # No round trip satisfies gamma0*tau <= limit <= 0, so the limit
-        # itself is the error, not the round trip.
-        with pytest.raises(ValueError, match="markov_limit must be positive"):
-            MemoryConfig(markov_limit=limit)
-
-    def test_tau_rounded_to_node_commensurate(self):
-        cfg = MemoryConfig(omega_a=500.0, tau=0.0601)
-        cycles = cfg.omega_a * cfg.tau / (2 * math.pi)
-        assert cycles == pytest.approx(round(cycles), abs=1e-12)
-        assert cfg.tau_adjustment == pytest.approx(cfg.tau - 0.0601, abs=1e-15)
-
-    def test_commensurate_default_needs_no_adjustment(self):
-        assert MemoryConfig().tau_adjustment == pytest.approx(0.0, abs=1e-15)
 
 
 class TestTimeGrid:

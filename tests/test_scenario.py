@@ -260,17 +260,31 @@ def test_compensated_path_never_integrates_complex_gamma(monkeypatch, compensate
                 call()
 
 
-@pytest.mark.parametrize("gamma0", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("gamma0", [0.5, 2.0, 3.0, 4.0])
 def test_oracle_cases_scale_with_gamma0(gamma0):
     # gamma0 is the unit of inverse time: with sigma scaled by gamma0 and
-    # t2 and storage_T divided by it, every case of the oracle (the write
-    # and the seeded random pairs) is the same problem in rescaled time.
-    default = oracle_check(ScenarioConfig.from_dict({}))
-    scaled = oracle_check(ScenarioConfig.from_dict({
-        "memory": {"gamma0": gamma0, "tau": 0.0125},
-        "pulse": {"t2": 20.0 / gamma0, "sigma": 0.2 * gamma0},
-        "storage_T": 30.0 / gamma0,
-    }))
+    # t2 and storage_T divided by it, the store, a capped sweep point and
+    # every case of the oracle (the write and the seeded random pairs) are
+    # the same problem in rescaled time.
+    def rescaled(s):
+        return ScenarioConfig.from_dict({
+            "memory": {"gamma0": s},
+            "pulse": {"t2": 20.0 / s, "sigma": 0.2 * s},
+            "storage_T": 30.0 / s,
+        })
+
+    def outputs(s):
+        run = build_store_run(rescaled(s))
+        # At sigma = 5*gamma0 the write and the read are capped at 2*gamma0.
+        point = sweep_point(rescaled(s), 5.0 * s)
+        return [run.write.eta_w, run.read.eta_r, run.fidelity,
+                *(point[k] for k in ("sigma_over_gamma0", "eta_w", "eta_r", "F"))]
+
+    assert rescaled(1.0) == ScenarioConfig.from_dict({})
+    assert outputs(gamma0) == pytest.approx(outputs(1.0), rel=0, abs=1e-12)
+
+    default = oracle_check(rescaled(1.0))
+    scaled = oracle_check(rescaled(gamma0))
     assert len(scaled["cases"]) == len(default["cases"]) == 21
     for new, old in zip(scaled["cases"], default["cases"]):
         assert new["case"] == old["case"]
