@@ -143,26 +143,36 @@ def affine_scan(a: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
     normal floats within a block, so |a| must be bounded away from 0;
     exponential growth (|a| > 1) overflows to inf or nan, which the caller
     has to check for.
+
+    It runs in place in A and the returned x, and only reads a and b.  A
+    stays the left operand: numpy fuses complex products where the CPU has
+    FMA, so the swapped order can differ in the last bit.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"a and b must be 1-d of one length, got {a.shape} and {b.shape}")
     m = a.shape[0]
-    dtype = np.result_type(a, b, x0, np.float64)
     blocks = max(1, -(-m // SCAN_BLOCK))
-    pad = blocks * SCAN_BLOCK - m
     # Padding steps (a = 1, b = 0) hold the last value.
-    A = np.cumprod(np.pad(a, (0, pad), constant_values=1).reshape(blocks, SCAN_BLOCK), axis=1)
-    local = A * np.cumsum(np.pad(b, (0, pad)).reshape(blocks, SCAN_BLOCK) / A, axis=1)
-    start = np.empty(blocks, dtype=dtype)
+    x = np.empty(blocks * SCAN_BLOCK + 1, dtype=np.result_type(a, b, x0, np.float64))
+    x[1 : m + 1] = b
+    x[m + 1 :] = 0
+    local = x[1:].reshape(blocks, SCAN_BLOCK)
+    A = np.empty_like(local)
+    A.reshape(-1)[:m] = a
+    A.reshape(-1)[m:] = 1
+    np.cumprod(A, axis=1, out=A)
+    np.divide(local, A, out=local)
+    np.cumsum(local, axis=1, out=local)
+    np.multiply(A, local, out=local)
+    start = np.empty(blocks, dtype=x.dtype)
     start[0] = x0
     for i in range(1, blocks):
         start[i] = A[i - 1, -1] * start[i - 1] + local[i - 1, -1]
-    x = np.empty(m + 1, dtype=dtype)
+    np.add(local, np.multiply(A, start[:, None], out=A), out=local)
     x[0] = x0
-    x[1:] = (local + A * start[:, None]).ravel()[:m]
-    return x
+    return x[: m + 1]
 
 
 def squared_norm(env: ComplexEnvelope) -> float:

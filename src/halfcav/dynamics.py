@@ -188,18 +188,29 @@ def _rk4_step_map(rate, source, h: float):
     y[k+1] = a*y[k] + b, for arrays of steps.
 
     ``rate`` holds r at the step start, midpoint and end; ``source`` holds
-    c at the four stages.  Stage i has slope p_i*y + q_i.
+    c at the four stages.  Stage i has slope -m_i*y + q_i, with m_1 = r0,
+    q_1 = c1, m_i = r*(1 - w*m_(i-1)) and q_i = c_i - (w*r)*q_(i-1) at the
+    stage's rate r and step w.  The series are built in a few reused
+    buffers; the arguments are only read.
     """
     r0, rm, r1 = rate
     c1, c2, c3, c4 = source
-    p1, q1 = -r0, c1
-    p2, q2 = -rm * (1.0 + 0.5 * h * p1), c2 - 0.5 * h * rm * q1
-    p3, q3 = -rm * (1.0 + 0.5 * h * p2), c3 - 0.5 * h * rm * q2
-    p4, q4 = -r1 * (1.0 + h * p3), c4 - h * r1 * q3
-    return (
-        1.0 + (h / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4),
-        (h / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4),
-    )
+    dtype = np.result_type(*rate, *source)
+    m_sum, q_sum = np.array(r0, dtype=dtype), np.array(c1, dtype=dtype)
+    m, q, tmp = (np.empty_like(m_sum) for _ in range(3))
+    m_prev, q_prev = r0, c1
+    for i, (w, r, c) in enumerate(((0.5 * h, rm, c2), (0.5 * h, rm, c3), (h, r1, c4))):
+        np.multiply(m_prev, w, out=m)
+        np.subtract(1.0, m, out=m)
+        np.multiply(r, m, out=m)
+        np.multiply(r, w, out=tmp)
+        np.multiply(tmp, q_prev, out=q)
+        np.subtract(c, q, out=q)
+        for y, y_sum in ((m, m_sum), (q, q_sum)):
+            np.add(y_sum, np.multiply(y, 2.0, out=tmp) if i < 2 else y, out=y_sum)
+        m_prev, q_prev = m, q
+    np.multiply(m_sum, h / 6.0, out=m_sum)
+    return np.subtract(1.0, m_sum, out=m_sum), np.multiply(q_sum, h / 6.0, out=q_sum)
 
 
 def bloch_ode_oracle(
@@ -218,11 +229,12 @@ def bloch_ode_oracle(
     Mid-step coefficients are linear interpolations of the sampled series.
     The system is linear, so each RK4 step is an affine map of the state,
     built for all steps at once and solved with ``affine_scan``: first the
-    amplitude s3 (s2 = conj(s3) exactly), then P = (1 + s1)/2 through
-    dP/dt = -gamma_z*P - 2*Re(d*conj(s3)), whose stage sources are the s3
-    stage values.  RK4 commutes with this affine change of variables, so it
-    is the same discrete scheme as stepping s, and P stays exactly 0 with
-    no drive.  Returns P and the amplitude -s3.
+    amplitude z = -s3 through dz/dt = -gamma*z + d (s2 = -conj(z) exactly),
+    then P = (1 + s1)/2 through dP/dt = -gamma_z*P + 2*Re(d*conj(z)), whose
+    stage sources are the z stage values.  RK4 commutes with this affine
+    change of variables, so it is the same discrete scheme as stepping s,
+    and P stays exactly 0 with no drive.  The minus signs sit in the
+    recurrences, so no complex array is negated.  Returns P and z.
 
     Raises RuntimeError when P leaves [0, 1] by more than 1e-6 or is not
     finite: the grid is then too coarse for the RK4 step.
@@ -235,21 +247,28 @@ def bloch_ode_oracle(
     drv = profile.g * xi_in.samples
     gam_m = 0.5 * (gam[1:] + gam[:-1])
     drv_m = 0.5 * (drv[1:] + drv[:-1])
-    drv_stages = (drv[:-1], drv_m, drv_m, drv[1:])
 
-    a3, b3 = _rk4_step_map((gam[:-1], gam_m, gam[1:]), tuple(-d for d in drv_stages), h)
+    a, b = _rk4_step_map((gam[:-1], gam_m, gam[1:]), (drv[:-1], drv_m, drv_m, drv[1:]), h)
     # On a grid too coarse for RK4 each step amplifies and the scans
     # overflow to inf or nan; the population check below rejects both.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s3 = affine_scan(a3, b3, 0j)
-        # s3 at the four stages of each step, as the RK4 step evaluates it.
-        u1 = s3[:-1]
-        u2 = u1 + 0.5 * h * (-gam[:-1] * u1 - drv[:-1])
-        u3 = u1 + 0.5 * h * (-gam_m * u2 - drv_m)
-        u4 = u1 + h * (-gam_m * u3 - drv_m)
-        sources = tuple(
-            -2.0 * (d * np.conj(u)).real for d, u in zip(drv_stages, (u1, u2, u3, u4))
-        )
+        amplitude = affine_scan(a, b, 0j)
+        # The amplitude at the four stages of each step, as the RK4 step
+        # evaluates it: v_i = v1 - w*(gamma*v_(i-1) - d).
+        v1 = amplitude[:-1]
+        stages = [v1]
+        for v, w, g, d in ((a, 0.5 * h, gam[:-1], drv[:-1]), (b, 0.5 * h, gam_m, drv_m),
+                           (np.empty_like(a), h, gam_m, drv_m)):
+            np.multiply(g, stages[-1], out=v)
+            np.subtract(v, d, out=v)
+            np.multiply(v, w, out=v)
+            stages.append(np.subtract(v1, v, out=v))
+        # The stage sources 2*Re(d*conj(v)); v1 is the returned amplitude.
+        sources = []
+        for d, v in zip((drv[:-1], drv_m, drv_m, drv[1:]), stages):
+            v = np.conjugate(v, out=None if v is v1 else v)
+            prod = np.multiply(d, v, out=v).real
+            sources.append(np.multiply(prod, 2.0, out=prod))
         aP, bP = _rk4_step_map((gz[:-1], 0.5 * (gz[1:] + gz[:-1]), gz[1:]), sources, h)
         P = affine_scan(aP, bP, 0.0)
     if not np.all(np.abs(2.0 * P - 1.0) <= 1.0 + 1e-6):
@@ -257,4 +276,4 @@ def bloch_ode_oracle(
             "population left [0,1]; the grid is too coarse for the RK4 "
             "step, refine dt"
         )
-    return ExcitationTrace(grid=profile.grid, P=P, amplitude=-s3)
+    return ExcitationTrace(grid=profile.grid, P=P, amplitude=amplitude)

@@ -132,6 +132,18 @@ class TestAffineScan:
         with pytest.raises(ValueError):
             affine_scan(np.ones(4), np.ones(5), 0.0)
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_arguments_only_read(self, kind):
+        rng = np.random.default_rng(8)
+        a = rng.uniform(0.5, 1.0, 1000)
+        b = rng.normal(size=1000)
+        if kind == "complex":
+            a = a * np.exp(1j * rng.uniform(0.0, 6.0, 1000))
+            b = b + 1j * rng.normal(size=1000)
+        before = a.tobytes(), b.tobytes()
+        affine_scan(a, b, 0.0)
+        assert (a.tobytes(), b.tobytes()) == before
+
 
 class TestComplexEnvelope:
     def test_sample_count_checked(self):

@@ -6,6 +6,7 @@ import pytest
 
 from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz, squared_norm
 from halfcav.dynamics import (
+    _rk4_step_map,
     absorption_probability,
     bloch_ode_oracle,
     decay_from_mirror,
@@ -329,6 +330,19 @@ class TestOracleMatchesReferenceLoop:
         assert w.trace.P.max() > 0.99
         self.assert_matches(w.profile, w.xi_effective)
 
+    def test_lab_frame_write_above_elision_size(self):
+        # The default write-phase grid, 20,001 samples: numpy reuses
+        # temporaries of 16,384 complex samples and more in place, which
+        # the cases above stay below.
+        spec = TimeBinSpec(
+            alpha=math.sqrt(0.5), beta=math.sqrt(0.5), t1=0.0, t2=20.0, sigma=0.2
+        )
+        grid = TimeGrid(-40.0, 60.0, 20001)
+        w = optimal_write_profile(make_time_bin(spec, grid), MEM, phase_compensation=False)
+        # The uncompensated level shift detunes the write: it absorbs 0.16.
+        assert w.trace.P.max() > 0.1
+        self.assert_matches(w.profile, w.xi_effective)
+
     def test_overflowing_scan_raises_without_warning(self):
         # dt = 5 at gamma_z = 2: every RK4 step amplifies, and a block of
         # steps overflows before the population check sees it.
@@ -342,6 +356,27 @@ class TestOracleMatchesReferenceLoop:
             with pytest.raises(RuntimeError, match="grid"):
                 bloch_ode_oracle(prof, xi)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestKernelsOnlyReadTheirArguments:
+    @staticmethod
+    def assert_unchanged(arrays, call):
+        before = [x.tobytes() for x in arrays]
+        call()
+        assert [x.tobytes() for x in arrays] == before
+
+    def test_step_map(self):
+        rng = np.random.default_rng(5)
+        rate = [rng.uniform(0.0, 2.0, 300) - 1j * rng.uniform(0.0, 1.0, 300) for _ in range(3)]
+        source = [rng.normal(size=300) + 1j * rng.normal(size=300) for _ in range(4)]
+        self.assert_unchanged(rate + source, lambda: _rk4_step_map(rate, source, 0.01))
+
+    def test_oracle(self):
+        grid = TimeGrid(0.0, 20.0, 2001)
+        prof = profile_from_gamma_z(grid, smooth_rate(grid, 9), MEM)
+        xi = smooth_pulse(grid, 10)
+        arrays = [prof.gamma_complex, prof.gamma_z, prof.g, xi.samples]
+        self.assert_unchanged(arrays, lambda: bloch_ode_oracle(prof, xi))
 
 
 class TestTraceProperties:
