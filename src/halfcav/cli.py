@@ -1,10 +1,10 @@
 """Command-line scenario runner and data exporter.
 
 Subcommands:
-  store   one store/retrieve run -> timeseries.csv + run.json
+  store   one store/retrieve run -> timeseries.csv + run.json (with the
+          mirror program's feasibility numbers)
   sweep   bandwidth sweep        -> sweep.csv
   oracle  quadrature vs RK4 check -> JSON report on stdout, exit 0/1
-  mirror  mirror program export  -> mirror.csv + feasibility.json
 
 All emitted files are deterministic byte-for-byte for a fixed config (and,
 for oracle, a fixed --seed, the only subcommand that draws random numbers):
@@ -27,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .mirror import feasibility_report
 from .scenario import (
     ScenarioConfig,
     StoreRun,
@@ -187,14 +186,6 @@ def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -
     return rows
 
 
-def emit_mirror(run: StoreRun, out_dir: Path, threads: int | None = None) -> dict:
-    columns, traj = run.mirror_columns()
-    write_csv(out_dir / "mirror.csv", list(columns), list(columns.values()), threads)
-    report = feasibility_report(traj)
-    write_json(out_dir / "feasibility.json", report)
-    return report
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="halfcav",
@@ -202,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         "a movable mirror storing and re-emitting single-photon pulses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("store", "sweep", "oracle", "mirror"):
+    for name in ("store", "sweep", "oracle"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="scenario JSON file")
         p.add_argument("--out", default="results", help="output directory")
@@ -249,10 +240,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"halfcav: {report['warning']}", file=sys.stderr)
             return 0
         return 0 if report["passed"] else 1
-    if args.command == "mirror":
-        report = emit_mirror(build_store_run(cfg), out_dir, threads)
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
     return 2
 
 

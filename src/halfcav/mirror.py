@@ -9,7 +9,7 @@ level shift.  The branch map and its rate range live in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +19,10 @@ from .dynamics import principal_branch
 
 @dataclass(frozen=True)
 class MirrorTrajectory:
-    """Mirror displacement in units of the transition wavelength.
-
-    ``velocity`` is d(l/lambda)/dt by np.gradient, in lambda*gamma0, and
-    ``v_max`` its peak magnitude.  Near the antinode, where arccos is steep,
-    the differences amplify a last-digit change of the rate by about
-    1/(2*dt), so this column cannot match a reference to 1e-12 absolute.
-    """
+    """Mirror displacement in units of the transition wavelength."""
 
     grid: TimeGrid
     l_over_lambda: np.ndarray
-    velocity: np.ndarray = field(init=False)
-    v_max: float = field(init=False)
 
     def __post_init__(self):
         l = np.asarray(self.l_over_lambda, dtype=float)
@@ -38,10 +30,7 @@ class MirrorTrajectory:
             raise ValueError(f"expected {self.grid.n} samples, got {l.shape}")
         if not np.all(np.isfinite(l)):
             raise ValueError("trajectory must be finite")
-        v = np.gradient(l, self.grid.dt)
         object.__setattr__(self, "l_over_lambda", _freeze(l))
-        object.__setattr__(self, "velocity", _freeze(v))
-        object.__setattr__(self, "v_max", float(np.abs(v).max()))
 
 
 def trajectory_from_decay(
@@ -54,14 +43,20 @@ def trajectory_from_decay(
     return MirrorTrajectory(grid, np.arccos(cos_phi) / (4.0 * np.pi))
 
 
-def feasibility_report(traj: MirrorTrajectory) -> dict:
-    """Kinematic diagnostics of a mirror program.
+def feasibility_report(write: MirrorTrajectory, read: MirrorTrajectory) -> dict:
+    """Kinematic diagnostics of a store's mirror program, from its write and
+    its read trajectory: peak displacement, and peak speed in lambda*gamma0
+    by np.gradient.  Between the two the mirror rests at the node.  Near
+    the antinode, where arccos is steep, the differences amplify a
+    last-digit change of the rate by about 1/(2*dt).
 
     A peak speed above a quarter wavelength per atomic lifetime is flagged
     as mechanically demanding (advisory only).
     """
+    both = (write, read)
+    v_max = max(float(np.abs(np.gradient(t.l_over_lambda, t.grid.dt)).max()) for t in both)
     return {
-        "v_max_lambda_gamma0": traj.v_max,
-        "l_max_over_lambda": float(traj.l_over_lambda.max()),
-        "mechanically_demanding": bool(traj.v_max > 0.25),
+        "v_max_lambda_gamma0": v_max,
+        "l_max_over_lambda": max(float(t.l_over_lambda.max()) for t in both),
+        "mechanically_demanding": bool(v_max > 0.25),
     }

@@ -12,10 +12,11 @@ exactly 0) and keeps the stored population eta_w.  The population through
 the read is closed-form, eta_w*exp(-Gamma_z_r(t)), so no quadrature runs
 on the full timeline.
 
-The full timeline ends two samples after the read support.  The exports'
-columns on it (input, both programs and their sum, the mirror program, the
-emitted envelope and the population trace) are laid out by
-``StoreRun.timeseries_columns`` and ``StoreRun.mirror_columns`` only.
+The full timeline ends two samples after the read support.  The export's
+columns on it (input, both programs, the mirror program, the emitted
+envelope and the population trace) are laid out by
+``StoreRun.timeseries_columns`` only.  The mirror's feasibility numbers in
+``StoreRun.record`` come from the two programs on the write-phase grid.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import ComplexEnvelope, MemoryConfig, TimeGrid, squared_norm
 from .dynamics import absorption_probability, bloch_ode_oracle, profile_from_gamma_z
-from .mirror import MirrorTrajectory, trajectory_from_decay
+from .mirror import feasibility_report, trajectory_from_decay
 from .pulses import PULSE_WINDOW, TimeBinSpec, make_time_bin
 from .read_shaper import ReadResult, read_profile_for_target, total_efficiency
 from .write_optimizer import WriteResult, optimal_write_profile
@@ -44,6 +45,12 @@ ORACLE_RANDOM_CASES = 20
 # Most store timeline samples: at 48 B of peak RSS and 61 B of CSV per timeline
 # sample, about 1 GB and 1.2 GB (tests and benchmarks reach 231,771 samples).
 MAX_TIMELINE_SAMPLES = 20_000_000
+
+# Most pulse bandwidth per atomic decay rate, sigma/gamma0.  A slower atom
+# stores about 404*(gamma0/sigma)^2 of the default time bin (4e-22 at this
+# bound), and from about 1e150 the emitted envelope is subnormal, then zero,
+# so the fidelity reads wrong, then has no value.
+MAX_SIGMA_OVER_GAMMA0 = 1e12
 
 # Most sweep points: each is a full store compute, 3-60 ms on one core, so
 # 10,000 points run for minutes to hours, and more for days.
@@ -147,10 +154,16 @@ class ScenarioConfig:
         if self.storage_T < 0:
             raise ValueError("storage_T must be non-negative")
         # A store timeline has fewer than 2*n0 + storage_T/dt samples, with
-        # n0 <= span/dt + 2 on the write-phase grid; this peaks at a sweep end.
+        # n0 <= span/dt + 2 on the write-phase grid; this and sigma/gamma0
+        # peak at a sweep end.
         span = self.pulse.t2 - self.pulse.t1
         ends = (self.sweep.sigma_min, self.sweep.sigma_max) if self.sweep else ()
         for sigma in (self.pulse.sigma, *ends):
+            if not sigma / self.memory.gamma0 <= MAX_SIGMA_OVER_GAMMA0:
+                raise ValueError(
+                    f"sigma/gamma0 must be at most {MAX_SIGMA_OVER_GAMMA0:g}, got "
+                    f"{sigma / self.memory.gamma0:.3g} at sigma={sigma!r}"
+                )
             dt = _step(self, sigma)
             width = 2.0 * (span + 2.0 * self.grid.padding / sigma) + self.storage_T
             samples = width / dt + 4.0 if dt else math.inf
@@ -206,8 +219,8 @@ class StoreRun:
     ``write.xi_in`` is the input with support [j0, j1] = ``write.support``;
     the read phase is that grid moved ``read_offset`` samples later on the
     timeline ``grid``, which ends two samples after the read support.  The
-    exports' columns are placed on it from the two segments on each call
-    of ``timeseries_columns`` and ``mirror_columns``, and not kept.
+    export's columns are placed on it from the two segments on each call
+    of ``timeseries_columns``, and not kept.
     """
 
     config: ScenarioConfig
@@ -267,21 +280,15 @@ class StoreRun:
             "P": P,
         }
 
-    def mirror_columns(self) -> tuple[dict, MirrorTrajectory]:
-        """The mirror.csv columns by header name, on the full timeline, and
-        the mirror trajectory that realizes gamma_z, the write and the read
-        program on one timeline.  Their supports share at most one sample
-        (at storage_T = 0), where the rates add.  The sum is built in one
-        array: keeping both programs alive raised the peak RSS by 0.8 MB."""
-        gamma_z = self._placed(self.write.profile.gamma_z, 0)
-        gamma_z += self._placed(self.read.profile.gamma_z, self.read_offset)
-        traj = trajectory_from_decay(self.grid, gamma_z, self.config.memory)
-        columns = {"t": self.grid.times - self.t_mid, "gamma_z": gamma_z,
-                   "l_over_lambda": traj.l_over_lambda, "velocity": traj.velocity}
-        return columns, traj
-
     def record(self) -> dict:
+        """The run.json record.  The feasibility numbers are taken from the
+        write and the read program on the write-phase grid: both rates are
+        zero through the hold, so the mirror rests there and the hold adds
+        no speed."""
         j0, j1 = self.write.support
+        mem = self.config.memory
+        write, read = (trajectory_from_decay(p.grid, p.gamma_z, mem)
+                       for p in (self.write.profile, self.read.profile))
         return {
             "config": self.config.to_dict(),
             "eta_w": self.write.eta_w,
@@ -290,6 +297,7 @@ class StoreRun:
             "fidelity": self.fidelity,
             "capped_w": self.write.capped,
             "capped_r": self.read.capped,
+            "feasibility": feasibility_report(write, read),
             "landmarks": {
                 "t_w": float(self.write.xi_in.grid.times[j0]) - self.t_mid,
                 "t_w0": float(self.write.xi_in.grid.times[j1]) - self.t_mid,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from halfcav import cli
 from halfcav.cli import main, pool_map, write_csv
-from halfcav.scenario import MAX_SWEEP_POINTS, ScenarioConfig
+from halfcav.scenario import MAX_SIGMA_OVER_GAMMA0, MAX_SWEEP_POINTS, ScenarioConfig, build_store_run
 
 SWEEP3 = {"sigma_min": 0.1, "sigma_max": 1.0, "n_points": 3}
 # A memory section away from the default: sigma_over_gamma0 reads sigma/2.
@@ -110,7 +110,7 @@ class TestConfigRejected:
         assert capsys.readouterr().err == f"halfcav: invalid config: {message}\n"
 
     @pytest.mark.parametrize("n_points", [1, MAX_SWEEP_POINTS + 1, 1_000_000_000])
-    @pytest.mark.parametrize("command", ["store", "sweep", "oracle", "mirror"])
+    @pytest.mark.parametrize("command", ["store", "sweep", "oracle"])
     def test_sweep_points_bounded_at_load(self, tmp_path, command, n_points, capsys):
         assert run_cli(tmp_path, command, {"sweep": {**SWEEP3, "n_points": n_points}}) == 2
         err = capsys.readouterr()
@@ -125,7 +125,7 @@ class TestConfigRejected:
         assert run_cli(tmp_path, "sweep") == 2
         assert "no sweep section" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["store", "sweep", "oracle", "mirror"])
+    @pytest.mark.parametrize("command", ["store", "sweep", "oracle"])
     def test_gamma_prime_rejected_before_compute(self, tmp_path, command, capsys):
         config = {"memory": {"gamma_prime": 0.1}, "sweep": SWEEP3}
         assert run_cli(tmp_path, command, config) == 2
@@ -134,7 +134,7 @@ class TestConfigRejected:
         assert err.out == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["store", "sweep", "oracle", "mirror"])
+    @pytest.mark.parametrize("command", ["store", "sweep", "oracle"])
     def test_dt_factor_below_one_rejected_before_compute(self, tmp_path, command, capsys):
         config = {"grid": {"dt_factor": 0.3}, "sweep": SWEEP3}
         assert run_cli(tmp_path, command, config) == 2
@@ -162,7 +162,7 @@ class TestConfigRejected:
         ids=["pulse_sigma", "sweep_sigma_max", "finite_1e9", "finite_1e300",
              "narrow_pulse", "far_bins", "wide_padding", "sweep_sigma_min"],
     )
-    @pytest.mark.parametrize("command", ["store", "sweep", "oracle", "mirror"])
+    @pytest.mark.parametrize("command", ["store", "sweep", "oracle"])
     def test_infinite_hold_rejected_before_compute(self, tmp_path, command, config, capsys):
         assert run_cli(tmp_path, command, config) == 2
         err = capsys.readouterr()
@@ -173,10 +173,29 @@ class TestConfigRejected:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "config",
+        [{"memory": {"gamma0": 1e-200}, "sweep": SWEEP3},
+         # sigma/gamma0 is 2e11 at the pulse's sigma, 1e13 at the sweep's sigma_max.
+         {"memory": {"gamma0": 1e-12}, "sweep": {**SWEEP3, "sigma_max": 10.0}}],
+        ids=["pulse_sigma", "sweep_sigma_max"],
+    )
+    @pytest.mark.parametrize("command", ["store", "sweep", "oracle"])
+    def test_slow_atom_rejected_before_compute(self, tmp_path, command, config, capsys):
+        # Past the bound the stored and emitted amplitudes underflow.
+        assert run_cli(tmp_path, command, config) == 2
+        err = capsys.readouterr()
+        assert err.err.startswith(
+            f"halfcav: invalid config: sigma/gamma0 must be at most {MAX_SIGMA_OVER_GAMMA0:g}, got "
+        )
+        assert err.err.count("\n") == 1
+        assert err.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "command, threads",
         [pytest.param("sweep", t, id=t) for t in ["abc", "1.5", "0", "-3"]]
         + [pytest.param(c, t, id=f"{c}-{t}")
-           for c in ["store", "oracle", "mirror"] for t in ["abc", "0"]],
+           for c in ["store", "oracle"] for t in ["abc", "0"]],
     )
     def test_bad_thread_count_rejected_before_compute(
         self, tmp_path, command, threads, capsys, monkeypatch
@@ -195,7 +214,7 @@ class TestConfigRejected:
         assert err.out == ""
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
+    @pytest.mark.parametrize("command", ["store", "sweep"])
     def test_seed_only_on_oracle(self, tmp_path, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--seed", "1", "--out", str(tmp_path / "out")])
@@ -210,7 +229,7 @@ class TestConfigRejected:
         assert err.err.endswith("error: --seed must be non-negative\n")
         assert err.out == ""
 
-    @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
+    @pytest.mark.parametrize("command", ["store", "sweep"])
     def test_out_naming_a_file_rejected_before_compute(self, tmp_path, command, capsys, monkeypatch):
         def compute(*args, **kwargs):
             raise AssertionError("computed before the output directory was made")
@@ -235,17 +254,21 @@ def read_columns(path):
 
 @pytest.mark.parametrize("config", [{}, {"storage_T": 0, "pulse": {"sigma": 4}}],
                          ids=["default", "shared_sample"])
-def test_store_and_mirror_exports_share_one_timeline(tmp_path, config):
-    # t and l/lambda agree bit for bit, and mirror.csv's rate is the sum of
-    # the two programs in timeseries.csv, whose supports share a sample at
-    # storage_T = 0.
-    for command in ("store", "mirror"):
-        assert run_cli(tmp_path, command, config, out=command) == 0
-    store = read_columns(tmp_path / "store" / "timeseries.csv")
-    mirror = read_columns(tmp_path / "mirror" / "mirror.csv")
-    for name in ("t", "l_over_lambda"):
-        assert store[name].tobytes() == mirror[name].tobytes()
-    assert mirror["gamma_z"].tobytes() == (store["gamma_z_w"] + store["gamma_z_r"]).tobytes()
+def test_run_json_v_max_is_the_timeline_peak_speed(tmp_path, config, capsys):
+    # run.json takes v_max from the two programs on the write-phase grid;
+    # it is the peak of np.gradient over the exported mirror program, on
+    # the timeline's step (equal to the write-phase grid's here), bit for
+    # bit, also where the two supports share a sample (storage_T = 0).
+    assert run_cli(tmp_path, "store", config) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record == json.loads((tmp_path / "out" / "run.json").read_text())
+    store = read_columns(tmp_path / "out" / "timeseries.csv")
+    run = build_store_run(ScenarioConfig.from_dict(config))
+    dt = run.grid.dt
+    assert dt == run.write.profile.grid.dt
+    v_max = float(np.abs(np.gradient(store["l_over_lambda"], dt)).max())
+    assert record["feasibility"]["v_max_lambda_gamma0"] == v_max
+    assert record["feasibility"]["l_max_over_lambda"] == store["l_over_lambda"].max()
     shared = (store["gamma_z_w"] > 0.0) & (store["gamma_z_r"] > 0.0)
     assert shared.any() == ("storage_T" in config)
 
@@ -255,15 +278,12 @@ def test_pulse_far_from_zero_gives_the_default_outputs(tmp_path, capsys):
     # write-phase grid starts padding/sigma before the first bin at t = 0
     # wherever t1 lies, so only the config echo in run.json moves.
     far = {"pulse": {"t1": 1e15, "t2": 1000000000000020.0}}
-    for command in ("store", "mirror"):
-        for name, config in [("default", {}), ("far", far)]:
-            assert run_cli(tmp_path, command, config, out=f"{command}-{name}") == 0
+    for name, config in [("default", {}), ("far", far)]:
+        assert run_cli(tmp_path, "store", config, out=name) == 0
     capsys.readouterr()
-    for name in ("timeseries.csv", "mirror.csv", "feasibility.json"):
-        out = "store" if name == "timeseries.csv" else "mirror"
-        default = (tmp_path / f"{out}-default" / name).read_bytes()
-        assert default == (tmp_path / f"{out}-far" / name).read_bytes(), name
-    default, far_run = (json.loads((tmp_path / f"store-{name}" / "run.json").read_text())
+    default = (tmp_path / "default" / "timeseries.csv").read_bytes()
+    assert default == (tmp_path / "far" / "timeseries.csv").read_bytes()
+    default, far_run = (json.loads((tmp_path / name / "run.json").read_text())
                         for name in ("default", "far"))
     assert far_run.pop("config")["pulse"]["t1"] == 1e15
     default.pop("config")
@@ -328,7 +348,7 @@ class TestSettableSurface:
 
     @pytest.mark.parametrize(
         "command, options",
-        [("store", []), ("sweep", []), ("oracle", ["--seed"]), ("mirror", [])],
+        [("store", []), ("sweep", []), ("oracle", ["--seed"])],
     )
     def test_subcommand_options(self, command, options, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -336,6 +356,14 @@ class TestSettableSurface:
         assert exc.value.code == 0
         found = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
         assert found == {"-h", "--help", "--config", "--out", *options}
+
+    def test_mirror_subcommand_exits_2(self, tmp_path, capsys):
+        # Its feasibility numbers are in store's run.json.
+        with pytest.raises(SystemExit) as exc:
+            main(["mirror", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mirror'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_keys(self):
         def keys(d):
@@ -374,7 +402,7 @@ class TestOracle:
 
 
 class TestResolutionWarning:
-    @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
+    @pytest.mark.parametrize("command", ["store", "sweep"])
     def test_coarse_grid_warns_once(self, tmp_path, command, capsys, monkeypatch):
         monkeypatch.setenv("HALFCAV_THREADS", "1")
         assert run_cli(tmp_path, command, {"grid": {"dt_factor": 1}, "sweep": SWEEP3}) == 0
@@ -387,7 +415,7 @@ class TestResolutionWarning:
             json.loads(captured.out)
         assert any((tmp_path / "out").iterdir())
 
-    @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
+    @pytest.mark.parametrize("command", ["store", "sweep"])
     def test_default_grid_is_silent(self, tmp_path, command, capsys):
         assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 0
         assert capsys.readouterr().err == ""
@@ -401,11 +429,7 @@ class TestResolutionWarning:
 
 
 class TestDeterministicOutput:
-    @pytest.mark.parametrize(
-        "command, files",
-        [("store", ["timeseries.csv", "run.json"]),
-         ("mirror", ["mirror.csv", "feasibility.json"])],
-    )
+    @pytest.mark.parametrize("command, files", [("store", ["timeseries.csv", "run.json"])])
     def test_two_runs_byte_identical(self, tmp_path, command, files):
         assert run_cli(tmp_path, command, out="a") == 0
         assert run_cli(tmp_path, command, out="b") == 0
@@ -524,10 +548,7 @@ class TestChunkedWriteCsv:
         columns = [t, run / 3.0, zeros][:width]
         self.assert_reference_bytes(tmp_path, columns)
 
-    @pytest.mark.parametrize("command, files", [
-        ("store", ["timeseries.csv", "run.json"]),
-        ("mirror", ["mirror.csv", "feasibility.json"]),
-    ])
+    @pytest.mark.parametrize("command, files", [("store", ["timeseries.csv", "run.json"])])
     def test_long_hold_exports_match_the_reference_writer(
         self, tmp_path, command, files, capsys, monkeypatch
     ):
@@ -567,7 +588,7 @@ class TestPoolMap:
 
     # One usable CPU on a host that may have more, or HALFCAV_THREADS=1.
     @pytest.mark.parametrize("threads, cpus", [("", 1), ("1", 2)], ids=["one_cpu", "one_thread"])
-    @pytest.mark.parametrize("command", ["store", "sweep", "mirror"])
+    @pytest.mark.parametrize("command", ["store", "sweep"])
     def test_one_worker_starts_no_pool(self, tmp_path, command, threads, cpus, monkeypatch):
         monkeypatch.setenv("HALFCAV_THREADS", threads)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)

@@ -1,12 +1,12 @@
 """The decay-rate <-> mirror-displacement map: landmark positions, the
 round trip through decay_from_mirror, the accepted rate range, and the
-feasibility report's keys."""
+feasibility report over a store's two programs."""
 import numpy as np
 import pytest
 
 from halfcav.core import MemoryConfig, TimeGrid
 from halfcav.dynamics import decay_from_mirror, profile_from_gamma_z
-from halfcav.mirror import feasibility_report, trajectory_from_decay
+from halfcav.mirror import MirrorTrajectory, feasibility_report, trajectory_from_decay
 from halfcav.scenario import ScenarioConfig, build_store_run
 
 MEM = MemoryConfig()
@@ -40,6 +40,17 @@ def test_rate_outside_range_rejected(bad, convert):
 
 
 def test_feasibility_report_keys():
-    run = build_store_run(ScenarioConfig.from_dict({}))
-    report = feasibility_report(run.mirror_columns()[1])
+    report = build_store_run(ScenarioConfig.from_dict({})).record()["feasibility"]
     assert set(report) == {"v_max_lambda_gamma0", "l_max_over_lambda", "mechanically_demanding"}
+
+
+def test_feasibility_report_peaks_over_both_programs():
+    # The write holds the mirror at 0.2 wavelengths; the read moves it at 0.1
+    # wavelengths per lifetime, then at 0.3, which is mechanically demanding.
+    grid = TimeGrid(0.0, 1.0, 11)
+    write = MirrorTrajectory(grid, np.full(11, 0.2))
+    for speed, demanding in [(0.1, False), (0.3, True)]:
+        report = feasibility_report(write, MirrorTrajectory(grid, speed * grid.times))
+        assert report["v_max_lambda_gamma0"] == pytest.approx(speed, rel=1e-12)
+        assert report["l_max_over_lambda"] == max(0.2, speed)
+        assert report["mechanically_demanding"] is demanding

@@ -20,6 +20,7 @@ from halfcav.mirror import trajectory_from_decay
 from halfcav.pulses import make_time_bin, shift, support_indices
 from halfcav.read_shaper import read_profile_for_target, total_efficiency
 from halfcav.scenario import (
+    MAX_SIGMA_OVER_GAMMA0,
     MAX_TIMELINE_SAMPLES,
     ScenarioConfig,
     _step,
@@ -97,11 +98,12 @@ def _reference_store_run(cfg: ScenarioConfig):
 
 
 def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
-    """Efficiencies, F, landmarks, every timeseries.csv and mirror.csv
-    column and the residual population at the grid end agree with the
-    reference builder within tol (absolute).  The reference's timeline has
-    the same start and step and may run longer; its rows past the new one
-    are flat.  Returns both runs."""
+    """Efficiencies, F, landmarks, every timeseries.csv column, the mirror's
+    feasibility numbers and the residual population at the grid end agree
+    with the reference builder within tol (absolute).  The reference's
+    timeline has the same start and step and may run longer; its rows past
+    the new one are flat.  Returns both runs and the reference's peak
+    speed."""
     run, ref = build_store_run(cfg), _reference_store_run(cfg)
     n = run.grid.n
     assert run.grid.t_start == ref.grid.t_start and n <= ref.grid.n
@@ -112,7 +114,8 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
     old_landmarks = {"t_w": float(ref.grid.times[j0]), "t_w0": float(ref.grid.times[j1]),
                      "t_r0": float(ref.grid.times[support_indices(ref.target)[0]]),
                      "t_r": float(ref.grid.times[n - 1])}
-    for key, value in run.record()["landmarks"].items():
+    record = run.record()
+    for key, value in record["landmarks"].items():
         assert abs(value - (old_landmarks[key] - ref.t_mid)) <= tol, key
 
     # The reference kept the read on the timeline, so its columns are its fields.
@@ -130,16 +133,14 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
     }
     new_columns = run.timeseries_columns()
     assert list(new_columns) == list(old_columns)
-    # mirror.csv adds the total rate and the mirror velocity to t and l/lambda.
-    # The velocity is np.gradient(l)/dt, which turns a last-digit change of
-    # l on a capped arc (where arccos is steep) into ~1e-11, so it is
-    # compared as the displacement per step, velocity*dt.
-    mirror = run.mirror_columns()[0]
-    assert list(mirror) == ["t", "gamma_z", "l_over_lambda", "velocity"]
-    new_columns["gamma_z"] = mirror["gamma_z"]
-    old_columns["gamma_z"] = ref.profile_total.gamma_z
-    new_columns["velocity_dt"] = mirror["velocity"] * run.grid.dt
-    old_columns["velocity_dt"] = old_traj.velocity * ref.grid.dt
+    # The peak speed is that of np.gradient(l)/dt over the reference's
+    # whole mirror program.  The difference turns a last-digit change of l
+    # on a capped arc (where arccos is steep) into ~1e-11, so the speed is
+    # compared as the displacement per step, v_max*dt.
+    feasibility = record["feasibility"]
+    old_v_max = float(np.abs(np.gradient(old_traj.l_over_lambda, ref.grid.dt)).max())
+    assert abs(feasibility["v_max_lambda_gamma0"] * run.grid.dt - old_v_max * ref.grid.dt) <= tol
+    assert abs(feasibility["l_max_over_lambda"] - old_traj.l_over_lambda.max()) <= tol
     # The reference's composite quadrature also lets the input's tail past
     # its support (intensity below 1e-12 of the peak) drive the atom while
     # the read runs, which moves P by up to ~1e-12 when the read starts
@@ -161,7 +162,7 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
         elif name != "t":
             assert np.max(np.abs(extra - extra[0])) <= tol, name
     assert abs(new_columns["P"][-1] - ref.trace_total[-1]) <= tol
-    return run, ref
+    return run, ref, old_v_max
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,19 +186,16 @@ def test_store_run_invariants(storage_T, sigma, separation, phi):
     target = shift(xi_in, run.read_offset)
     assert np.array_equal(target.samples[k:], xi_in.samples[: n - k])
     assert not target.samples[:k].any()
-    assert np.all(run.mirror_columns()[0]["gamma_z"][i_w0 + 1 : i_r0] == 0.0)
+    assert np.all((columns["gamma_z_w"] + columns["gamma_z_r"])[i_w0 + 1 : i_r0] == 0.0)
 
 
 @pytest.mark.parametrize("raw", [{}, LONG_HOLD_SEED_1], ids=["default", "long_hold_seed_1"])
 def test_benchmark_configs_match_reference(raw):
-    run, ref = assert_matches_reference(ScenarioConfig.from_dict(raw))
-    # With a hold and no capped arc, the velocity itself and the
+    run, ref, old_v_max = assert_matches_reference(ScenarioConfig.from_dict(raw))
+    # With a hold and no capped arc, the peak speed itself and the
     # reference's own trace agree too.
-    mem = run.config.memory
     n = run.grid.n
-    velocity = run.mirror_columns()[0]["velocity"]
-    old = trajectory_from_decay(ref.grid, ref.profile_total.gamma_z, mem).velocity
-    assert np.max(np.abs(velocity - old[:n])) <= 1e-12
+    assert abs(run.record()["feasibility"]["v_max_lambda_gamma0"] - old_v_max) <= 1e-12
     assert np.max(np.abs(run.timeseries_columns()["P"] - ref.trace_total[:n])) <= 1e-12
 
 
@@ -290,6 +288,19 @@ def test_oracle_cases_scale_with_gamma0(gamma0):
         assert new["case"] == old["case"]
         assert new["max_abs_dP"] == pytest.approx(old["max_abs_dP"], rel=1e-6), new["case"]
     assert scaled["passed"] is True
+
+
+def test_slowest_accepted_atom_stores_a_normal_number():
+    # At the sigma/gamma0 bound eta is about 4e-22 and the fidelity that of
+    # any slow atom; past it the amplitudes head for underflow.
+    sigma = ScenarioConfig.from_dict({}).pulse.sigma
+    slowest = build_store_run(
+        ScenarioConfig.from_dict({"memory": {"gamma0": sigma / MAX_SIGMA_OVER_GAMMA0}}))
+    slow = build_store_run(ScenarioConfig.from_dict({"memory": {"gamma0": 1e-8}}))
+    assert slowest.eta == pytest.approx(4.04e-22, rel=1e-2)
+    assert slowest.fidelity == pytest.approx(slow.fidelity, abs=1e-12)
+    with pytest.raises(ValueError, match="sigma/gamma0 must be at most"):
+        ScenarioConfig.from_dict({"memory": {"gamma0": 0.5 * sigma / MAX_SIGMA_OVER_GAMMA0}})
 
 
 def test_hold_length_bounded_at_load():

@@ -63,6 +63,33 @@ def rect_env(width: float = 10.0, dt: float = 0.005):
     return env.with_samples(env.samples / math.sqrt(squared_norm(env)))
 
 
+def decaying_exponential_env(dt: float):
+    """xi = exp(-gamma0*t/2) for t >= 0 and 0 before, on [-1, 40] and
+    normalized on the grid like make_time_bin: the photon that a free atom
+    like the memory's emits."""
+    n = round(41.0 / dt) + 1
+    grid = TimeGrid(-1.0, -1.0 + (n - 1) * dt, n)
+    t = grid.times
+    samples = np.where(t >= 0.0, np.exp(-0.5 * MEM.gamma0 * t), 0.0)
+    env = ComplexEnvelope(grid, samples.astype(complex))
+    return env.with_samples(env.samples / math.sqrt(squared_norm(env)))
+
+
+def test_photon_from_identical_atom_stored_at_27_over_32():
+    # The optimum starts on the cap 2*gamma0 and leaves it where
+    # exp(-gamma0*t/2) = 3/4, with 9/32 stored; the uncapped rest adds 9/16.
+    # The grid's error falls at second order: 1.06e-4, 2.44e-5, 5.43e-6 and
+    # 1.17e-6 at dt = 0.01, 0.005, 0.0025 and 0.00125.
+    errors = []
+    for dt in (0.01, 0.005, 0.0025, 0.00125):
+        w = optimal_write_profile(decaying_exponential_env(dt), MEM)
+        assert w.capped
+        errors.append(27.0 / 32.0 - w.eta_w)
+    assert 0.0 < errors[2] < 1e-5
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine >= 4.0
+
+
 class TestOptimalWriteProfile:
     def test_narrowband_timebin_uncapped(self):
         w = optimal_write_profile(timebin_env(0.2), MEM)
