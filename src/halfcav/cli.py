@@ -226,13 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     if warning is not None and args.command != "oracle":
         print(f"halfcav: {warning}; results are not resolved", file=sys.stderr)
 
-    if args.command == "store":
-        record = emit_store(build_store_run(cfg), out_dir, threads)
-        print(json.dumps(record, indent=2, sort_keys=True))
-        return 0
-    if args.command == "sweep":
-        emit_sweep(cfg, out_dir, threads)
-        return 0
     if args.command == "oracle":
         report = oracle_check(cfg, seed=args.seed)
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -240,7 +233,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"halfcav: {report['warning']}", file=sys.stderr)
             return 0
         return 0 if report["passed"] else 1
-    return 2
+    try:
+        if args.command == "sweep":
+            emit_sweep(cfg, out_dir, threads)
+            return 0
+        record = emit_store(build_store_run(cfg), out_dir, threads)
+    except OSError as exc:
+        print(f"halfcav: cannot write the outputs: {exc}", file=sys.stderr)
+        return 2
+    print(json.dumps(record, indent=2, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

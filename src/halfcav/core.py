@@ -20,43 +20,20 @@ NORM_TOL = 1e-9
 class MemoryConfig:
     """Physical constants of the atom-mirror system.
 
-    gamma_prime + gamma_p must equal gamma0 (decay into the uncovered
-    environment plus decay into the mirror-covered pulse mode).  The default
-    memory mode covers the full solid angle: gamma_prime = 0, gamma_p = gamma0.
-
-    The mirror round trip is taken as instantaneous (gamma0*tau << 1), with
-    the rest position at a node, so neither tau nor omega_a enters the model.
+    All emission goes into the mirror-covered pulse mode: the model has no
+    decay into an uncovered environment (gamma').
     """
 
     gamma0: float = 1.0
-    gamma_prime: float = 0.0
 
     def __post_init__(self):
         if self.gamma0 <= 0:
             raise ValueError("gamma0 must be positive")
-        if not 0.0 <= self.gamma_prime <= self.gamma0:
-            raise ValueError("gamma_prime must lie in [0, gamma0]")
-
-    @property
-    def gamma_p(self) -> float:
-        """Decay rate into the pulse mode, gamma0 - gamma_prime."""
-        return self.gamma0 - self.gamma_prime
 
     @property
     def cap(self) -> float:
         """Largest attainable decay rate, 2*gamma0 (atom at an antinode)."""
         return 2.0 * self.gamma0
-
-    def require_pulse_mode(self) -> None:
-        """Raise ValueError unless gamma_prime = 0, the only case the write
-        and read programs and the mirror program are derived for."""
-        if self.gamma_prime != 0.0:
-            raise ValueError(
-                "memory.gamma_prime > 0 is not modelled end to end: pulse-mode "
-                "coupling, environment emission, rate caps and the hold all "
-                "assume gamma' = 0 (ROADMAP.md, \"Make gamma' > 0 correct "
-                "end to end\"); set it to 0"
-            )
 
 
 @dataclass(frozen=True)

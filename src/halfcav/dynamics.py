@@ -3,8 +3,8 @@
 A mirror displacement l(t) sets a round-trip phase phi(t) = 4*pi*l/lambda
 and with it the complex decay rate
 
-    gamma(t)   = gamma'/2 + (gamma_p/2) * (1 - exp(i*phi(t)))
-    gamma_z(t) = gamma'   + gamma_p * (1 - cos(phi(t))) = 2*Re[gamma(t)]
+    gamma(t)   = (gamma0/2) * (1 - exp(i*phi(t)))
+    gamma_z(t) = gamma0 * (1 - cos(phi(t))) = 2*Re[gamma(t)]
 
 On the principal branch phi in [0, pi] the imaginary part (the dynamical
 level shift) is non-positive; l = 0 is a node (gamma_z = 0) and l = lambda/4
@@ -94,15 +94,14 @@ class ExcitationTrace:
 
 
 def principal_branch(gamma_z, cfg: MemoryConfig) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_z clipped to [0, 2*gamma0 + 2*gamma'] (ValueError if it lies
-    more than 1e-9 outside) and cos(phi) = 1 - (gamma_z - gamma')/gamma_p
-    of the mirror phase phi in [0, pi] that realizes it."""
+    """gamma_z clipped to [0, 2*gamma0] (ValueError if it lies more than
+    1e-9 outside) and cos(phi) = 1 - gamma_z/gamma0 of the mirror phase
+    phi in [0, pi] that realizes it."""
     gamma_z = np.asarray(gamma_z, dtype=float)
-    cap = cfg.cap + 2.0 * cfg.gamma_prime
-    if gamma_z.min() < -1e-9 or gamma_z.max() > cap + 1e-9:
-        raise ValueError("gamma_z outside the physical range [0, 2*gamma0 + 2*gamma']")
-    gamma_z = np.clip(gamma_z, 0.0, cap)
-    return gamma_z, np.clip(1.0 - (gamma_z - cfg.gamma_prime) / cfg.gamma_p, -1.0, 1.0)
+    if gamma_z.min() < -1e-9 or gamma_z.max() > cfg.cap + 1e-9:
+        raise ValueError("gamma_z outside the physical range [0, 2*gamma0]")
+    gamma_z = np.clip(gamma_z, 0.0, cfg.cap)
+    return gamma_z, np.clip(1.0 - gamma_z / cfg.gamma0, -1.0, 1.0)
 
 
 def profile_from_gamma_z(
@@ -110,23 +109,20 @@ def profile_from_gamma_z(
 ) -> DecayProfile:
     """Build the full complex profile from a real decay-rate series.
 
-    The principal branch fixes Im gamma = -(gamma_p/2)*sin(phi) <= 0.
+    The principal branch fixes Im gamma = -(gamma0/2)*sin(phi) <= 0.
     """
     gamma_z = np.asarray(gamma_z, dtype=float)
     if gamma_z.shape != (grid.n,):
         raise ValueError(f"expected {grid.n} samples, got {gamma_z.shape}")
     gamma_z, cos_phi = principal_branch(gamma_z, cfg)
     sin_phi = np.sqrt(np.clip(1.0 - cos_phi**2, 0.0, None))
-    return DecayProfile(grid, 0.5 * gamma_z - 0.5j * cfg.gamma_p * sin_phi)
+    return DecayProfile(grid, 0.5 * gamma_z - 0.5j * cfg.gamma0 * sin_phi)
 
 
 def decay_from_mirror(trajectory, cfg: MemoryConfig) -> DecayProfile:
     """Decay profile generated by a mirror trajectory (l in wavelengths)."""
     phi = 4.0 * np.pi * np.asarray(trajectory.l_over_lambda, dtype=float)
-    return DecayProfile(
-        trajectory.grid,
-        0.5 * cfg.gamma_prime + 0.5 * cfg.gamma_p * (1.0 - np.exp(1j * phi)),
-    )
+    return DecayProfile(trajectory.grid, 0.5 * cfg.gamma0 * (1.0 - np.exp(1j * phi)))
 
 
 # Gamma_z(end) from which the quadrature runs as a scan.  Below it the

@@ -36,9 +36,7 @@ class MirrorTrajectory:
 def trajectory_from_decay(
     grid: TimeGrid, gamma_z: np.ndarray, cfg: MemoryConfig
 ) -> MirrorTrajectory:
-    """Mirror program realizing a decay-rate series gamma_z on the grid
-    (pure pulse-mode case: ValueError for gamma' > 0)."""
-    cfg.require_pulse_mode()
+    """Mirror program realizing a decay-rate series gamma_z on the grid."""
     _, cos_phi = principal_branch(gamma_z, cfg)
     return MirrorTrajectory(grid, np.arccos(cos_phi) / (4.0 * np.pi))
 

@@ -172,7 +172,6 @@ class ScenarioConfig:
                     f"the store timeline must be finite and at most {MAX_TIMELINE_SAMPLES} "
                     f"samples, got {samples:.3g} at sigma={sigma!r} and dt={dt!r}"
                 )
-        self.memory.require_pulse_mode()
 
     @staticmethod
     def from_dict(raw: dict) -> "ScenarioConfig":

@@ -155,9 +155,7 @@ def optimal_program(
 ) -> tuple[DecayProfile, bool, tuple[int, int]]:
     """Optimal program for intensities q2, synthesized over env's support
     [i0, i1] (backwards for a read) and 0 outside it.  Returns the profile,
-    whether the rate reaches the cap, and (i0, i1).  Raises ValueError for
-    gamma' > 0, where the synthesized rate is not the optimum."""
-    cfg.require_pulse_mode()
+    whether the rate reaches the cap, and (i0, i1)."""
     grid = env.grid
     i0, i1 = support_indices(env)
     step = -1 if reverse else 1

@@ -127,12 +127,16 @@ class TestConfigRejected:
 
     @pytest.mark.parametrize("command", ["store", "sweep", "oracle"])
     def test_gamma_prime_rejected_before_compute(self, tmp_path, command, capsys):
-        config = {"memory": {"gamma_prime": 0.1}, "sweep": SWEEP3}
-        assert run_cli(tmp_path, command, config) == 2
-        err = capsys.readouterr()
-        assert err.err.startswith("halfcav: invalid config: memory.gamma_prime > 0 ")
-        assert err.out == ""
-        assert not (tmp_path / "out").exists()
+        # The model has no gamma', so the key is unknown at any value, 0 too.
+        for value in (0.1, 0):
+            config = {"memory": {"gamma_prime": value}, "sweep": SWEEP3}
+            assert run_cli(tmp_path, command, config) == 2
+            err = capsys.readouterr()
+            assert err.err == (
+                "halfcav: invalid config: section 'memory': unknown keys ['gamma_prime']\n"
+            )
+            assert err.out == ""
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["store", "sweep", "oracle"])
     def test_dt_factor_below_one_rejected_before_compute(self, tmp_path, command, capsys):
@@ -227,6 +231,24 @@ class TestConfigRejected:
         assert exc.value.code == 2
         err = capsys.readouterr()
         assert err.err.endswith("error: --seed must be non-negative\n")
+        assert err.out == ""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("store", "timeseries.csv"), ("store", "run.json"), ("sweep", "sweep.csv")],
+    )
+    def test_unwritable_output_exits_2(self, tmp_path, command, blocked, threads,
+                                       capsys, monkeypatch):
+        # A directory where an output file goes: open() fails after the compute.
+        monkeypatch.setenv("HALFCAV_THREADS", threads)
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        with cpus_allowed(2):
+            assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 2
+        err = capsys.readouterr()
+        assert err.err.startswith("halfcav: cannot write the outputs: ")
+        assert err.err.count("\n") == 1
+        assert blocked in err.err
         assert err.out == ""
 
     @pytest.mark.parametrize("command", ["store", "sweep"])
@@ -339,8 +361,7 @@ class TestConfigRoundTrip:
 
     def test_store_at_gamma0_2(self, tmp_path, capsys):
         assert run_cli(tmp_path, "store", {"memory": {"gamma0": 2}}) == 0
-        assert json.loads(capsys.readouterr().out)["config"]["memory"] == {
-            "gamma0": 2.0, "gamma_prime": 0.0}
+        assert json.loads(capsys.readouterr().out)["config"]["memory"] == {"gamma0": 2.0}
 
 
 class TestSettableSurface:
@@ -370,13 +391,27 @@ class TestSettableSurface:
             return {k: keys(v) if isinstance(v, dict) else None for k, v in d.items()}
 
         assert keys(ScenarioConfig.from_dict({"sweep": SWEEP3}).to_dict()) == {
-            "memory": dict.fromkeys(["gamma0", "gamma_prime"]),
+            "memory": dict.fromkeys(["gamma0"]),
             "pulse": dict.fromkeys(["alpha", "beta", "t1", "t2", "sigma", "phi"]),
             "storage_T": None,
             "grid": dict.fromkeys(["dt_factor", "padding"]),
             "phase_compensation": None,
             "sweep": dict.fromkeys(["sigma_min", "sigma_max", "n_points", "log_spacing"]),
         }
+
+
+    def test_readme_config_table_names_the_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+        named = [name for row in table.splitlines()[1:]
+                 for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+        def dotted(d, prefix=""):
+            for k, v in d.items():
+                yield from dotted(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+
+        keys = dotted(ScenarioConfig.from_dict({"sweep": SWEEP3}).to_dict())
+        assert sorted(named) == sorted(keys)
 
 
 class TestOracle:

@@ -17,17 +17,7 @@ class TestMemoryConfig:
     def test_defaults(self):
         cfg = MemoryConfig()
         assert cfg.gamma0 == 1.0
-        assert cfg.gamma_prime == 0.0
-        assert cfg.gamma_p == 1.0
         assert cfg.cap == 2.0
-
-    def test_rate_split(self):
-        cfg = MemoryConfig(gamma_prime=0.3)
-        assert cfg.gamma_prime + cfg.gamma_p == pytest.approx(cfg.gamma0, abs=1e-15)
-
-    def test_gamma_prime_out_of_range(self):
-        with pytest.raises(ValueError):
-            MemoryConfig(gamma_prime=1.5)
 
 
 class TestTimeGrid:

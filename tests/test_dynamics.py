@@ -144,13 +144,6 @@ class TestDecayFromMirror:
         assert prof.gamma_z == pytest.approx(MEM.gamma0, abs=1e-12)
         assert prof.gamma_complex.imag == pytest.approx(-0.5 * MEM.gamma0, abs=1e-12)
 
-    def test_environment_decay_offset(self):
-        cfg = MemoryConfig(gamma_prime=0.25)
-        grid = TimeGrid(0.0, 1.0, 11)
-        prof = decay_from_mirror(MirrorTrajectory(grid, np.zeros(11)), cfg)
-        assert prof.gamma_z == pytest.approx(0.25, abs=1e-14)
-        assert prof.gamma_complex.real == pytest.approx(0.125, abs=1e-14)
-
 
 class TestProfileFromGammaZ:
     def test_fields_consistent(self):
@@ -281,20 +274,6 @@ class TestBlochOdeOracle:
         grid = TimeGrid(0.0, 20.0, 16001)
         prof = profile_from_gamma_z(grid, smooth_rate(grid, seed), MEM)
         xi = smooth_pulse(grid, seed + 1)
-        quad = absorption_probability(prof, xi)
-        ode = bloch_ode_oracle(prof, xi)
-        assert np.max(np.abs(quad.P - ode.P)) <= 1e-6
-
-    def test_agreement_with_environment_decay(self):
-        cfg = MemoryConfig(gamma_prime=0.2)
-        grid = TimeGrid(0.0, 20.0, 16001)
-        rng = np.random.default_rng(17)
-        t = grid.times
-        gz = cfg.gamma_prime + cfg.gamma_p * (
-            1.0 - np.cos(np.pi * 0.5 * (1 + np.tanh(np.sin(2 * np.pi * t / 20.0))))
-        )
-        prof = profile_from_gamma_z(grid, gz, cfg)
-        xi = smooth_pulse(grid, 18)
         quad = absorption_probability(prof, xi)
         ode = bloch_ode_oracle(prof, xi)
         assert np.max(np.abs(quad.P - ode.P)) <= 1e-6

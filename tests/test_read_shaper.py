@@ -8,6 +8,7 @@ from halfcav.dynamics import profile_from_gamma_z
 from halfcav.pulses import TimeBinSpec, fidelity, make_time_bin, shift, support_indices
 from halfcav.read_shaper import output_envelope, read_profile_for_target, total_efficiency
 from halfcav.scenario import ScenarioConfig, build_store_run
+from halfcav.write_optimizer import ETA_TARGET
 
 MEM = MemoryConfig()
 SQ2 = math.sqrt(0.5)
@@ -21,6 +22,19 @@ def shifted_timebin(sigma: float, T: float = 120.0):
     grid = TimeGrid(-pad, -pad + (n - 1) * dt, n)
     env = make_time_bin(spec, grid)
     return shift(env, round(T / dt))
+
+
+def decaying_exponential(gamma_s: float, step: float):
+    """xi = exp(-gamma_s*t/2) for t >= 0 and 0 before, on [-5, 40]/gamma_s
+    with dt = step/gamma_s, normalized on the grid: the photon that a free
+    atom of decay rate gamma_s emits."""
+    n = round(45.0 / step) + 1
+    dt = step / gamma_s
+    grid = TimeGrid(-5.0 / gamma_s, -5.0 / gamma_s + (n - 1) * dt, n)
+    t = grid.times
+    samples = np.where(t >= 0.0, np.exp(-0.5 * gamma_s * t), 0.0)
+    env = ComplexEnvelope(grid, samples.astype(complex))
+    return env.with_samples(env.samples / math.sqrt(squared_norm(env)))
 
 
 class TestReadProfileForTarget:
@@ -67,6 +81,53 @@ class TestReadProfileForTarget:
             expected[sel], 1e-12
         )
         assert np.max(rel) < 1e-5
+
+    @pytest.mark.parametrize("gamma_s", [0.5, 1.0, 2.0])
+    def test_photon_of_identical_atom_read_by_the_constant_program(self, gamma_s):
+        # A fully stored atom asked for the photon that a free atom of rate
+        # gamma_s <= 2*gamma0 emits gets back the flat program gamma_z =
+        # gamma_s, uncapped even at gamma_s = 2*gamma0.  On the grid the rate
+        # sits (gamma_s*dt)^2/12 below gamma_s, and 1 - eta_r is
+        # (gamma_s*dt)^2/24 (4.168e-6, 1.043e-6, 2.614e-7) plus the
+        # 1 - ETA_TARGET that the synthesis leaves unemitted.
+        losses = []
+        for step in (0.01, 0.005, 0.0025):
+            target = decaying_exponential(gamma_s, step)
+            r = read_profile_for_target(target, 1.0, MEM)
+            assert not r.capped
+            assert 1.0 - r.fidelity_vs_target <= 1e-10
+            losses.append(1.0 - r.eta_r)
+            assert abs(losses[-1] - step**2 / 24 - (1.0 - ETA_TARGET)) <= step**4 / 60
+        for coarse, fine in zip(losses, losses[1:]):
+            assert coarse / fine >= 3.9
+
+    @pytest.mark.parametrize("gamma_s", [0.5, 1.0, 2.0])
+    def test_identical_atom_read_falls_below_gamma_s_at_the_end(self, gamma_s):
+        # The synthesis leaves 1 - ETA_TARGET = 1e-9 in the atom, so near the
+        # end the rate falls below gamma_s by 1e-9 over the target energy
+        # still to come, rem: gamma_z/gamma_s = (1 - step^2/12)*(rem + past)
+        # / (rem + 1e-9), with past ~ 1e-12 the target energy after the
+        # support (|xi|^2 below 1e-12 of its peak), which the program
+        # never emits.
+        step = 0.005
+        target = decaying_exponential(gamma_s, step)
+        r = read_profile_for_target(target, 1.0, MEM)
+        i0, i1 = support_indices(target)
+        q2 = np.abs(target.samples) ** 2 / squared_norm(target)
+        energy = cumtrapz(q2, target.grid)
+        rem = energy[i1] - energy[i0 : i1 + 1]
+        past = energy[-1] - energy[i1]
+        ratio = r.profile.gamma_z[i0 : i1 + 1] / gamma_s
+        flat = rem > 1e-3
+        assert np.max(np.abs(ratio[flat] - 1.0)) <= 3.1e-6
+        # Where rem > 1e-7 the fall reaches 1%; float cancellation in rem
+        # limits the match below that.
+        tail = rem > 1e-7
+        predicted = (1.0 - step**2 / 12) * (rem + past) / (rem + 1.0 - ETA_TARGET)
+        assert ratio[tail].min() < 0.991
+        assert np.max(np.abs(ratio[tail] / predicted[tail] - 1.0)) <= 2e-7
+        assert np.all(r.profile.gamma_z[:i0] == 0.0)
+        assert np.all(r.profile.gamma_z[i1 + 1 :] == 0.0)
 
     def test_emitted_energy_consistency(self):
         target = shifted_timebin(0.2)

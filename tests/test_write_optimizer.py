@@ -7,9 +7,7 @@ import pytest
 from halfcav import write_optimizer
 from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz, squared_norm
 from halfcav.dynamics import profile_from_gamma_z
-from halfcav.mirror import trajectory_from_decay
 from halfcav.pulses import SUPPORT_CUTOFF, TimeBinSpec, make_time_bin, support_indices
-from halfcav.read_shaper import read_profile_for_target
 from halfcav.write_optimizer import (
     ETA_TARGET,
     _synthesize_gamma_z,
@@ -278,20 +276,6 @@ class TestKKTConditions:
         gz[i0 : i1 + 1] = _synthesize_gamma_z(q2, env.grid.dt, 0.95 * MEM.cap, EPS)
         assert gz.max() == 0.95 * MEM.cap
         assert np.max(np.abs(absorbed_and_gradient(env, gz)[1])) > KKT_TOL
-
-
-@pytest.mark.parametrize(
-    "call",
-    [lambda env, cfg: optimal_write_profile(env, cfg),
-     lambda env, cfg: read_profile_for_target(env, 0.5, cfg),
-     lambda env, cfg: trajectory_from_decay(env.grid, np.zeros(env.grid.n), cfg)],
-    ids=["write", "read", "mirror"],
-)
-def test_environment_decay_rejected(call):
-    # gamma' > 0 is not modelled: the write and the read would report the
-    # gamma' = 0 programs and efficiencies, so they raise like the loader.
-    with pytest.raises(ValueError, match="memory.gamma_prime > 0 is not modelled"):
-        call(timebin_env(0.2), MemoryConfig(gamma_prime=0.1))
 
 
 def support_q2(env):
