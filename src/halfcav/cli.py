@@ -14,7 +14,10 @@ worker scheduling.  The sweep points and the row chunks of every CSV run on
 one worker process per CPU this process may use, at most HALFCAV_THREADS (a
 positive integer) when that is set; any other value exits 2, on every
 subcommand, before anything is computed or written.  With one worker, or
-one item, no process pool starts.
+one item, no process pool starts.  The oracle starts no process and at
+most one thread: when that count is 2 or more, a helper thread runs each
+case's RK4 while this thread runs the next case's quadrature; with one,
+no thread starts.  Its report is the same either way.
 """
 from __future__ import annotations
 
@@ -227,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"halfcav: {warning}; results are not resolved", file=sys.stderr)
 
     if args.command == "oracle":
-        report = oracle_check(cfg, seed=args.seed)
+        cpus = _usable_cpus()
+        report = oracle_check(cfg, seed=args.seed, threads=min(cpus, threads or cpus))
         print(json.dumps(report, indent=2, sort_keys=True))
         if report["skipped"]:
             print(f"halfcav: {report['warning']}", file=sys.stderr)

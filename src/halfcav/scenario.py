@@ -42,8 +42,13 @@ DT_RULE_FACTOR = 50.0
 # Seeded random (profile, pulse) pairs the oracle checks besides the write.
 ORACLE_RANDOM_CASES = 20
 
-# Most store timeline samples: at 48 B of peak RSS and 61 B of CSV per timeline
-# sample, about 1 GB and 1.2 GB (tests and benchmarks reach 231,771 samples).
+# Most store timeline samples.  Measured on one worker above a 28 MB
+# interpreter (numpy 2.4): a zero-hold store at sigma = 0.004 peaks at
+# 237 MB for 1,191,108 samples, and each write-phase sample adds about
+# 180 B of peak RSS and 109 B of CSV, so about 3.6 GB and 2.2 GB at this
+# bound.  A hold sample adds about 32 B and 55 B (storage_T = 1000 and 5000:
+# 44 and 68 MB for 231,771 and 1,031,771 samples, 70 and 40 B a sample on
+# average), so about 0.7 GB and 1.1 GB.  Tests and benchmarks reach 231,771.
 MAX_TIMELINE_SAMPLES = 20_000_000
 
 # Most pulse bandwidth per atomic decay rate, sigma/gamma0.  A slower atom
@@ -426,7 +431,35 @@ def _random_envelope(rng: np.random.Generator, grid: TimeGrid) -> ComplexEnvelop
     return env.with_samples(env.samples * (1.0 / math.sqrt(squared_norm(env))))
 
 
-def oracle_check(cfg: ScenarioConfig, seed: int = 12345) -> dict:
+def _oracle_cases(cfg: ScenarioConfig, seed: int, random_cases: int):
+    """The oracle's cases in report order, each as (name, profile, input,
+    quadrature P): the scenario's write phase, then ``random_cases`` seeded
+    random pairs.  Every cached series the RK4 reads (``g``, ``gamma_z``
+    and the write's ``xi_effective``) is computed here, before the case is
+    yielded, so a helper thread running the RK4 only reads frozen arrays."""
+    mem = cfg.memory
+    w = optimal_write_profile(_write_input(cfg), mem, cfg.phase_compensation)
+    w.profile.g, w.profile.gamma_z
+    yield "scenario_write", w.profile, w.xi_effective, w.trace.P
+    rng = np.random.default_rng(seed)
+    rnd_grid = TimeGrid(0.0, 20.0 / mem.gamma0, 16001)  # 20 lifetimes
+    for i in range(random_cases):
+        gz = _random_smooth_rate(rng, rnd_grid, mem.cap)
+        profile = profile_from_gamma_z(rnd_grid, gz, mem)
+        env = _random_envelope(rng, rnd_grid)
+        P = absorption_probability(profile, env).P
+        profile.gamma_z
+        yield f"random_{i:02d}", profile, env, P
+
+
+def _rk4_gap(case) -> dict:
+    """A case's largest gap between the quadrature and the RK4 population."""
+    name, profile, env, P = case
+    dP = float(np.max(np.abs(P - bloch_ode_oracle(profile, env).P)))
+    return {"case": name, "max_abs_dP": dP}
+
+
+def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int = 1) -> dict:
     """Cross-check the quadrature against the RK4 route.
 
     Compares the population traces on the scenario's write phase and on a
@@ -434,34 +467,34 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345) -> dict:
     is too coarse to resolve the dynamics (dt above the min(1/gamma0,
     1/sigma)/50 rule) the pass/fail gate is skipped with a warning, since
     the discrepancy then only measures discretization order.
+
+    With ``threads`` >= 2 the check uses one helper thread, and no more: it
+    runs the RK4 of each case while this thread draws the next case and runs
+    its quadrature, with one case at a time in each stage.  With fewer, or
+    one case, no thread starts.  The gaps are taken in case order, so the
+    report does not depend on ``threads``.  An error in either route leaves
+    this function once the helper's case is done, and the helper with it.
     """
-    mem = cfg.memory
     warning = resolution_warning(cfg)
     coarse = warning is not None
+    cases = _oracle_cases(cfg, seed, 0 if coarse else ORACLE_RANDOM_CASES)
+    if threads < 2 or coarse:
+        checks = [_rk4_gap(case) for case in cases]
+    else:
+        # Imported here so a check without the helper never loads it.
+        from concurrent.futures import ThreadPoolExecutor
 
-    xi_in = _write_input(cfg)
-    w = optimal_write_profile(xi_in, mem, cfg.phase_compensation)
-    ode = bloch_ode_oracle(w.profile, w.xi_effective)
-    worst = float(np.max(np.abs(w.trace.P - ode.P)))
-    checks = [{"case": "scenario_write", "max_abs_dP": worst}]
-
-    if not coarse:
-        rng = np.random.default_rng(seed)
-        rnd_grid = TimeGrid(0.0, 20.0 / mem.gamma0, 16001)  # 20 lifetimes
-        for i in range(ORACLE_RANDOM_CASES):
-            gz = _random_smooth_rate(rng, rnd_grid, mem.cap)
-            profile = profile_from_gamma_z(rnd_grid, gz, mem)
-            env = _random_envelope(rng, rnd_grid)
-            dP = float(
-                np.max(
-                    np.abs(
-                        absorption_probability(profile, env).P
-                        - bloch_ode_oracle(profile, env).P
-                    )
-                )
-            )
-            checks.append({"case": f"random_{i:02d}", "max_abs_dP": dP})
-            worst = max(worst, dP)
+        checks = []
+        with ThreadPoolExecutor(1) as helper:
+            pending = None
+            # The next case is drawn, and its quadrature run, while the
+            # helper runs the RK4 of the one before.
+            for case in cases:
+                if pending is not None:
+                    checks.append(pending.result())
+                pending = helper.submit(_rk4_gap, case)
+            checks.append(pending.result())
+    worst = max(c["max_abs_dP"] for c in checks)
 
     report = {
         "max_abs_dP": worst,

@@ -47,6 +47,11 @@ class NoPool:
         raise AssertionError("a process pool started")
 
 
+class NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a helper thread started")
+
+
 def run_cli(tmp_path, command, config=None, out="out"):
     """Run one subcommand; ``config`` is a dict or raw JSON text."""
     argv = [command, "--out", str(tmp_path / out)]
@@ -322,18 +327,25 @@ def test_slow_atom_timeline_ends_after_the_read(tmp_path):
 
 def test_import_leaves_the_process_pool_unloaded():
     # Only pool_map with more than one worker (sweep points, or the row
-    # chunks of a CSV) uses the process pool, so importing the CLI loads
-    # none of it, and neither does a run with HALFCAV_THREADS=1.
+    # chunks of a CSV) uses the process pool, and only the oracle with more
+    # than one worker starts a helper thread, so importing the CLI loads no
+    # concurrent.futures module, and neither does an oracle run with
+    # HALFCAV_THREADS=1.
     code = (
-        "import sys, halfcav.cli; "
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing') "
-        "if m in sys.modules])"
+        "import contextlib, io, sys, halfcav.cli\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))]\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert halfcav.cli.main(['oracle']) == 0\n"
+        "print(loaded())\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "HALFCAV_THREADS": "1"}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n[]\n"
 
 
 class TestConfigRoundTrip:
@@ -479,6 +491,30 @@ class TestDeterministicOutput:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] and outputs[0] == outputs[1]
         assert json.loads(outputs[0])["passed"] is True
+
+    @pytest.mark.parametrize("seed", ["12345", "7"])
+    def test_oracle_stdout_independent_of_worker_count(self, tmp_path, seed, capsys, monkeypatch):
+        # Two workers run the RK4 on one helper thread; one usable CPU or
+        # HALFCAV_THREADS=1 starts none.
+        started = []
+
+        class CountedHelper(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
+        outputs = {}
+        for name, threads, cpus, helper in [("one_thread", "1", 2, NoThread),
+                                            ("two_threads", "2", 2, CountedHelper),
+                                            ("one_cpu", "", 1, NoThread)]:
+            monkeypatch.setenv("HALFCAV_THREADS", threads)
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", helper)
+            with cpus_allowed(cpus):
+                assert main(["oracle", "--seed", seed, "--out", str(tmp_path / "out")]) == 0
+            outputs[name] = capsys.readouterr().out
+        assert started == [(1,)]
+        assert outputs["one_thread"] == outputs["two_threads"] == outputs["one_cpu"]
+        assert json.loads(outputs["one_thread"])["passed"] is True
 
     def test_sweep_independent_of_worker_count(self, tmp_path, monkeypatch):
         config = {"sweep": SWEEP3}

@@ -5,6 +5,7 @@ full-timeline builder kept below as the reference, compute work that
 does not grow with the storage time, and the sweep's eta_w(sigma/gamma0)
 between analytic bounds."""
 import math
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -288,6 +289,32 @@ def test_oracle_cases_scale_with_gamma0(gamma0):
         assert new["case"] == old["case"]
         assert new["max_abs_dP"] == pytest.approx(old["max_abs_dP"], rel=1e-6), new["case"]
     assert scaled["passed"] is True
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("failing", [0, 1, 13, 20])
+def test_oracle_error_leaves_with_no_thread_behind(monkeypatch, threads, failing):
+    # The RK4 of case ``failing`` (0 is the write) raises.  The same error
+    # leaves oracle_check, on the helper thread or without one, and the
+    # helper has ended when it does.
+    error = RuntimeError("population left [0,1]")
+    callers = []
+
+    def rk4(profile, xi_in):
+        callers.append(threading.current_thread())
+        if len(callers) == failing + 1:
+            raise error
+        return dynamics.bloch_ode_oracle(profile, xi_in)
+
+    monkeypatch.setattr(scenario, "bloch_ode_oracle", rk4)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        oracle_check(ScenarioConfig.from_dict({}), threads=threads)
+    assert raised.value is error
+    assert threading.active_count() == before
+    assert len(callers) == failing + 1
+    on_main = {c is threading.main_thread() for c in callers}
+    assert on_main == {threads == 1}
 
 
 def test_slowest_accepted_atom_stores_a_normal_number():
