@@ -72,7 +72,10 @@ class ComplexEnvelope:
     """Sampled complex temporal envelope xi(t) on a uniform grid.
 
     Amplitudes carry units of gamma0^(1/2) so that ∫|xi|^2 dt is a
-    dimensionless (photon-number) weight.
+    dimensionless (photon-number) weight.  The intensity |xi|^2 and its
+    integral are derived on first use and then kept, so every reader of
+    one envelope (its norm, its support, the programs' intensities, the
+    fidelity) shares one computation.
     """
 
     grid: TimeGrid
@@ -91,6 +94,16 @@ class ComplexEnvelope:
     def with_samples(self, samples: np.ndarray) -> "ComplexEnvelope":
         return ComplexEnvelope(self.grid, samples)
 
+    @cached_property
+    def intensity(self) -> np.ndarray:
+        """|xi|^2 samplewise."""
+        return _freeze(np.abs(self.samples) ** 2)
+
+    @cached_property
+    def norm(self) -> float:
+        """∫|xi(t)|^2 dt by the trapezoid rule."""
+        return float(np.trapezoid(self.intensity, dx=self.grid.dt))
+
 
 def cumtrapz(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Running trapezoidal integral of a sampled series; entry 0 is 0."""
@@ -99,7 +112,9 @@ def cumtrapz(values: np.ndarray, grid: TimeGrid) -> np.ndarray:
         raise ValueError(f"expected {grid.n} values, got shape {values.shape}")
     out = np.empty(grid.n, dtype=np.result_type(values.dtype, np.float64))
     out[0] = 0.0
-    np.cumsum(0.5 * grid.dt * (values[1:] + values[:-1]), out=out[1:])
+    steps = np.add(values[1:], values[:-1], out=out[1:])
+    np.multiply(0.5 * grid.dt, steps, out=steps)
+    np.cumsum(steps, out=steps)
     return out
 
 
@@ -153,6 +168,6 @@ def affine_scan(a: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
 
 
 def squared_norm(env: ComplexEnvelope) -> float:
-    """∫|xi(t)|^2 dt by the trapezoid rule."""
-    intensity = np.abs(env.samples) ** 2
-    return float(np.trapezoid(intensity, dx=env.grid.dt))
+    """∫|xi(t)|^2 dt by the trapezoid rule, taken once per envelope and
+    kept (``ComplexEnvelope.norm``)."""
+    return env.norm

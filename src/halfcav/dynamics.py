@@ -9,7 +9,14 @@ and with it the complex decay rate
 On the principal branch phi in [0, pi] the imaginary part (the dynamical
 level shift) is non-positive; l = 0 is a node (gamma_z = 0) and l = lambda/4
 an antinode (gamma_z = 2*gamma0).  ``principal_branch`` owns this branch
-map and its rate range, for the profiles here and for ``mirror`` alike.
+map, and ``physical_rate`` its rate range, for the profiles here and for
+``mirror`` alike.
+
+A ``DecayProfile`` holds the real gamma_z that the programs synthesize.
+The complex gamma, with its level shift from the principal branch, and
+every other series are derived from it on first read.  With phase
+compensation a store or sweep point builds the complex rate once, for the
+de-chirped read's |gamma|; the write never does.
 
 Two independent routes compute the excited-state population driven by an
 input envelope: a closed-form cumulative quadrature and a fixed-step RK4
@@ -27,7 +34,7 @@ package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,28 +45,49 @@ from .core import SCAN_MIN_FACTOR
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Sampled complex decay rate with its running integrals.
+    """Sampled decay rate gamma_z on a grid, with the series derived from it.
 
-    Built from (grid, gamma_complex) alone: gamma_z = 2*Re(gamma_complex)
-    samplewise, g = sqrt(gamma_z), and Gamma/Gamma_z are the cumulative
-    trapezoidal integrals from the grid start.  Each is derived on first
-    use and then kept, so a caller pays only for the series it reads: a
-    de-chirped read never integrates the complex Gamma nor takes g.
-    Gamma_z is non-decreasing since gamma_z >= 0.
+    Built from the real series gamma_z, the one every program synthesizes.
+    The complex rate gamma_complex = gamma_z/2 + i*Im(gamma), whose level
+    shift Im(gamma) = -(gamma0/2)*sin(phi) <= 0 comes from the principal
+    branch (``principal_branch``), g = sqrt(gamma_z), and the cumulative
+    trapezoidal integrals Gamma and Gamma_z from the grid start are each
+    derived on first use and then kept, so a caller pays only for the
+    series it reads: a compensated write never builds the complex rate, and
+    a de-chirped read never integrates it nor takes g.  A profile driven by
+    a mirror passes its own complex rate as ``gamma`` (``decay_from_mirror``),
+    which is kept as given, off the principal branch too.  Gamma_z is
+    non-decreasing since gamma_z >= 0.
     """
 
     grid: TimeGrid
-    gamma_complex: np.ndarray
+    gamma_z: np.ndarray
+    cfg: MemoryConfig
+    gamma: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        gamma_complex = np.asarray(self.gamma_complex, dtype=np.complex128)
-        if gamma_complex.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} rates, got shape {gamma_complex.shape}")
-        object.__setattr__(self, "gamma_complex", _freeze(gamma_complex))
+    def __post_init__(self, gamma):
+        gamma_z = np.asarray(self.gamma_z, dtype=float)
+        if gamma_z.shape != (self.grid.n,):
+            raise ValueError(f"expected {self.grid.n} rates, got shape {gamma_z.shape}")
+        object.__setattr__(self, "gamma_z", _freeze(gamma_z))
+        if gamma is not None:
+            # The cache slot of gamma_complex: it is never derived.
+            self.__dict__["gamma_complex"] = _freeze(np.asarray(gamma, dtype=np.complex128))
 
     @cached_property
-    def gamma_z(self) -> np.ndarray:
-        return _freeze(2.0 * self.gamma_complex.real)
+    def gamma_complex(self) -> np.ndarray:
+        gamma = np.empty(self.grid.n, dtype=np.complex128)
+        np.multiply(0.5, self.gamma_z, out=gamma.real)
+        # sin(phi) = sqrt(1 - cos(phi)^2), built in the buffer of cos(phi);
+        # |cos(phi)| <= 1, so 1 - cos(phi)^2 is never below +0.
+        sin_phi = principal_branch(self.gamma_z, self.cfg)
+        np.square(sin_phi, out=sin_phi)
+        np.subtract(1.0, sin_phi, out=sin_phi)
+        np.sqrt(sin_phi, out=sin_phi)
+        np.multiply(0.5 * self.cfg.gamma0, sin_phi, out=sin_phi)
+        # 0 - x, not -x, so the shift is +0 where the rate is 0.
+        np.subtract(0.0, sin_phi, out=gamma.imag)
+        return _freeze(gamma)
 
     @cached_property
     def Gamma(self) -> np.ndarray:
@@ -93,36 +121,45 @@ class ExcitationTrace:
         object.__setattr__(self, "amplitude", _freeze(self.amplitude))
 
 
-def principal_branch(gamma_z, cfg: MemoryConfig) -> tuple[np.ndarray, np.ndarray]:
-    """gamma_z clipped to [0, 2*gamma0] (ValueError if it lies more than
-    1e-9 outside) and cos(phi) = 1 - gamma_z/gamma0 of the mirror phase
-    phi in [0, pi] that realizes it."""
+def physical_rate(gamma_z, cfg: MemoryConfig) -> np.ndarray:
+    """gamma_z as a new array clipped to [0, 2*gamma0]; ValueError if it
+    lies more than 1e-9 outside."""
     gamma_z = np.asarray(gamma_z, dtype=float)
     if gamma_z.min() < -1e-9 or gamma_z.max() > cfg.cap + 1e-9:
         raise ValueError("gamma_z outside the physical range [0, 2*gamma0]")
-    gamma_z = np.clip(gamma_z, 0.0, cfg.cap)
-    return gamma_z, np.clip(1.0 - gamma_z / cfg.gamma0, -1.0, 1.0)
+    return np.clip(gamma_z, 0.0, cfg.cap)
+
+
+def principal_branch(gamma_z, cfg: MemoryConfig) -> np.ndarray:
+    """cos(phi) = 1 - gamma_z/gamma0, as a new array, of the mirror phase
+    phi in [0, pi] that realizes the rate gamma_z (``physical_rate``)."""
+    cos_phi = physical_rate(gamma_z, cfg)
+    np.divide(cos_phi, cfg.gamma0, out=cos_phi)
+    np.subtract(1.0, cos_phi, out=cos_phi)
+    return np.clip(cos_phi, -1.0, 1.0, out=cos_phi)
 
 
 def profile_from_gamma_z(
     grid: TimeGrid, gamma_z: np.ndarray, cfg: MemoryConfig
 ) -> DecayProfile:
-    """Build the full complex profile from a real decay-rate series.
-
-    The principal branch fixes Im gamma = -(gamma0/2)*sin(phi) <= 0.
-    """
+    """The profile of a real decay-rate series, checked against and clipped
+    to [0, 2*gamma0] (``physical_rate``); its complex rate follows the
+    principal branch, Im gamma = -(gamma0/2)*sin(phi) <= 0.  The profile
+    keeps 2*(gamma_z/2), so that gamma_z = 2*Re(gamma) holds bit for bit:
+    the halving drops the last bit of a subnormal rate."""
     gamma_z = np.asarray(gamma_z, dtype=float)
     if gamma_z.shape != (grid.n,):
         raise ValueError(f"expected {grid.n} samples, got {gamma_z.shape}")
-    gamma_z, cos_phi = principal_branch(gamma_z, cfg)
-    sin_phi = np.sqrt(np.clip(1.0 - cos_phi**2, 0.0, None))
-    return DecayProfile(grid, 0.5 * gamma_z - 0.5j * cfg.gamma0 * sin_phi)
+    gamma_z = physical_rate(gamma_z, cfg)
+    np.multiply(0.5, gamma_z, out=gamma_z)
+    return DecayProfile(grid, np.multiply(gamma_z, 2.0, out=gamma_z), cfg)
 
 
 def decay_from_mirror(trajectory, cfg: MemoryConfig) -> DecayProfile:
     """Decay profile generated by a mirror trajectory (l in wavelengths)."""
     phi = 4.0 * np.pi * np.asarray(trajectory.l_over_lambda, dtype=float)
-    return DecayProfile(trajectory.grid, 0.5 * cfg.gamma0 * (1.0 - np.exp(1j * phi)))
+    gamma = 0.5 * cfg.gamma0 * (1.0 - np.exp(1j * phi))
+    return DecayProfile(trajectory.grid, 2.0 * gamma.real, cfg, gamma)
 
 
 # Gamma_z(end) from which the quadrature runs as a scan.  Below it the
@@ -140,16 +177,21 @@ def _trapezoid_amplitude(exponent: np.ndarray, drive: np.ndarray, dt: float) -> 
     Past it (long storage) the sum is x[k+1] = d[k]*(x[k] + h*drive[k]) +
     h*drive[k+1], h = dt/2, with per-step decay d = exp(-(E[k+1] - E[k])),
     solved by ``core.affine_scan``; a grid with a step |d| < SCAN_MIN_FACTOR
-    is too coarse for the scan and raises ValueError.  The amplitude has
-    the dtype of E and drive together: a real E and drive keep it real.
+    is too coarse for the scan and raises ValueError.  E and drive share
+    one dtype, which the amplitude keeps: a real E and drive keep it real.
+    No array is negated: 0 - E and E[k] - E[k+1] take the bits of -E and
+    -(E[k+1] - E[k]) up to the sign of a zero, at a fraction of the cost of
+    a complex negation, so only signed zeros of the amplitude can differ.
     """
     h = 0.5 * dt
     if 2.0 * exponent[-1].real < LONG_STORAGE_GAMMA_Z:
         integrand = np.exp(exponent) * drive
         running = np.zeros_like(integrand)
         np.cumsum(h * (integrand[1:] + integrand[:-1]), out=running[1:])
-        return np.exp(-exponent) * running
-    decay = np.exp(-(exponent[1:] - exponent[:-1]))
+        # integrand's buffer takes exp(-E).
+        decay = np.exp(np.subtract(0.0, exponent, out=integrand), out=integrand)
+        return np.multiply(decay, running, out=running)
+    decay = np.exp(exponent[:-1] - exponent[1:])
     if np.abs(decay).min() < SCAN_MIN_FACTOR:
         raise ValueError(
             "grid too coarse for the long-storage scan: a step decays the "

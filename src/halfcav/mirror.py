@@ -5,7 +5,8 @@ l/lambda = arccos(1 - gamma_z/gamma0) / (4*pi), running from 0 (node,
 coupling off) to 1/4 (antinode, coupling 2*gamma0).  This makes the
 decay-rate <-> displacement map a bijection and fixes the sign of the
 level shift.  The branch map and its rate range live in
-``dynamics.principal_branch``, which the complex decay profile uses too.
+``dynamics.principal_branch`` and ``dynamics.physical_rate``, which the
+decay profile uses too.
 """
 from __future__ import annotations
 
@@ -37,8 +38,7 @@ def trajectory_from_decay(
     grid: TimeGrid, gamma_z: np.ndarray, cfg: MemoryConfig
 ) -> MirrorTrajectory:
     """Mirror program realizing a decay-rate series gamma_z on the grid."""
-    _, cos_phi = principal_branch(gamma_z, cfg)
-    return MirrorTrajectory(grid, np.arccos(cos_phi) / (4.0 * np.pi))
+    return MirrorTrajectory(grid, np.arccos(principal_branch(gamma_z, cfg)) / (4.0 * np.pi))
 
 
 def feasibility_report(write: MirrorTrajectory, read: MirrorTrajectory) -> dict:

@@ -58,9 +58,15 @@ def output_envelope(
         raise ValueError("P0 must lie in [0, 1]")
     scale = math.sqrt(2.0 * P0 / cfg.gamma0)
     if dechirp:
-        samples = 1j * scale * np.abs(profile.gamma_complex) * np.exp(
-            -0.5 * profile.Gamma_z
-        )
+        # The bits of 1j*scale*|gamma|*exp(-Gamma_z/2), with no complex
+        # product; the real part holds the decay until it is set to +0.
+        samples = np.empty(profile.grid.n, dtype=np.complex128)
+        decay = np.multiply(-0.5, profile.Gamma_z, out=samples.real)
+        np.exp(decay, out=decay)
+        emitted = np.abs(profile.gamma_complex, out=samples.imag)
+        np.multiply(scale, emitted, out=emitted)
+        np.multiply(emitted, decay, out=emitted)
+        decay.fill(0.0)
     else:
         samples = 1j * scale * profile.gamma_complex * np.exp(-profile.Gamma)
     return ComplexEnvelope(profile.grid, samples)
@@ -85,8 +91,7 @@ def read_profile_for_target(
     norm = squared_norm(target)
     if norm <= 0.0:
         raise ValueError("target envelope has zero norm")
-    q2 = np.abs(target.samples) ** 2 / norm
-    profile, capped, _ = optimal_program(target, q2, cfg, reverse=True)
+    profile, capped, _ = optimal_program(target, target.intensity / norm, cfg, reverse=True)
     xi_rep = output_envelope(profile, P0, cfg, dechirp=phase_compensation)
     return ReadResult(
         profile=profile,

@@ -57,7 +57,9 @@ MAX_TIMELINE_SAMPLES = 20_000_000
 # so the fidelity reads wrong, then has no value.
 MAX_SIGMA_OVER_GAMMA0 = 1e12
 
-# Most sweep points: each is a full store compute, 3-60 ms on one core, so
+# Most sweep points: each is a full store compute, on one core (numpy 2.4,
+# default grid, best of 7) about 3 ms near sigma = gamma0 and 30-40 ms at
+# sigma = 0.02*gamma0 on 164,001 samples, growing as 1/sigma below that, so
 # 10,000 points run for minutes to hours, and more for days.
 MAX_SWEEP_POINTS = 10_000
 
@@ -434,12 +436,14 @@ def _random_envelope(rng: np.random.Generator, grid: TimeGrid) -> ComplexEnvelop
 def _oracle_cases(cfg: ScenarioConfig, seed: int, random_cases: int):
     """The oracle's cases in report order, each as (name, profile, input,
     quadrature P): the scenario's write phase, then ``random_cases`` seeded
-    random pairs.  Every cached series the RK4 reads (``g``, ``gamma_z``
-    and the write's ``xi_effective``) is computed here, before the case is
-    yielded, so a helper thread running the RK4 only reads frozen arrays."""
+    random pairs.  Every series the RK4 reads that a profile derives on
+    first use (``g`` and ``gamma_complex``; ``gamma_z`` is the profile's
+    own), and the write's ``xi_effective``, is derived here, before the case
+    is yielded, so a helper thread running the RK4 only reads frozen
+    arrays."""
     mem = cfg.memory
     w = optimal_write_profile(_write_input(cfg), mem, cfg.phase_compensation)
-    w.profile.g, w.profile.gamma_z
+    w.profile.g, w.profile.gamma_complex
     yield "scenario_write", w.profile, w.xi_effective, w.trace.P
     rng = np.random.default_rng(seed)
     rnd_grid = TimeGrid(0.0, 20.0 / mem.gamma0, 16001)  # 20 lifetimes
@@ -448,7 +452,7 @@ def _oracle_cases(cfg: ScenarioConfig, seed: int, random_cases: int):
         profile = profile_from_gamma_z(rnd_grid, gz, mem)
         env = _random_envelope(rng, rnd_grid)
         P = absorption_probability(profile, env).P
-        profile.gamma_z
+        profile.g, profile.gamma_complex
         yield f"random_{i:02d}", profile, env, P
 
 

@@ -26,12 +26,13 @@ The level-shift phase Im(Gamma) is compensated by default: the input is
 taken in the frame co-rotating with the shifted atomic resonance, the frame
 the read reports its output in (``read_shaper``).  There the kernel
 exp(-(Gamma(t) - Gamma(t'))) loses its phase, and with the drive g*|xi| the
-quadrature is real: exponent Gamma_z/2 = Re Gamma, no complex exponential
-and no complex running integral.  What the compensated write absorbs is
-the lab-frame input |xi|*exp(-i*Im Gamma) (``WriteResult.xi_effective``):
-it keeps the input's magnitude but not its phase, so the configured
-time-bin phase phi never reaches the atom and eta_w does not depend on it
-(ROADMAP.md, "Report the photon that the atom actually absorbs").
+quadrature is real: exponent Gamma_z/2 = Re Gamma, and no complex rate,
+exponential or running integral is built.  What the compensated write
+absorbs is the lab-frame input |xi|*exp(-i*Im Gamma)
+(``WriteResult.xi_effective``): it keeps the input's magnitude but not its
+phase, so the configured time-bin phase phi never reaches the atom and
+eta_w does not depend on it (ROADMAP.md, "Report the photon that the atom
+actually absorbs").
 Disabling compensation absorbs the input as given, in the lab frame, and
 exposes the efficiency cost of the chirp.
 """
@@ -147,7 +148,8 @@ def _synthesize_gamma_z(q2: np.ndarray, dt: float, cap: float, eps: float) -> np
                 q2l[k] <= cap * rk and q2l[k + 1] <= cap * (rk + dt * q2l[k])
             ):
                 break
-    return np.minimum(q2 / r, cap)
+    np.divide(q2, r, out=r)
+    return np.minimum(r, cap, out=r)
 
 
 def optimal_program(
@@ -182,12 +184,11 @@ def optimal_write_profile(
     """
     if abs(squared_norm(xi_in) - 1.0) > NORM_TOL:
         raise ValueError("input envelope must be normalized (∫|xi|^2 dt = 1)")
-    magnitude = np.abs(xi_in.samples)
-    profile, capped, (i0, i1) = optimal_program(xi_in, magnitude**2, cfg)
+    profile, capped, (i0, i1) = optimal_program(xi_in, xi_in.intensity, cfg)
 
     if phase_compensation:
         amplitude = _trapezoid_amplitude(
-            0.5 * profile.Gamma_z, profile.g * magnitude, xi_in.grid.dt
+            0.5 * profile.Gamma_z, profile.g * np.abs(xi_in.samples), xi_in.grid.dt
         )
         trace = ExcitationTrace(grid=xi_in.grid, P=amplitude**2, amplitude=amplitude)
     else:

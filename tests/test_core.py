@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from halfcav.core import (
     ComplexEnvelope,
@@ -79,6 +82,18 @@ class TestCumtrapz:
         out = cumtrapz(np.full(201, 1.0 + 2.0j), g)
         assert out[-1] == pytest.approx(1.0 + 2.0j, abs=1e-12)
 
+    @settings(max_examples=100, deadline=None)
+    @given(values=hnp.arrays(st.sampled_from([np.float64, np.complex128]),
+                             st.integers(2, 300),
+                             elements=st.floats(-1e3, 1e3, width=32)),
+           span=st.floats(1e-3, 1e3))
+    def test_bits_of_the_running_sum(self, values, span):
+        # Built in its output buffer, the integral keeps the bits of the
+        # expression cumsum(0.5*dt*(v[1:] + v[:-1])).
+        g = TimeGrid(0.0, span, values.size)
+        expected = np.concatenate(([0.0], np.cumsum(0.5 * g.dt * (values[1:] + values[:-1]))))
+        assert np.array_equal(cumtrapz(values, g).view(np.int64), expected.view(np.int64))
+
 
 def _loop_scan(a, b, x0):
     x = [x0]
@@ -153,6 +168,17 @@ class TestComplexEnvelope:
         env = ComplexEnvelope(g, np.zeros(11))
         with pytest.raises(ValueError):
             env.samples[0] = 1.0
+
+    def test_intensity_and_norm_derived_once(self):
+        g = TimeGrid(0.0, 1.0, 101)
+        rng = np.random.default_rng(4)
+        env = ComplexEnvelope(g, rng.normal(size=101) + 1j * rng.normal(size=101))
+        assert env.intensity is env.intensity
+        assert np.array_equal(env.intensity, np.abs(env.samples) ** 2)
+        assert env.norm == float(np.trapezoid(np.abs(env.samples) ** 2, dx=g.dt))
+        assert squared_norm(env) == env.norm
+        with pytest.raises(ValueError):
+            env.intensity[0] = 1.0
 
 
 class TestSquaredNorm:

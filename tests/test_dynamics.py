@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz, squared_norm
 from halfcav.dynamics import (
@@ -145,7 +147,46 @@ class TestDecayFromMirror:
         assert prof.gamma_complex.imag == pytest.approx(-0.5 * MEM.gamma0, abs=1e-12)
 
 
+    def test_keeps_its_complex_rate_as_given(self):
+        # Past l = lambda/4 the mirror leaves the principal branch and the
+        # level shift turns positive: the rate is kept as the mirror gives
+        # it, never rebuilt from gamma_z.
+        grid = TimeGrid(0.0, 1.0, 101)
+        l = np.linspace(0.0, 0.5, 101)
+        prof = decay_from_mirror(MirrorTrajectory(grid, l), MEM)
+        gamma = 0.5 * MEM.gamma0 * (1.0 - np.exp(1j * (4.0 * np.pi * l)))
+        assert np.array_equal(prof.gamma_complex.view(np.int64), gamma.view(np.int64))
+        assert np.array_equal(prof.gamma_z.view(np.int64), (2.0 * gamma.real).view(np.int64))
+        assert prof.gamma_complex.imag.max() > 0.4
+
+
+@st.composite
+def physical_rates(draw):
+    """(gamma0, rates in [0, 2*gamma0]), with exact 0 and the cap drawn often."""
+    gamma0 = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    cap = 2.0 * gamma0
+    rate = st.one_of(st.just(0.0), st.just(cap), st.floats(0.0, cap))
+    return gamma0, np.array(draw(st.lists(rate, min_size=2, max_size=40)))
+
+
 class TestProfileFromGammaZ:
+    @settings(max_examples=200, deadline=None)
+    @given(physical_rates())
+    def test_complex_rate_is_the_closed_form_bit_for_bit(self, case):
+        # The lazily derived complex rate has the bits of the closed form
+        # gamma_z/2 - i*(gamma0/2)*sin(phi) built as one complex expression,
+        # signed zeros included, and gamma_z = 2*Re(gamma) exactly.
+        gamma0, rates = case
+        cfg = MemoryConfig(gamma0)
+        prof = profile_from_gamma_z(TimeGrid(0.0, 1.0, rates.size), rates, cfg)
+        gz = np.clip(rates, 0.0, cfg.cap)
+        cos_phi = np.clip(1.0 - gz / gamma0, -1.0, 1.0)
+        sin_phi = np.sqrt(np.clip(1.0 - cos_phi**2, 0.0, None))
+        closed_form = 0.5 * gz - 0.5j * gamma0 * sin_phi
+        assert np.array_equal(prof.gamma_complex.view(np.int64), closed_form.view(np.int64))
+        assert np.array_equal(prof.gamma_z.view(np.int64),
+                              (2.0 * closed_form.real).view(np.int64))
+
     def test_fields_consistent(self):
         grid = TimeGrid(0.0, 20.0, 2001)
         gz = smooth_rate(grid, 5)

@@ -62,6 +62,25 @@ class TestMakeTimeBin:
         # amplitude overlap alpha^2 + beta^2 e^{i pi} = 0 for alpha = beta
         assert fidelity(env, ref) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("alpha, phi, sigma", [
+        (SQ2, 0.0, 0.2), (0.6, 2.0, 0.2), (-0.6, 3.0, 5.0), (SQ2, 0.0, 5.0)])
+    def test_normalization_has_the_bits_of_complex_division(self, alpha, phi, sigma):
+        # Multiplying by 1/sqrt(N) gives every nonzero sample the bits of
+        # dividing by sqrt(N).  At sigma = 5 both bins underflow to 0 between
+        # them; with alpha < 0 those zeros keep a negative real part.
+        spec = TimeBinSpec(alpha=alpha, beta=math.sqrt(1.0 - alpha**2), t1=0.0,
+                           t2=20.0, sigma=sigma, phi=phi)
+        env = make_time_bin(spec, grid_for(spec))
+        t = env.grid.times
+        raw = spec.alpha * np.exp(-0.5 * ((t - spec.t1) * spec.sigma) ** 2) + (
+            spec.beta * np.exp(1j * spec.phi)
+            * np.exp(-0.5 * ((t - spec.t2) * spec.sigma) ** 2))
+        divided = raw / math.sqrt(squared_norm(ComplexEnvelope(env.grid, raw)))
+        new, old = env.samples.view(np.float64), divided.view(np.float64)
+        assert np.array_equal(new, old)
+        assert np.array_equal(new[old != 0.0].view(np.int64), old[old != 0.0].view(np.int64))
+        assert np.any(np.signbit(new[new == 0.0])) == (alpha < 0 and sigma == 5.0)
+
     def test_grid_too_narrow_reports_window(self):
         spec = TimeBinSpec(alpha=SQ2, beta=SQ2, t1=0.0, t2=20.0, sigma=0.2)
         with pytest.raises(ValueError, match=r"need at least \[-30"):

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halfcav import dynamics, read_shaper, scenario, write_optimizer
+from functools import cached_property
+
+from halfcav import core, dynamics, read_shaper, scenario, write_optimizer
 from halfcav.core import ComplexEnvelope, TimeGrid
 from halfcav.dynamics import absorption_probability, profile_from_gamma_z
 from halfcav.mirror import trajectory_from_decay
@@ -24,6 +26,8 @@ from halfcav.scenario import (
     MAX_SIGMA_OVER_GAMMA0,
     MAX_TIMELINE_SAMPLES,
     ScenarioConfig,
+    _oracle_cases,
+    _rk4_gap,
     _step,
     build_store_run,
     default_write_grid,
@@ -257,6 +261,94 @@ def test_compensated_path_never_integrates_complex_gamma(monkeypatch, compensate
         else:
             with pytest.raises(AssertionError, match="Gamma read"):
                 call()
+
+
+def _spy_on_derivation(monkeypatch, cls, name):
+    """The instances whose cached property ``name`` is derived, in order."""
+    slot = vars(cls)[name]
+    derive = slot.func
+    derived = []
+
+    def spy(instance):
+        derived.append(instance)
+        return derive(instance)
+
+    monkeypatch.setattr(slot, "func", spy)
+    return derived
+
+
+def _spy_on_calls(monkeypatch, module, name):
+    """The results of the calls of ``module.name``, in order."""
+    call = getattr(module, name)
+    results = []
+
+    def spy(*args):
+        results.append(call(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return results
+
+
+@pytest.mark.parametrize("compensated", [True, False])
+def test_compensated_write_never_builds_its_complex_rate(monkeypatch, compensated):
+    # With phase compensation the write reads only the real gamma_z, so its
+    # profile never derives the complex rate nor, through the principal
+    # branch, its level shift; the de-chirped read derives them once, for
+    # |gamma|.  Without compensation both profiles derive them.
+    derived = _spy_on_derivation(monkeypatch, dynamics.DecayProfile, "gamma_complex")
+    branch_calls = _spy_on_calls(monkeypatch, dynamics, "principal_branch")
+    writes = _spy_on_calls(monkeypatch, scenario, "optimal_write_profile")
+    cfg = ScenarioConfig.from_dict({"phase_compensation": compensated})
+    for call in (lambda: build_store_run(cfg), lambda: sweep_point(cfg, 0.02),
+                 lambda: sweep_point(cfg, 5.0)):
+        for log in (derived, branch_calls, writes):
+            log.clear()
+        call()
+        (w,) = writes
+        assert any(p is w.profile for p in derived) is not compensated
+        assert len(derived) == len(branch_calls) == (1 if compensated else 2)
+
+
+def test_each_envelope_intensity_is_derived_once_per_point(monkeypatch):
+    # |xi|^2 and its integral are derived once per envelope, and a point
+    # has three: the raw pulse (its norm), the normalized input (its norm,
+    # its support, the write's intensities and, as the read's target, the
+    # read's) and the emitted envelope (eta_r and the fidelity).
+    intensities = _spy_on_derivation(monkeypatch, core.ComplexEnvelope, "intensity")
+    norms = _spy_on_derivation(monkeypatch, core.ComplexEnvelope, "norm")
+    for compensated in (True, False):
+        cfg = ScenarioConfig.from_dict({"phase_compensation": compensated})
+        for sigma in (0.02, 0.2, 5.0):
+            intensities.clear()
+            norms.clear()
+            sweep_point(cfg, sigma)
+            assert len(intensities) == len({id(env) for env in intensities}) == 3
+            assert [id(env) for env in norms] == [id(env) for env in intensities]
+
+
+class _Underived:
+    """A lazily derived series that may no longer be derived."""
+
+    def __get__(self, instance, owner=None):
+        raise AssertionError("a series was derived after its case was yielded")
+
+
+@pytest.mark.parametrize("compensated", [True, False])
+def test_oracle_cases_hold_every_series_the_rk4_reads(monkeypatch, compensated):
+    # The RK4 may run on a helper thread, which must only read frozen
+    # arrays: every series it reads that is derived on first use has been
+    # derived when the case is yielded.  A derived value sits in the
+    # instance, ahead of the class's descriptor, so only a missing one
+    # reaches _Underived.
+    cfg = ScenarioConfig.from_dict({"phase_compensation": compensated})
+    cases = list(_oracle_cases(cfg, 7, 3))
+    for cls in (dynamics.DecayProfile, core.ComplexEnvelope):
+        for name, slot in list(vars(cls).items()):
+            if isinstance(slot, cached_property):
+                monkeypatch.setattr(cls, name, _Underived())
+    for case in cases:
+        assert _rk4_gap(case)["max_abs_dP"] < 1e-6
 
 
 @pytest.mark.parametrize("gamma0", [0.5, 2.0, 3.0, 4.0])
