@@ -68,7 +68,9 @@ def output_envelope(
         np.multiply(emitted, decay, out=emitted)
         decay.fill(0.0)
     else:
-        samples = 1j * scale * profile.gamma_complex * np.exp(-profile.Gamma)
+        # 0 - Gamma has the bits of -Gamma up to the sign of a zero, at a
+        # fraction of the cost of a complex negation.
+        samples = 1j * scale * profile.gamma_complex * np.exp(np.subtract(0.0, profile.Gamma))
     return ComplexEnvelope(profile.grid, samples)
 
 

@@ -58,9 +58,10 @@ MAX_TIMELINE_SAMPLES = 20_000_000
 MAX_SIGMA_OVER_GAMMA0 = 1e12
 
 # Most sweep points: each is a full store compute, on one core (numpy 2.4,
-# default grid, best of 7) about 3 ms near sigma = gamma0 and 30-40 ms at
-# sigma = 0.02*gamma0 on 164,001 samples, growing as 1/sigma below that, so
-# 10,000 points run for minutes to hours, and more for days.
+# default grid, best of 7, the heap kept as `sweep` keeps it) about 4 ms
+# near sigma = gamma0 and 27-28 ms at sigma = 0.02*gamma0 on 164,001
+# samples, growing as 1/sigma below that, so 10,000 points run for minutes
+# to hours, and more for days.
 MAX_SWEEP_POINTS = 10_000
 
 # JSON values a config field of each annotated type accepts.

@@ -3,11 +3,14 @@ trip, the CSV number format, and byte-identical outputs across runs and
 worker counts.  The per-row CSV writer kept below is the reference for the
 chunked one."""
 import concurrent.futures
+import ctypes
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -525,6 +528,92 @@ class TestDeterministicOutput:
         serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
         assert serial.count(b"\n") == 4
         assert serial == (tmp_path / "pooled" / "sweep.csv").read_bytes()
+
+
+# Runs main in a fresh interpreter, with _keep_freed_heap replaced by a stub
+# when the first argument is "stub": the glibc setting lasts for the life of
+# the process, so a run in this one would keep whatever an earlier test set.
+FRESH_MAIN = (
+    "import sys, halfcav.cli as cli\n"
+    "if sys.argv[1] == 'stub':\n"
+    "    cli._keep_freed_heap = lambda: False\n"
+    "raise SystemExit(cli.main(sys.argv[2:]))\n"
+)
+
+
+def fresh_interpreter(args, threads="1"):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "HALFCAV_THREADS": threads}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
+class TestKeptHeap:
+    """sweep and oracle keep glibc's freed heap; store does not, and no output
+    depends on it."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_outputs_do_not_depend_on_it(self, tmp_path, threads):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"sweep": SWEEP3}))
+        outputs = {}
+        for mode in ("stub", "kept"):
+            fresh_interpreter(["-c", FRESH_MAIN, mode, "sweep", "--config", str(config),
+                               "--out", str(tmp_path / mode)], threads)
+            oracle = fresh_interpreter(["-c", FRESH_MAIN, mode, "oracle", "--seed", "7"], threads)
+            outputs[mode] = ((tmp_path / mode / "sweep.csv").read_bytes(), oracle.stdout)
+        assert outputs["stub"][0].count(b"\n") == 4
+        assert json.loads(outputs["stub"][1])["passed"] is True
+        assert outputs["stub"] == outputs["kept"]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_sets_both_options_on_glibc(self):
+        done = fresh_interpreter(["-c", "import halfcav.cli as cli; print(cli._keep_freed_heap())"])
+        assert done.stdout == "True\n"
+
+    @pytest.mark.parametrize("command, calls", [("store", 0), ("sweep", 1), ("oracle", 1)])
+    def test_only_sweep_and_oracle_set_it_once(self, tmp_path, command, calls, monkeypatch):
+        counted = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: counted.append(command) or True)
+        monkeypatch.setenv("HALFCAV_THREADS", "0")
+        assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 2
+        assert counted == []
+        monkeypatch.setenv("HALFCAV_THREADS", "1")
+        assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 0
+        assert counted == [command] * calls
+
+    @pytest.mark.parametrize("libc", ["no_confstr", "unknown_name", "not_glibc",
+                                      "no_mallopt", "mallopt_fails"])
+    def test_any_other_libc_sets_nothing_and_changes_nothing(
+        self, tmp_path, libc, monkeypatch, capsys
+    ):
+        def outputs(out):
+            codes = (run_cli(tmp_path, "sweep", {"sweep": SWEEP3}, out=out),
+                     main(["oracle", "--seed", "7"]))
+            return codes, (tmp_path / out / "sweep.csv").read_bytes(), capsys.readouterr().out
+
+        with mock.patch.object(cli, "_keep_freed_heap", lambda: False):
+            reference = outputs("stub")
+
+        def unknown_name(name):
+            raise ValueError("unrecognized configuration name")
+
+        if libc == "no_confstr":
+            monkeypatch.delattr(os, "confstr", raising=False)
+        elif libc == "unknown_name":
+            monkeypatch.setattr(os, "confstr", unknown_name)
+        elif libc == "not_glibc":
+            monkeypatch.setattr(os, "confstr", lambda name: None)
+        else:
+            monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+            libc_symbols = types.SimpleNamespace()
+            if libc == "mallopt_fails":
+                libc_symbols.mallopt = lambda param, value: 0
+            monkeypatch.setattr(ctypes, "CDLL", lambda name: libc_symbols)
+        assert cli._keep_freed_heap() is False
+        assert outputs("other") == reference
+        assert reference[0] == (0, 0)
 
 
 class TestWriteCsv:
