@@ -166,8 +166,3 @@ def affine_scan(a: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
     x[0] = x0
     return x[: m + 1]
 
-
-def squared_norm(env: ComplexEnvelope) -> float:
-    """∫|xi(t)|^2 dt by the trapezoid rule, taken once per envelope and
-    kept (``ComplexEnvelope.norm``)."""
-    return env.norm

@@ -4,19 +4,23 @@ A mirror displacement l(t) sets a round-trip phase phi(t) = 4*pi*l/lambda
 and with it the complex decay rate
 
     gamma(t)   = (gamma0/2) * (1 - exp(i*phi(t)))
-    gamma_z(t) = gamma0 * (1 - cos(phi(t))) = 2*Re[gamma(t)]
+               = -i*gamma0 * sin(phi/2) * exp(i*phi/2)
+    gamma_z(t) = 2*gamma0 * sin(phi/2)^2 = 2*Re[gamma(t)]
 
-On the principal branch phi in [0, pi] the imaginary part (the dynamical
-level shift) is non-positive; l = 0 is a node (gamma_z = 0) and l = lambda/4
-an antinode (gamma_z = 2*gamma0).  ``principal_branch`` owns this branch
-map, and ``physical_rate`` its rate range, for the profiles here and for
-``mirror`` alike.
+On the principal branch phi in [0, pi], sqrt(2*gamma0) times sin(phi/2)
+and cos(phi/2) are the coupling g = sqrt(gamma_z) and its complement
+gbar = sqrt(2*gamma0 - gamma_z) (``complementary_coupling``).  So the level
+shift is Im gamma = -g*gbar/2 <= 0, |gamma|^2 = gamma0*gamma_z/2, and the
+mirror sits at l/lambda = atan2(g, gbar)/(2*pi), from a node (l = 0,
+gamma_z = 0) to an antinode (l = lambda/4, gamma_z = 2*gamma0), each to
+full relative precision at both ends of the rate range.  ``physical_rate``
+owns the range, for the profiles here and for ``mirror`` alike.
 
 A ``DecayProfile`` holds the real gamma_z that the programs synthesize.
-The complex gamma, with its level shift from the principal branch, and
-every other series are derived from it on first read.  With phase
-compensation a store or sweep point builds the complex rate once, for the
-de-chirped read's |gamma|; the write never does.
+The complex gamma, with its level shift, and every other series are
+derived from it on first read.  With phase compensation a store or sweep
+point never builds the complex rate: the write runs in the co-rotating
+frame, and the de-chirped read needs only g.
 
 Two independent routes compute the excited-state population driven by an
 input envelope: a closed-form cumulative quadrature and a fixed-step RK4
@@ -49,15 +53,16 @@ class DecayProfile:
 
     Built from the real series gamma_z, the one every program synthesizes.
     The complex rate gamma_complex = gamma_z/2 + i*Im(gamma), whose level
-    shift Im(gamma) = -(gamma0/2)*sin(phi) <= 0 comes from the principal
-    branch (``principal_branch``), g = sqrt(gamma_z), and the cumulative
-    trapezoidal integrals Gamma and Gamma_z from the grid start are each
-    derived on first use and then kept, so a caller pays only for the
-    series it reads: a compensated write never builds the complex rate, and
-    a de-chirped read never integrates it nor takes g.  A profile driven by
-    a mirror passes its own complex rate as ``gamma`` (``decay_from_mirror``),
-    which is kept as given, off the principal branch too.  Gamma_z is
-    non-decreasing since gamma_z >= 0.
+    shift Im(gamma) = -g*gbar/2 <= 0 takes the principal branch
+    (``complementary_coupling``), the coupling g = sqrt(gamma_z), and the
+    cumulative trapezoidal integrals Gamma and Gamma_z from the grid start
+    are each derived on first use and then kept, so a caller pays only for
+    the series it reads: neither a compensated write nor a de-chirped read
+    builds the complex rate, since the read needs only
+    |gamma| = sqrt(gamma0/2)*g.  A profile driven by a mirror passes its own
+    complex rate as ``gamma`` (``decay_from_mirror``), which is kept as
+    given, off the principal branch too.  Gamma_z is non-decreasing since
+    gamma_z >= 0.
     """
 
     grid: TimeGrid
@@ -78,15 +83,12 @@ class DecayProfile:
     def gamma_complex(self) -> np.ndarray:
         gamma = np.empty(self.grid.n, dtype=np.complex128)
         np.multiply(0.5, self.gamma_z, out=gamma.real)
-        # sin(phi) = sqrt(1 - cos(phi)^2), built in the buffer of cos(phi);
-        # |cos(phi)| <= 1, so 1 - cos(phi)^2 is never below +0.
-        sin_phi = principal_branch(self.gamma_z, self.cfg)
-        np.square(sin_phi, out=sin_phi)
-        np.subtract(1.0, sin_phi, out=sin_phi)
-        np.sqrt(sin_phi, out=sin_phi)
-        np.multiply(0.5 * self.cfg.gamma0, sin_phi, out=sin_phi)
+        # The shift g*gbar/2, built in the buffer of gbar.
+        shift = complementary_coupling(self.gamma_z, self.cfg)
+        np.multiply(self.g, shift, out=shift)
+        np.multiply(0.5, shift, out=shift)
         # 0 - x, not -x, so the shift is +0 where the rate is 0.
-        np.subtract(0.0, sin_phi, out=gamma.imag)
+        np.subtract(0.0, shift, out=gamma.imag)
         return _freeze(gamma)
 
     @cached_property
@@ -130,13 +132,14 @@ def physical_rate(gamma_z, cfg: MemoryConfig) -> np.ndarray:
     return np.clip(gamma_z, 0.0, cfg.cap)
 
 
-def principal_branch(gamma_z, cfg: MemoryConfig) -> np.ndarray:
-    """cos(phi) = 1 - gamma_z/gamma0, as a new array, of the mirror phase
-    phi in [0, pi] that realizes the rate gamma_z (``physical_rate``)."""
-    cos_phi = physical_rate(gamma_z, cfg)
-    np.divide(cos_phi, cfg.gamma0, out=cos_phi)
-    np.subtract(1.0, cos_phi, out=cos_phi)
-    return np.clip(cos_phi, -1.0, 1.0, out=cos_phi)
+def complementary_coupling(gamma_z, cfg: MemoryConfig) -> np.ndarray:
+    """gbar = sqrt(2*gamma0 - gamma_z), as a new array, for the rate gamma_z
+    (``physical_rate``).  With g = sqrt(gamma_z) it fixes the half phase
+    phi/2 in [0, pi/2] of the mirror that realizes the rate:
+    (g, gbar) = sqrt(2*gamma0)*(sin(phi/2), cos(phi/2))."""
+    gbar = physical_rate(gamma_z, cfg)
+    np.subtract(cfg.cap, gbar, out=gbar)
+    return np.sqrt(gbar, out=gbar)
 
 
 def profile_from_gamma_z(
@@ -144,7 +147,7 @@ def profile_from_gamma_z(
 ) -> DecayProfile:
     """The profile of a real decay-rate series, checked against and clipped
     to [0, 2*gamma0] (``physical_rate``); its complex rate follows the
-    principal branch, Im gamma = -(gamma0/2)*sin(phi) <= 0.  The profile
+    principal branch, Im gamma = -g*gbar/2 <= 0.  The profile
     keeps 2*(gamma_z/2), so that gamma_z = 2*Re(gamma) holds bit for bit:
     the halving drops the last bit of a subnormal rate."""
     gamma_z = np.asarray(gamma_z, dtype=float)
@@ -156,9 +159,11 @@ def profile_from_gamma_z(
 
 
 def decay_from_mirror(trajectory, cfg: MemoryConfig) -> DecayProfile:
-    """Decay profile generated by a mirror trajectory (l in wavelengths)."""
-    phi = 4.0 * np.pi * np.asarray(trajectory.l_over_lambda, dtype=float)
-    gamma = 0.5 * cfg.gamma0 * (1.0 - np.exp(1j * phi))
+    """Decay profile generated by a mirror trajectory (l in wavelengths),
+    gamma = -i*gamma0*sin(phi/2)*exp(i*phi/2): unlike 1 - exp(i*phi) it
+    does not cancel, so a rate near 0 keeps its relative precision."""
+    half_phi = 2.0 * np.pi * np.asarray(trajectory.l_over_lambda, dtype=float)
+    gamma = -1j * cfg.gamma0 * np.sin(half_phi) * np.exp(1j * half_phi)
     return DecayProfile(trajectory.grid, 2.0 * gamma.real, cfg, gamma)
 
 

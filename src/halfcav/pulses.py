@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexEnvelope, TimeGrid, squared_norm
+from .core import ComplexEnvelope, TimeGrid
 
 # Relative intensity below which a sample does not count as pulse support.
 SUPPORT_CUTOFF = 1e-12
@@ -70,7 +70,7 @@ def make_time_bin(spec: TimeBinSpec, grid: TimeGrid) -> ComplexEnvelope:
         * np.exp(1j * spec.phi)
         * np.exp(-0.5 * ((t - spec.t2) * spec.sigma) ** 2)
     )
-    scale = 1.0 / math.sqrt(squared_norm(ComplexEnvelope(grid, samples)))
+    scale = 1.0 / math.sqrt(ComplexEnvelope(grid, samples).norm)
     return ComplexEnvelope(grid, samples * scale)
 
 
@@ -78,8 +78,8 @@ def fidelity(a: ComplexEnvelope, b: ComplexEnvelope) -> float:
     """Squared normalized overlap |∫a* b dt|^2 / (∫|a|^2 ∫|b|^2)."""
     if a.grid != b.grid:
         raise ValueError("envelopes must share a grid")
-    na = squared_norm(a)
-    nb = squared_norm(b)
+    na = a.norm
+    nb = b.norm
     if na <= 0.0 or nb <= 0.0:
         raise ValueError("fidelity is undefined for a zero-norm envelope")
     overlap = np.trapezoid(np.conjugate(a.samples) * b.samples, dx=a.grid.dt)
@@ -103,7 +103,7 @@ def shift(env: ComplexEnvelope, steps: int) -> ComplexEnvelope:
     Every sample moves exactly; raises ValueError if the pulse support would
     leave the grid or the samples pushed off it carry non-negligible energy.
     """
-    norm = squared_norm(env)
+    norm = env.norm
     if norm == 0.0:
         return env
     n = env.grid.n

@@ -17,8 +17,10 @@ The complex gamma_r imprints the level-shift chirp on the raw envelope.  By
 default the returned envelope is de-chirped (the phases arg(gamma_r) and
 -Im Gamma_r are removed), i.e. reported in the frame co-rotating with the
 shifted atomic resonance, matching the convention under which the write
-side compensates its input; without phase compensation the chirped
-envelope is returned as is.
+side compensates its input.  Since |gamma_r|^2 = gamma0*gamma_z_r/2 it is
+i*sqrt(P0)*g_r(t)*exp(-Gamma_z_r(t)/2), built from the real coupling
+g_r = sqrt(gamma_z_r) with no complex rate.  Without phase compensation
+the chirped envelope is returned as is.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, squared_norm
+from .core import ComplexEnvelope, MemoryConfig
 from .dynamics import DecayProfile
 from .pulses import fidelity
 from .write_optimizer import WriteResult, optimal_program
@@ -56,20 +58,20 @@ def output_envelope(
     """
     if not 0.0 <= P0 <= 1.0:
         raise ValueError("P0 must lie in [0, 1]")
-    scale = math.sqrt(2.0 * P0 / cfg.gamma0)
     if dechirp:
-        # The bits of 1j*scale*|gamma|*exp(-Gamma_z/2), with no complex
-        # product; the real part holds the decay until it is set to +0.
+        # scale*|gamma| = sqrt(P0)*g, since |gamma|^2 = gamma0*gamma_z/2:
+        # i*sqrt(P0)*g*exp(-Gamma_z/2), with no complex series; the real
+        # part holds the decay until it is set to +0.
         samples = np.empty(profile.grid.n, dtype=np.complex128)
         decay = np.multiply(-0.5, profile.Gamma_z, out=samples.real)
         np.exp(decay, out=decay)
-        emitted = np.abs(profile.gamma_complex, out=samples.imag)
-        np.multiply(scale, emitted, out=emitted)
+        emitted = np.multiply(math.sqrt(P0), profile.g, out=samples.imag)
         np.multiply(emitted, decay, out=emitted)
         decay.fill(0.0)
     else:
         # 0 - Gamma has the bits of -Gamma up to the sign of a zero, at a
         # fraction of the cost of a complex negation.
+        scale = math.sqrt(2.0 * P0 / cfg.gamma0)
         samples = 1j * scale * profile.gamma_complex * np.exp(np.subtract(0.0, profile.Gamma))
     return ComplexEnvelope(profile.grid, samples)
 
@@ -90,14 +92,14 @@ def read_profile_for_target(
     """
     if not 0.0 < P0 <= 1.0:
         raise ValueError("P0 must lie in (0, 1]")
-    norm = squared_norm(target)
+    norm = target.norm
     if norm <= 0.0:
         raise ValueError("target envelope has zero norm")
     profile, capped, _ = optimal_program(target, target.intensity / norm, cfg, reverse=True)
     xi_rep = output_envelope(profile, P0, cfg, dechirp=phase_compensation)
     return ReadResult(
         profile=profile,
-        eta_r=squared_norm(xi_rep) / P0,
+        eta_r=xi_rep.norm / P0,
         xi_out=xi_rep,
         fidelity_vs_target=fidelity(xi_rep, target),
         capped=capped,

@@ -1,16 +1,16 @@
 """End-to-end store/retrieve scenarios.
 
 A store computes on one phase grid, the write-phase grid that spans the
-padded input pulse.  The write program is optimized for the input on it;
-the read is the time-reversed write (Gorshkov et al., PRL 98, 123601
-(2007)) and is shaped toward the same input samples, because the read
-phase is that grid moved k whole samples later on the timeline, with k
-chosen so that the read support starts round(storage_T/dt) samples after
-the write support ends.  The hold in between is a number: both programs
-are zero outside their supports, so the atom sits at the node (gamma_z
-exactly 0) and keeps the stored population eta_w.  The population through
-the read is closed-form, eta_w*exp(-Gamma_z_r(t)), so no quadrature runs
-on the full timeline.
+input pulse and GRID_PADDING/sigma beyond both bins.  The write program is
+optimized for the input on it; the read is the time-reversed write
+(Gorshkov et al., PRL 98, 123601 (2007)) and is shaped toward the same
+input samples, because the read phase is that grid moved k whole samples
+later on the timeline, with k chosen so that the read support starts
+round(storage_T/dt) samples after the write support ends.  The hold in
+between is a number: both programs are zero outside their supports, so the
+atom sits at the node (gamma_z exactly 0) and keeps the stored population
+eta_w.  The population through the read is closed-form,
+eta_w*exp(-Gamma_z_r(t)), so no quadrature runs on the full timeline.
 
 The full timeline ends two samples after the read support.  The export's
 columns on it (input, both programs, the mirror program, the emitted
@@ -27,10 +27,10 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, TimeGrid, squared_norm
+from .core import ComplexEnvelope, MemoryConfig, TimeGrid
 from .dynamics import absorption_probability, bloch_ode_oracle, profile_from_gamma_z
 from .mirror import feasibility_report, trajectory_from_decay
-from .pulses import PULSE_WINDOW, TimeBinSpec, make_time_bin
+from .pulses import TimeBinSpec, make_time_bin
 from .read_shaper import ReadResult, read_profile_for_target, total_efficiency
 from .write_optimizer import WriteResult, optimal_write_profile
 
@@ -38,6 +38,10 @@ SQRT_HALF = math.sqrt(0.5)
 
 # Sampling rule: dt must resolve both the atomic lifetime and the pulse.
 DT_RULE_FACTOR = 50.0
+
+# The write-phase grid reaches GRID_PADDING/sigma before the first bin and
+# after the second, past the pulse's own window (pulses.PULSE_WINDOW).
+GRID_PADDING = 8.0
 
 # Seeded random (profile, pulse) pairs the oracle checks besides the write.
 ORACLE_RANDOM_CASES = 20
@@ -100,8 +104,8 @@ def _typed(cls, values: dict) -> dict:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid step and padding: dt = min(1/gamma0, 1/sigma)/dt_factor, and the
-    grid starts padding/sigma before the first time bin.
+    """Grid step: dt = min(1/gamma0, 1/sigma)/dt_factor.  The write-phase
+    grid it samples reaches GRID_PADDING/sigma beyond both time bins.
 
     The trapezoid-vs-RK4 population gap of the write falls as dt^2.
     Measured with ``halfcav oracle`` (tolerance 1e-6), the default config
@@ -115,16 +119,11 @@ class GridSpec:
     """
 
     dt_factor: float = 200.0
-    padding: float = 8.0
 
     def __post_init__(self):
         if self.dt_factor < 1.0:
             raise ValueError(
                 "grid.dt_factor must be at least 1 (dt <= min(1/gamma0, 1/sigma))"
-            )
-        if self.padding <= PULSE_WINDOW:
-            raise ValueError(
-                f"grid.padding must exceed {PULSE_WINDOW:g} (pulse construction window)"
             )
 
 
@@ -173,7 +172,7 @@ class ScenarioConfig:
                     f"{sigma / self.memory.gamma0:.3g} at sigma={sigma!r}"
                 )
             dt = _step(self, sigma)
-            width = 2.0 * (span + 2.0 * self.grid.padding / sigma) + self.storage_T
+            width = 2.0 * (span + 2.0 * GRID_PADDING / sigma) + self.storage_T
             samples = width / dt + 4.0 if dt else math.inf
             if not samples <= MAX_TIMELINE_SAMPLES:
                 raise ValueError(
@@ -334,13 +333,13 @@ def _step(cfg: ScenarioConfig, sigma: float) -> float:
 
 
 def default_write_grid(cfg: ScenarioConfig) -> TimeGrid:
-    """The write-phase grid: the configured step from padding/sigma before
-    the first bin through padding/sigma after the second, with the first
-    bin at t = 0 (``_write_input``).  Every output is relative to t_mid, so
-    t1 only moves the samples; far from 0 the float spacing of t would
-    exceed dt (0.125 at t1 = 1e15)."""
+    """The write-phase grid: the configured step from GRID_PADDING/sigma
+    before the first bin through GRID_PADDING/sigma after the second, with
+    the first bin at t = 0 (``_write_input``).  Every output is relative to
+    t_mid, so t1 only moves the samples; far from 0 the float spacing of t
+    would exceed dt (0.125 at t1 = 1e15)."""
     dt = _step(cfg, cfg.pulse.sigma)
-    pad = cfg.grid.padding / cfg.pulse.sigma
+    pad = GRID_PADDING / cfg.pulse.sigma
     t_start = -pad
     m = math.ceil((cfg.pulse.t2 - cfg.pulse.t1 + pad - t_start) / dt)
     return TimeGrid(t_start, t_start + m * dt, m + 1)
@@ -431,7 +430,7 @@ def _random_envelope(rng: np.random.Generator, grid: TimeGrid) -> ComplexEnvelop
     )
     env = ComplexEnvelope(grid, body * ripple * np.exp(1j * phase))
     # The bits of complex division by the norm (no sample is 0), at a tenth of its cost.
-    return env.with_samples(env.samples * (1.0 / math.sqrt(squared_norm(env))))
+    return env.with_samples(env.samples * (1.0 / math.sqrt(env.norm)))
 
 
 def _oracle_cases(cfg: ScenarioConfig, seed: int, random_cases: int):

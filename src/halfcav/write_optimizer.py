@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, NORM_TOL, squared_norm
+from .core import ComplexEnvelope, MemoryConfig, NORM_TOL
 from .dynamics import (
     DecayProfile,
     ExcitationTrace,
@@ -182,7 +182,7 @@ def optimal_write_profile(
     The reported eta_w is the achieved P(t_w0) evaluated through the
     quadrature, so it equals trace.P at the window end by construction.
     """
-    if abs(squared_norm(xi_in) - 1.0) > NORM_TOL:
+    if abs(xi_in.norm - 1.0) > NORM_TOL:
         raise ValueError("input envelope must be normalized (∫|xi|^2 dt = 1)")
     profile, capped, (i0, i1) = optimal_program(xi_in, xi_in.intensity, cfg)
 

@@ -107,11 +107,14 @@ class TestConfigRejected:
     @pytest.mark.parametrize(
         "config, message",
         [({"memory": {"tau": 0.06, "gamma0": 1.0}}, "section 'memory': unknown keys ['tau']"),
+         # The grid margin is a constant, GRID_PADDING, at any value.
+         ({"grid": {"padding": 8}}, "section 'grid': unknown keys ['padding']"),
          ({"memory": False}, "section 'memory' must be a JSON object, got false"),
          ({"memory": None}, "section 'memory' must be a JSON object, got null"),
          ({"grid": ""}, "section 'grid' must be a JSON object, got \"\""),
          ({"sweep": False}, "section 'sweep' must be a JSON object, got false")],
-        ids=["removed_key", "false", "null", "empty_string", "sweep_false"],
+        ids=["removed_key", "removed_grid_padding", "false", "null", "empty_string",
+             "sweep_false"],
     )
     def test_section_errors_name_the_section(self, tmp_path, config, message, capsys):
         assert run_cli(tmp_path, "store", config) == 2
@@ -165,14 +168,13 @@ class TestConfigRejected:
          # Finite, but a timeline of 2e11 or 2e302 samples.
          {"storage_T": 1e9, "sweep": SWEEP3},
          {"storage_T": 1e300, "sweep": SWEEP3},
-         # No hold, but a write-phase grid of 3.2e8, 4e10 or 4e12 samples.
+         # No hold, but a write-phase grid of 3.2e8 or 4e10 samples.
          {"pulse": {"sigma": 1e-5}, "sweep": SWEEP3},
          {"pulse": {"t2": 1e8}, "sweep": SWEEP3},
-         {"grid": {"padding": 1e9}, "sweep": SWEEP3},
          # The sweep's widest pulse, at sigma_min.
          {"sweep": {**SWEEP3, "sigma_min": 1e-6}}],
         ids=["pulse_sigma", "sweep_sigma_max", "finite_1e9", "finite_1e300",
-             "narrow_pulse", "far_bins", "wide_padding", "sweep_sigma_min"],
+             "narrow_pulse", "far_bins", "sweep_sigma_min"],
     )
     @pytest.mark.parametrize("command", ["store", "sweep", "oracle"])
     def test_infinite_hold_rejected_before_compute(self, tmp_path, command, config, capsys):
@@ -305,7 +307,7 @@ def test_run_json_v_max_is_the_timeline_peak_speed(tmp_path, config, capsys):
 
 def test_pulse_far_from_zero_gives_the_default_outputs(tmp_path, capsys):
     # At t1 = 1e15 the float spacing of t is 0.125, 25 steps of dt; the
-    # write-phase grid starts padding/sigma before the first bin at t = 0
+    # write-phase grid starts GRID_PADDING/sigma before the first bin at t = 0
     # wherever t1 lies, so only the config echo in run.json moves.
     far = {"pulse": {"t1": 1e15, "t2": 1000000000000020.0}}
     for name, config in [("default", {}), ("far", far)]:
@@ -409,7 +411,7 @@ class TestSettableSurface:
             "memory": dict.fromkeys(["gamma0"]),
             "pulse": dict.fromkeys(["alpha", "beta", "t1", "t2", "sigma", "phi"]),
             "storage_T": None,
-            "grid": dict.fromkeys(["dt_factor", "padding"]),
+            "grid": dict.fromkeys(["dt_factor"]),
             "phase_compensation": None,
             "sweep": dict.fromkeys(["sigma_min", "sigma_max", "n_points", "log_spacing"]),
         }

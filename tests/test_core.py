@@ -12,7 +12,6 @@ from halfcav.core import (
     TimeGrid,
     affine_scan,
     cumtrapz,
-    squared_norm,
 )
 
 
@@ -176,22 +175,23 @@ class TestComplexEnvelope:
         assert env.intensity is env.intensity
         assert np.array_equal(env.intensity, np.abs(env.samples) ** 2)
         assert env.norm == float(np.trapezoid(np.abs(env.samples) ** 2, dx=g.dt))
-        assert squared_norm(env) == env.norm
         with pytest.raises(ValueError):
             env.intensity[0] = 1.0
 
 
 class TestSquaredNorm:
+    """ComplexEnvelope.norm, the squared norm ∫|xi|^2 dt."""
+
     def test_zero(self):
         g = TimeGrid(0.0, 1.0, 11)
-        assert squared_norm(ComplexEnvelope(g, np.zeros(11))) == 0.0
+        assert ComplexEnvelope(g, np.zeros(11)).norm == 0.0
 
     def test_normalized_gaussian(self):
         sigma = 0.2
         g = TimeGrid(-8.0 / sigma, 8.0 / sigma, 4001)
         amp = (sigma**2 / math.pi) ** 0.25 * np.exp(-0.5 * (g.times * sigma) ** 2)
         env = ComplexEnvelope(g, amp)
-        assert squared_norm(env) == pytest.approx(1.0, abs=1e-9)
+        assert env.norm == pytest.approx(1.0, abs=1e-9)
 
     def test_time_bin_against_overlap_formula(self):
         # Oracle: ∫|a g1 + b g2|^2 = a^2 + b^2 + 2ab exp(-(t2-t1)^2 s^2/4)
@@ -204,16 +204,14 @@ class TestSquaredNorm:
             + b * np.exp(-0.5 * ((g.times - t2) * sigma) ** 2)
         )
         expected = 1.0 + 2.0 * a * b * math.exp(-((t2 - t1) ** 2) * sigma**2 / 4.0)
-        assert squared_norm(ComplexEnvelope(g, bins)) == pytest.approx(
-            expected, abs=1e-6
-        )
+        assert ComplexEnvelope(g, bins).norm == pytest.approx(expected, abs=1e-6)
 
     def test_global_phase_invariance(self):
         g = TimeGrid(0.0, 10.0, 1001)
         rng = np.random.default_rng(11)
         env = ComplexEnvelope(g, rng.normal(size=1001) + 1j * rng.normal(size=1001))
         rotated = env.with_samples(env.samples * np.exp(1.234j))
-        assert squared_norm(rotated) == pytest.approx(squared_norm(env), rel=1e-14)
+        assert rotated.norm == pytest.approx(env.norm, rel=1e-14)
 
     def test_grid_refinement_quadratic(self):
         # Envelope with non-vanishing boundary slope so the trapezoid error
@@ -223,5 +221,5 @@ class TestSquaredNorm:
         for n in (501, 1001):
             g = TimeGrid(0.0, 10.0, n)
             env = ComplexEnvelope(g, np.exp(-g.times))
-            errs.append(abs(squared_norm(env) - exact))
+            errs.append(abs(env.norm - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)

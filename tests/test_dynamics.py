@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz, squared_norm
+from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz
 from halfcav.dynamics import (
     _rk4_step_map,
     absorption_probability,
@@ -44,7 +44,7 @@ def smooth_pulse(grid: TimeGrid, seed: int) -> ComplexEnvelope:
     env = ComplexEnvelope(
         grid, np.exp(-0.5 * ((t - center) / width) ** 2) * np.exp(1j * phase)
     )
-    return env.with_samples(env.samples / math.sqrt(squared_norm(env)))
+    return env.with_samples(env.samples / math.sqrt(env.norm))
 
 
 def _reference_long_storage(profile, xi_in):
@@ -154,7 +154,8 @@ class TestDecayFromMirror:
         grid = TimeGrid(0.0, 1.0, 101)
         l = np.linspace(0.0, 0.5, 101)
         prof = decay_from_mirror(MirrorTrajectory(grid, l), MEM)
-        gamma = 0.5 * MEM.gamma0 * (1.0 - np.exp(1j * (4.0 * np.pi * l)))
+        half_phi = 2.0 * np.pi * l
+        gamma = -1j * MEM.gamma0 * np.sin(half_phi) * np.exp(1j * half_phi)
         assert np.array_equal(prof.gamma_complex.view(np.int64), gamma.view(np.int64))
         assert np.array_equal(prof.gamma_z.view(np.int64), (2.0 * gamma.real).view(np.int64))
         assert prof.gamma_complex.imag.max() > 0.4
@@ -174,15 +175,15 @@ class TestProfileFromGammaZ:
     @given(physical_rates())
     def test_complex_rate_is_the_closed_form_bit_for_bit(self, case):
         # The lazily derived complex rate has the bits of the closed form
-        # gamma_z/2 - i*(gamma0/2)*sin(phi) built as one complex expression,
-        # signed zeros included, and gamma_z = 2*Re(gamma) exactly.
+        # gamma_z/2 - i*sqrt(gamma_z)*sqrt(2*gamma0 - gamma_z)/2 built as one
+        # complex expression, signed zeros included, and gamma_z = 2*Re(gamma)
+        # exactly.
         gamma0, rates = case
         cfg = MemoryConfig(gamma0)
         prof = profile_from_gamma_z(TimeGrid(0.0, 1.0, rates.size), rates, cfg)
-        gz = np.clip(rates, 0.0, cfg.cap)
-        cos_phi = np.clip(1.0 - gz / gamma0, -1.0, 1.0)
-        sin_phi = np.sqrt(np.clip(1.0 - cos_phi**2, 0.0, None))
-        closed_form = 0.5 * gz - 0.5j * gamma0 * sin_phi
+        # The rate the profile keeps: halving drops a subnormal's last bit.
+        gz = 2.0 * (0.5 * np.clip(rates, 0.0, cfg.cap))
+        closed_form = 0.5 * gz - 0.5j * (np.sqrt(gz) * np.sqrt(cfg.cap - gz))
         assert np.array_equal(prof.gamma_complex.view(np.int64), closed_form.view(np.int64))
         assert np.array_equal(prof.gamma_z.view(np.int64),
                               (2.0 * closed_form.real).view(np.int64))
@@ -434,7 +435,7 @@ class TestTraceProperties:
             )
             prof = profile_from_gamma_z(grid, gz, MEM)
             env = ComplexEnvelope(grid, np.exp(-0.5 * ((t - 8.0) / 2.0) ** 2))
-            env = env.with_samples(env.samples / math.sqrt(squared_norm(env)))
+            env = env.with_samples(env.samples / math.sqrt(env.norm))
             return (
                 absorption_probability(prof, env).P[-1],
                 bloch_ode_oracle(prof, env).P[-1],

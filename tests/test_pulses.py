@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from halfcav.core import ComplexEnvelope, TimeGrid, squared_norm
+from halfcav.core import ComplexEnvelope, TimeGrid
 from halfcav.pulses import TimeBinSpec, fidelity, make_time_bin, shift
 
 SQ2 = math.sqrt(0.5)
@@ -34,11 +34,9 @@ class TestMakeTimeBin:
         grid = grid_for(spec)
         env = make_time_bin(spec, grid)
         gauss = np.exp(-0.5 * ((grid.times - spec.t1) * spec.sigma) ** 2)
-        gauss = gauss / math.sqrt(
-            squared_norm(ComplexEnvelope(grid, gauss))
-        )
+        gauss = gauss / math.sqrt(ComplexEnvelope(grid, gauss).norm)
         assert np.max(np.abs(env.samples - gauss)) < 1e-12
-        assert squared_norm(env) == pytest.approx(1.0, abs=1e-9)
+        assert env.norm == pytest.approx(1.0, abs=1e-9)
         assert np.argmax(np.abs(env.samples)) == round((spec.t1 - grid.t_start) / grid.dt)
 
     def test_two_equal_intensity_humps(self):
@@ -49,12 +47,12 @@ class TestMakeTimeBin:
         i1, i2, mid = (round((t - grid.t_start) / grid.dt) for t in (spec.t1, spec.t2, 10.0))
         assert intensity[i1] == pytest.approx(intensity[i2], rel=1e-9)
         assert intensity[mid] < 0.1 * intensity[i1]
-        assert squared_norm(env) == pytest.approx(1.0, abs=1e-9)
+        assert env.norm == pytest.approx(1.0, abs=1e-9)
 
     def test_opposite_phase_bins(self):
         far = TimeBinSpec(alpha=SQ2, beta=SQ2, t1=0.0, t2=60.0, sigma=0.2, phi=math.pi)
         env = make_time_bin(far, grid_for(far))
-        assert squared_norm(env) == pytest.approx(1.0, abs=1e-9)
+        assert env.norm == pytest.approx(1.0, abs=1e-9)
         ref = make_time_bin(
             TimeBinSpec(alpha=SQ2, beta=SQ2, t1=0.0, t2=60.0, sigma=0.2, phi=0.0),
             env.grid,
@@ -75,7 +73,7 @@ class TestMakeTimeBin:
         raw = spec.alpha * np.exp(-0.5 * ((t - spec.t1) * spec.sigma) ** 2) + (
             spec.beta * np.exp(1j * spec.phi)
             * np.exp(-0.5 * ((t - spec.t2) * spec.sigma) ** 2))
-        divided = raw / math.sqrt(squared_norm(ComplexEnvelope(env.grid, raw)))
+        divided = raw / math.sqrt(ComplexEnvelope(env.grid, raw).norm)
         new, old = env.samples.view(np.float64), divided.view(np.float64)
         assert np.array_equal(new, old)
         assert np.array_equal(new[old != 0.0].view(np.int64), old[old != 0.0].view(np.int64))
@@ -163,7 +161,7 @@ class TestShift:
     def test_norm_preserved(self):
         for k in (200, -200):
             out = shift(self.env, k)
-            assert squared_norm(out) == pytest.approx(1.0, abs=1e-9)
+            assert out.norm == pytest.approx(1.0, abs=1e-9)
 
     def test_grid_step_shift_is_exact(self):
         k = 5

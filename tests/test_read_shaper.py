@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz, squared_norm
+from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz
 from halfcav.dynamics import profile_from_gamma_z
 from halfcav.pulses import TimeBinSpec, fidelity, make_time_bin, shift, support_indices
 from halfcav.read_shaper import output_envelope, read_profile_for_target, total_efficiency
@@ -34,7 +34,7 @@ def decaying_exponential(gamma_s: float, step: float):
     t = grid.times
     samples = np.where(t >= 0.0, np.exp(-0.5 * gamma_s * t), 0.0)
     env = ComplexEnvelope(grid, samples.astype(complex))
-    return env.with_samples(env.samples / math.sqrt(squared_norm(env)))
+    return env.with_samples(env.samples / math.sqrt(env.norm))
 
 
 class TestReadProfileForTarget:
@@ -65,7 +65,7 @@ class TestReadProfileForTarget:
         target = shifted_timebin(0.2)
         r = read_profile_for_target(target, P0=1.0, cfg=MEM)
         grid = target.grid
-        q2 = np.abs(target.samples) ** 2 / squared_norm(target)
+        q2 = np.abs(target.samples) ** 2 / target.norm
         i0, i1 = support_indices(target)
         eps = 1e-9 / (1.0 - 1e-9)
         C = cumtrapz(q2, grid)
@@ -113,7 +113,7 @@ class TestReadProfileForTarget:
         target = decaying_exponential(gamma_s, step)
         r = read_profile_for_target(target, 1.0, MEM)
         i0, i1 = support_indices(target)
-        q2 = np.abs(target.samples) ** 2 / squared_norm(target)
+        q2 = np.abs(target.samples) ** 2 / target.norm
         energy = cumtrapz(q2, target.grid)
         rem = energy[i1] - energy[i0 : i1 + 1]
         past = energy[-1] - energy[i1]

@@ -140,7 +140,7 @@ def assert_matches_reference(cfg: ScenarioConfig, tol: float = 1e-12):
     assert list(new_columns) == list(old_columns)
     # The peak speed is that of np.gradient(l)/dt over the reference's
     # whole mirror program.  The difference turns a last-digit change of l
-    # on a capped arc (where arccos is steep) into ~1e-11, so the speed is
+    # on a capped arc (where l(gamma_z) is steep) into ~1e-11, so the speed is
     # compared as the displacement per step, v_max*dt.
     feasibility = record["feasibility"]
     old_v_max = float(np.abs(np.gradient(old_traj.l_over_lambda, ref.grid.dt)).max())
@@ -292,22 +292,22 @@ def _spy_on_calls(monkeypatch, module, name):
 
 @pytest.mark.parametrize("compensated", [True, False])
 def test_compensated_write_never_builds_its_complex_rate(monkeypatch, compensated):
-    # With phase compensation the write reads only the real gamma_z, so its
-    # profile never derives the complex rate nor, through the principal
-    # branch, its level shift; the de-chirped read derives them once, for
-    # |gamma|.  Without compensation both profiles derive them.
+    # With phase compensation the write reads only the real gamma_z and the
+    # de-chirped read only g, so no profile derives the complex rate nor,
+    # through the complementary coupling, its level shift.  Without
+    # compensation both profiles derive them.
     derived = _spy_on_derivation(monkeypatch, dynamics.DecayProfile, "gamma_complex")
-    branch_calls = _spy_on_calls(monkeypatch, dynamics, "principal_branch")
+    shift_calls = _spy_on_calls(monkeypatch, dynamics, "complementary_coupling")
     writes = _spy_on_calls(monkeypatch, scenario, "optimal_write_profile")
     cfg = ScenarioConfig.from_dict({"phase_compensation": compensated})
     for call in (lambda: build_store_run(cfg), lambda: sweep_point(cfg, 0.02),
                  lambda: sweep_point(cfg, 5.0)):
-        for log in (derived, branch_calls, writes):
+        for log in (derived, shift_calls, writes):
             log.clear()
         call()
         (w,) = writes
         assert any(p is w.profile for p in derived) is not compensated
-        assert len(derived) == len(branch_calls) == (1 if compensated else 2)
+        assert len(derived) == len(shift_calls) == (0 if compensated else 2)
 
 
 def test_each_envelope_intensity_is_derived_once_per_point(monkeypatch):
