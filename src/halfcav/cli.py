@@ -202,8 +202,11 @@ def load_config(path: str | None) -> ScenarioConfig:
 def emit_store(run: StoreRun, out_dir: Path, threads: int | None = None) -> dict:
     ts_path = out_dir / "timeseries.csv"
     columns = run.timeseries_columns()
+    # Taken before the CSV is written, whose chunks then reuse the heap that
+    # the feasibility numbers' arrays free: taken after it, they raised the
+    # peak RSS of a storage_T = 1000 store on one worker from 44.3 to 46.4 MB.
+    record = run.record(columns)
     write_csv(ts_path, list(columns), list(columns.values()), threads)
-    record = run.record()
     record["files"] = {"timeseries": ts_path.name, "run": "run.json"}
     write_json(out_dir / "run.json", record)
     return record
@@ -246,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the interpreter recurses.
         print(f"halfcav: invalid config: {exc}", file=sys.stderr)
         return 2
     try:

@@ -158,13 +158,13 @@ def profile_from_gamma_z(
     return DecayProfile(grid, np.multiply(gamma_z, 2.0, out=gamma_z), cfg)
 
 
-def decay_from_mirror(trajectory, cfg: MemoryConfig) -> DecayProfile:
-    """Decay profile generated by a mirror trajectory (l in wavelengths),
-    gamma = -i*gamma0*sin(phi/2)*exp(i*phi/2): unlike 1 - exp(i*phi) it
-    does not cancel, so a rate near 0 keeps its relative precision."""
-    half_phi = 2.0 * np.pi * np.asarray(trajectory.l_over_lambda, dtype=float)
+def decay_from_mirror(grid: TimeGrid, l_over_lambda, cfg: MemoryConfig) -> DecayProfile:
+    """Decay profile generated by a mirror displacement l/lambda sampled on
+    grid, gamma = -i*gamma0*sin(phi/2)*exp(i*phi/2): unlike 1 - exp(i*phi)
+    it does not cancel, so a rate near 0 keeps its relative precision."""
+    half_phi = 2.0 * np.pi * np.asarray(l_over_lambda, dtype=float)
     gamma = -1j * cfg.gamma0 * np.sin(half_phi) * np.exp(1j * half_phi)
-    return DecayProfile(trajectory.grid, 2.0 * gamma.real, cfg, gamma)
+    return DecayProfile(grid, 2.0 * gamma.real, cfg, gamma)
 
 
 # Gamma_z(end) from which the quadrature runs as a scan.  Below it the

@@ -15,8 +15,9 @@ eta_w*exp(-Gamma_z_r(t)), so no quadrature runs on the full timeline.
 The full timeline ends two samples after the read support.  The export's
 columns on it (input, both programs, the mirror program, the emitted
 envelope and the population trace) are laid out by
-``StoreRun.timeseries_columns`` only.  The mirror's feasibility numbers in
-``StoreRun.record`` come from the two programs on the write-phase grid.
+``StoreRun.timeseries_columns`` only, and ``StoreRun.record`` reads them:
+its landmarks are rows of t, and the mirror's feasibility numbers are those
+of the exported l_over_lambda column.
 """
 from __future__ import annotations
 
@@ -226,7 +227,7 @@ class StoreRun:
     the read phase is that grid moved ``read_offset`` samples later on the
     timeline ``grid``, which ends two samples after the read support.  The
     export's columns are placed on it from the two segments on each call
-    of ``timeseries_columns``, and not kept.
+    of ``timeseries_columns``, and not kept; ``record`` takes them back.
     """
 
     config: ScenarioConfig
@@ -264,7 +265,7 @@ class StoreRun:
         k = self.read_offset
         gamma_w = self._placed(self.write.profile.gamma_z, 0)
         gamma_r = self._placed(self.read.profile.gamma_z, k)
-        traj = trajectory_from_decay(self.grid, gamma_w + gamma_r, self.config.memory)
+        l_over_lambda = trajectory_from_decay(gamma_w + gamma_r, self.config.memory)
         t = self.grid.times - self.t_mid
         xi_in = self._placed(self.write.xi_in.samples, 0)
         xi_out = self._placed(self.read.xi_out.samples, k)
@@ -282,19 +283,18 @@ class StoreRun:
             "xi_out_im": xi_out.imag,
             "gamma_z_w": gamma_w,
             "gamma_z_r": gamma_r,
-            "l_over_lambda": traj.l_over_lambda,
+            "l_over_lambda": l_over_lambda,
             "P": P,
         }
 
-    def record(self) -> dict:
-        """The run.json record.  The feasibility numbers are taken from the
-        write and the read program on the write-phase grid: both rates are
-        zero through the hold, so the mirror rests there and the hold adds
-        no speed."""
+    def record(self, columns: dict) -> dict:
+        """The run.json record, read off the export's ``columns``
+        (``timeseries_columns``): the landmarks are the rows of t at both
+        ends of the write support, the read support's start and the
+        timeline's end, and the feasibility numbers are those of the
+        l_over_lambda column at the timeline's step."""
         j0, j1 = self.write.support
-        mem = self.config.memory
-        write, read = (trajectory_from_decay(p.grid, p.gamma_z, mem)
-                       for p in (self.write.profile, self.read.profile))
+        t = columns["t"]
         return {
             "config": self.config.to_dict(),
             "eta_w": self.write.eta_w,
@@ -303,12 +303,12 @@ class StoreRun:
             "fidelity": self.fidelity,
             "capped_w": self.write.capped,
             "capped_r": self.read.capped,
-            "feasibility": feasibility_report(write, read),
+            "feasibility": feasibility_report(columns["l_over_lambda"], self.grid.dt),
             "landmarks": {
-                "t_w": float(self.write.xi_in.grid.times[j0]) - self.t_mid,
-                "t_w0": float(self.write.xi_in.grid.times[j1]) - self.t_mid,
-                "t_r0": float(self.grid.times[self.read_offset + j0]) - self.t_mid,
-                "t_r": self.grid.t_end - self.t_mid,
+                "t_w": float(t[j0]),
+                "t_w0": float(t[j1]),
+                "t_r0": float(t[self.read_offset + j0]),
+                "t_r": float(t[-1]),
             },
         }
 

@@ -3,8 +3,11 @@ trip, the CSV number format, and byte-identical outputs across runs and
 worker counts.  The per-row CSV writer kept below is the reference for the
 chunked one."""
 import concurrent.futures
+import contextlib
 import ctypes
+import io
 import json
+import math
 import os
 import platform
 import re
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halfcav import cli
+from halfcav import cli, scenario
 from halfcav.cli import main, pool_map, write_csv
 from halfcav.scenario import MAX_SIGMA_OVER_GAMMA0, MAX_SWEEP_POINTS, ScenarioConfig, build_store_run
 
@@ -129,6 +132,23 @@ class TestConfigRejected:
             "halfcav: invalid config: section 'sweep': sweep.n_points must lie in "
             f"[2, {MAX_SWEEP_POINTS}], got {n_points}\n"
         )
+        assert err.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        ['{"pulse": ' + "[" * 5000 + "]" * 5000 + "}",
+         '{"pulse": ' + '{"a": ' * 5000 + "0" + "}" * 5000 + "}"],
+        ids=["array", "object"],
+    )
+    @pytest.mark.parametrize("command", ["store", "sweep", "oracle"])
+    def test_deep_nesting_rejected(self, tmp_path, command, config, capsys):
+        # Deeper than json.load recurses: one line on stderr, not a traceback.
+        assert run_cli(tmp_path, command, config) == 2
+        err = capsys.readouterr()
+        assert err.err.startswith("halfcav: invalid config: maximum recursion depth exceeded")
+        assert err.err.count("\n") == 1
+        assert "Traceback" not in err.err
         assert err.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -279,30 +299,73 @@ class TestConfigRejected:
 
 def read_columns(path):
     """The columns of an exported CSV by header name, as floats."""
-    header, *rows = path.read_text().splitlines()
-    values = np.array([[float(field) for field in row.split(",")] for row in rows])
-    return dict(zip(header.split(","), values.T))
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    return dict(zip(header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T))
 
 
-@pytest.mark.parametrize("config", [{}, {"storage_T": 0, "pulse": {"sigma": 4}}],
-                         ids=["default", "shared_sample"])
-def test_run_json_v_max_is_the_timeline_peak_speed(tmp_path, config, capsys):
-    # run.json takes v_max from the two programs on the write-phase grid;
-    # it is the peak of np.gradient over the exported mirror program, on
-    # the timeline's step (equal to the write-phase grid's here), bit for
-    # bit, also where the two supports share a sample (storage_T = 0).
-    assert run_cli(tmp_path, "store", config) == 0
-    record = json.loads(capsys.readouterr().out)
+@st.composite
+def store_configs(draw):
+    """Accepted configs over every key a store reads, storage_T = 0 drawn
+    often, on timelines of at most about 42,000 samples."""
+    alpha = draw(st.floats(0.2, 0.98))
+    pulse = {"alpha": alpha, "beta": math.sqrt(1.0 - alpha * alpha),
+             "phi": draw(st.floats(0.0, 2.0 * math.pi)), "t1": 0.0,
+             "t2": draw(st.floats(1.0, 10.0)), "sigma": draw(st.floats(0.5, 5.0))}
+    return {
+        "memory": {"gamma0": draw(st.floats(0.5, 2.0))},
+        "pulse": pulse,
+        "storage_T": draw(st.one_of(st.just(0.0), st.floats(0.0, 20.0))),
+        "grid": {"dt_factor": draw(st.floats(50.0, 200.0))},
+        "phase_compensation": draw(st.booleans()),
+    }
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=store_configs())
+@example(config={})
+# The write and the read support share a sample.
+@example(config={"storage_T": 0, "pulse": {"sigma": 4}})
+# The write-phase grid's step and the timeline's differ in the last bit.
+@example(config={"storage_T": 0, "pulse": {"sigma": 5, "t2": 1.0}})
+def test_run_json_v_max_is_the_timeline_peak_speed(tmp_path_factory, config):
+    # run.json reads the export: each landmark is its row of t, and the
+    # peak speed and displacement are the peak of np.gradient, on the
+    # timeline's step, and the max of the exported mirror program, bit
+    # for bit.
+    tmp_path = tmp_path_factory.mktemp("store")
+    stdout = io.StringIO()
+    with mock.patch.dict(os.environ, {"HALFCAV_THREADS": "1"}), contextlib.redirect_stdout(stdout):
+        assert run_cli(tmp_path, "store", config) == 0
+    record = json.loads(stdout.getvalue())
     assert record == json.loads((tmp_path / "out" / "run.json").read_text())
     store = read_columns(tmp_path / "out" / "timeseries.csv")
     run = build_store_run(ScenarioConfig.from_dict(config))
-    dt = run.grid.dt
-    assert dt == run.write.profile.grid.dt
-    v_max = float(np.abs(np.gradient(store["l_over_lambda"], dt)).max())
+    j0, j1 = run.write.support
+    rows = {"t_w": j0, "t_w0": j1, "t_r0": run.read_offset + j0, "t_r": -1}
+    assert record["landmarks"] == {key: store["t"][row] for key, row in rows.items()}
+    l_over_lambda = store["l_over_lambda"]
+    v_max = np.abs(np.gradient(l_over_lambda, run.grid.dt)).max()
     assert record["feasibility"]["v_max_lambda_gamma0"] == v_max
-    assert record["feasibility"]["l_max_over_lambda"] == store["l_over_lambda"].max()
-    shared = (store["gamma_z_w"] > 0.0) & (store["gamma_z_r"] > 0.0)
-    assert shared.any() == ("storage_T" in config)
+    assert record["feasibility"]["l_max_over_lambda"] == l_over_lambda.max()
+
+
+def test_one_mirror_program_per_store(tmp_path, monkeypatch):
+    # The export builds the mirror program once and run.json reads it off
+    # the export; a sweep point builds none.
+    calls = []
+    original = scenario.trajectory_from_decay
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "trajectory_from_decay", spy)
+    cfg = ScenarioConfig.from_dict({})
+    cli.emit_store(build_store_run(cfg), tmp_path, threads=1)
+    assert len(calls) == 1
+    scenario.sweep_point(cfg, 1.0)
+    assert len(calls) == 1
 
 
 def test_pulse_far_from_zero_gives_the_default_outputs(tmp_path, capsys):
@@ -371,10 +434,14 @@ class TestConfigRoundTrip:
             assert json.dumps(cfg.to_dict()) == json.dumps(default.to_dict())
 
     def test_sweep_keeps_the_memory_section(self, tmp_path):
-        assert run_cli(tmp_path, "sweep", GAMMA0_2) == 0
-        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-        sigmas = [float(line.split(",")[0]) for line in lines[1:]]
-        assert sigmas == [s / 2.0 for s in np.geomspace(0.1, 1.0, 3)]
+        # The sigma column is sigma/gamma0 at gamma0 = 2, on either spacing.
+        for log_spacing, spacing in [(True, np.geomspace), (False, np.linspace)]:
+            config = {**GAMMA0_2, "sweep": {**SWEEP3, "log_spacing": log_spacing}}
+            out = f"log_spacing_{log_spacing}"
+            assert run_cli(tmp_path, "sweep", config, out=out) == 0
+            lines = (tmp_path / out / "sweep.csv").read_text().splitlines()
+            sigmas = [float(line.split(",")[0]) for line in lines[1:]]
+            assert sigmas == [s / 2.0 for s in spacing(0.1, 1.0, 3)]
 
     def test_store_at_gamma0_2(self, tmp_path, capsys):
         assert run_cli(tmp_path, "store", {"memory": {"gamma0": 2}}) == 0

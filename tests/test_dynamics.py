@@ -14,7 +14,6 @@ from halfcav.dynamics import (
     decay_from_mirror,
     profile_from_gamma_z,
 )
-from halfcav.mirror import MirrorTrajectory
 from halfcav.pulses import TimeBinSpec, make_time_bin
 from halfcav.write_optimizer import optimal_write_profile
 
@@ -131,18 +130,18 @@ def _reference_oracle(profile, xi_in):
 class TestDecayFromMirror:
     def test_node(self):
         grid = TimeGrid(0.0, 1.0, 101)
-        prof = decay_from_mirror(MirrorTrajectory(grid, np.zeros(101)), MEM)
+        prof = decay_from_mirror(grid, np.zeros(101), MEM)
         assert np.all(prof.gamma_z == 0.0)
         assert np.all(prof.gamma_complex == 0.0)
 
     def test_antinode(self):
         grid = TimeGrid(0.0, 1.0, 101)
-        prof = decay_from_mirror(MirrorTrajectory(grid, np.full(101, 0.25)), MEM)
+        prof = decay_from_mirror(grid, np.full(101, 0.25), MEM)
         assert prof.gamma_z == pytest.approx(2.0 * MEM.gamma0, abs=1e-12)
 
     def test_eighth_wave(self):
         grid = TimeGrid(0.0, 1.0, 101)
-        prof = decay_from_mirror(MirrorTrajectory(grid, np.full(101, 0.125)), MEM)
+        prof = decay_from_mirror(grid, np.full(101, 0.125), MEM)
         assert prof.gamma_z == pytest.approx(MEM.gamma0, abs=1e-12)
         assert prof.gamma_complex.imag == pytest.approx(-0.5 * MEM.gamma0, abs=1e-12)
 
@@ -153,7 +152,7 @@ class TestDecayFromMirror:
         # it, never rebuilt from gamma_z.
         grid = TimeGrid(0.0, 1.0, 101)
         l = np.linspace(0.0, 0.5, 101)
-        prof = decay_from_mirror(MirrorTrajectory(grid, l), MEM)
+        prof = decay_from_mirror(grid, l, MEM)
         half_phi = 2.0 * np.pi * l
         gamma = -1j * MEM.gamma0 * np.sin(half_phi) * np.exp(1j * half_phi)
         assert np.array_equal(prof.gamma_complex.view(np.int64), gamma.view(np.int64))

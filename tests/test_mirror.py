@@ -1,8 +1,7 @@
 """The decay-rate <-> mirror-displacement map: landmark positions, the
 relative precision of the displacement, the level shift and the de-chirped
 read across the rate range, the round trip through decay_from_mirror, the
-accepted rate range, and the feasibility report over a store's two
-programs."""
+accepted rate range, and the feasibility report of a mirror program."""
 import math
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from halfcav.core import MemoryConfig, TimeGrid
 from halfcav.dynamics import decay_from_mirror, profile_from_gamma_z
-from halfcav.mirror import MirrorTrajectory, feasibility_report, trajectory_from_decay
+from halfcav.mirror import feasibility_report, trajectory_from_decay
 from halfcav.read_shaper import output_envelope
 from halfcav.scenario import ScenarioConfig, build_store_run
 
@@ -34,9 +33,8 @@ def _reference_l_over_lambda(gz: float, gamma0: float) -> float:
 
 
 def test_node_midpoint_antinode():
-    grid = TimeGrid(0.0, 1.0, 3)
-    traj = trajectory_from_decay(grid, np.array([0.0, MEM.gamma0, MEM.cap]), MEM)
-    assert traj.l_over_lambda == pytest.approx([0.0, 0.125, 0.25], abs=1e-15)
+    l = trajectory_from_decay(np.array([0.0, MEM.gamma0, MEM.cap]), MEM)
+    assert l == pytest.approx([0.0, 0.125, 0.25], abs=1e-15)
 
 
 @pytest.mark.parametrize("gamma0", [0.5, 1.0, 3.0])
@@ -47,7 +45,7 @@ class TestMapPrecision:
     def test_displacement(self, gamma0):
         cfg = MemoryConfig(gamma0)
         rates = np.minimum(np.array(SPAN_RATES) * gamma0, cfg.cap)
-        l = trajectory_from_decay(TimeGrid(0.0, 1.0, rates.size), rates, cfg).l_over_lambda
+        l = trajectory_from_decay(rates, cfg)
         for gz, got in zip(rates, l):
             assert got == pytest.approx(_reference_l_over_lambda(gz, gamma0), rel=1e-15, abs=0.0)
 
@@ -96,7 +94,7 @@ def test_round_trip_through_decay_from_mirror(case):
     gamma0, gz = case
     cfg = MemoryConfig(gamma0)
     grid = TimeGrid(0.0, 1.0, gz.size)
-    back = decay_from_mirror(trajectory_from_decay(grid, gz, cfg), cfg).gamma_z
+    back = decay_from_mirror(grid, trajectory_from_decay(gz, cfg), cfg).gamma_z
     assert np.all(back[gz == 0.0] == 0.0)
     nonzero = gz > 0.0
     assert np.all(np.abs(back[nonzero] / gz[nonzero] - 1.0) <= 2e-15)
@@ -105,29 +103,33 @@ def test_round_trip_through_decay_from_mirror(case):
 @pytest.mark.parametrize(
     "bad, convert",
     [pytest.param(bad, convert, id=f"{prefix}{bad}")
-     for prefix, convert in [("", trajectory_from_decay), ("profile-", profile_from_gamma_z)]
+     for prefix, convert in [
+         ("", trajectory_from_decay),
+         ("profile-", lambda rates, cfg: profile_from_gamma_z(TimeGrid(0.0, 1.0, 3), rates, cfg)),
+     ]
      for bad in (-2e-9, 2.0 + 2e-9)],
 )
 def test_rate_outside_range_rejected(bad, convert):
     # The mirror program and the complex profile share one rate range.
-    grid = TimeGrid(0.0, 1.0, 3)
     with pytest.raises(ValueError, match="gamma_z outside"):
-        convert(grid, np.array([0.0, bad, 1.0]), MEM)
-    convert(grid, np.array([0.0, bad - np.sign(bad) * 1.5e-9, 1.0]), MEM)
+        convert(np.array([0.0, bad, 1.0]), MEM)
+    convert(np.array([0.0, bad - np.sign(bad) * 1.5e-9, 1.0]), MEM)
 
 
 def test_feasibility_report_keys():
-    report = build_store_run(ScenarioConfig.from_dict({})).record()["feasibility"]
+    run = build_store_run(ScenarioConfig.from_dict({}))
+    report = run.record(run.timeseries_columns())["feasibility"]
     assert set(report) == {"v_max_lambda_gamma0", "l_max_over_lambda", "mechanically_demanding"}
 
 
-def test_feasibility_report_peaks_over_both_programs():
-    # The write holds the mirror at 0.2 wavelengths; the read moves it at 0.1
-    # wavelengths per lifetime, then at 0.3, which is mechanically demanding.
-    grid = TimeGrid(0.0, 1.0, 11)
-    write = MirrorTrajectory(grid, np.full(11, 0.2))
+def test_feasibility_report_peaks_over_the_program():
+    # The mirror rests at 0.2 wavelengths for ten steps, then moves away at
+    # 0.1 wavelengths per lifetime, or at 0.3, which is mechanically
+    # demanding; the peak displacement is where it stops.
+    dt = 0.1
     for speed, demanding in [(0.1, False), (0.3, True)]:
-        report = feasibility_report(write, MirrorTrajectory(grid, speed * grid.times))
+        l = np.concatenate([np.full(11, 0.2), 0.2 + speed * dt * np.arange(1, 11)])
+        report = feasibility_report(l, dt)
         assert report["v_max_lambda_gamma0"] == pytest.approx(speed, rel=1e-12)
-        assert report["l_max_over_lambda"] == max(0.2, speed)
+        assert report["l_max_over_lambda"] == l[-1]
         assert report["mechanically_demanding"] is demanding
