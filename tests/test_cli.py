@@ -321,19 +321,11 @@ def store_configs(draw):
     }
 
 
-@settings(max_examples=20, deadline=None)
-@given(config=store_configs())
-@example(config={})
-# The write and the read support share a sample.
-@example(config={"storage_T": 0, "pulse": {"sigma": 4}})
-# The write-phase grid's step and the timeline's differ in the last bit.
-@example(config={"storage_T": 0, "pulse": {"sigma": 5, "t2": 1.0}})
-def test_run_json_v_max_is_the_timeline_peak_speed(tmp_path_factory, config):
-    # run.json reads the export: each landmark is its row of t, and the
-    # peak speed and displacement are the peak of np.gradient, on the
-    # timeline's step, and the max of the exported mirror program, bit
-    # for bit.
-    tmp_path = tmp_path_factory.mktemp("store")
+def check_run_json_reads_the_export(tmp_path, config):
+    """run.json reads the export: each landmark is its row of t, and the
+    peak speed and displacement are the peak of np.gradient, on the
+    timeline's step, and the max of the exported mirror program, bit for
+    bit."""
     stdout = io.StringIO()
     with mock.patch.dict(os.environ, {"HALFCAV_THREADS": "1"}), contextlib.redirect_stdout(stdout):
         assert run_cli(tmp_path, "store", config) == 0
@@ -348,6 +340,21 @@ def test_run_json_v_max_is_the_timeline_peak_speed(tmp_path_factory, config):
     v_max = np.abs(np.gradient(l_over_lambda, run.grid.dt)).max()
     assert record["feasibility"]["v_max_lambda_gamma0"] == v_max
     assert record["feasibility"]["l_max_over_lambda"] == l_over_lambda.max()
+
+
+# shared_sample: the write and the read support share a sample.
+@pytest.mark.parametrize("config", [{}, {"storage_T": 0, "pulse": {"sigma": 4}}],
+                         ids=["default", "shared_sample"])
+def test_run_json_v_max_is_the_timeline_peak_speed(tmp_path, config):
+    check_run_json_reads_the_export(tmp_path, config)
+
+
+@settings(max_examples=20, deadline=None)
+@given(config=store_configs())
+# The write-phase grid's step and the timeline's differ in the last bit.
+@example(config={"storage_T": 0, "pulse": {"sigma": 5, "t2": 1.0}})
+def test_run_json_reads_the_export_on_any_store_config(tmp_path_factory, config):
+    check_run_json_reads_the_export(tmp_path_factory.mktemp("store"), config)
 
 
 def test_one_mirror_program_per_store(tmp_path, monkeypatch):
