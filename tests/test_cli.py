@@ -327,7 +327,7 @@ def check_run_json_reads_the_export(tmp_path, config):
     timeline's step, and the max of the exported mirror program, bit for
     bit."""
     stdout = io.StringIO()
-    with mock.patch.dict(os.environ, {"HALFCAV_THREADS": "1"}), contextlib.redirect_stdout(stdout):
+    with contextlib.redirect_stdout(stdout):
         assert run_cli(tmp_path, "store", config) == 0
     record = json.loads(stdout.getvalue())
     assert record == json.loads((tmp_path / "out" / "run.json").read_text())
@@ -340,13 +340,17 @@ def check_run_json_reads_the_export(tmp_path, config):
     v_max = np.abs(np.gradient(l_over_lambda, run.grid.dt)).max()
     assert record["feasibility"]["v_max_lambda_gamma0"] == v_max
     assert record["feasibility"]["l_max_over_lambda"] == l_over_lambda.max()
+    return store
 
 
-# shared_sample: the write and the read support share a sample.
 @pytest.mark.parametrize("config", [{}, {"storage_T": 0, "pulse": {"sigma": 4}}],
                          ids=["default", "shared_sample"])
 def test_run_json_v_max_is_the_timeline_peak_speed(tmp_path, config):
-    check_run_json_reads_the_export(tmp_path, config)
+    store = check_run_json_reads_the_export(tmp_path, config)
+    # shared_sample: the write and the read support share a sample; the
+    # default config's do not.
+    shared = (store["gamma_z_w"] > 0.0) & (store["gamma_z_r"] > 0.0)
+    assert shared.any() == ("storage_T" in config)
 
 
 @settings(max_examples=20, deadline=None)
@@ -354,7 +358,9 @@ def test_run_json_v_max_is_the_timeline_peak_speed(tmp_path, config):
 # The write-phase grid's step and the timeline's differ in the last bit.
 @example(config={"storage_T": 0, "pulse": {"sigma": 5, "t2": 1.0}})
 def test_run_json_reads_the_export_on_any_store_config(tmp_path_factory, config):
-    check_run_json_reads_the_export(tmp_path_factory.mktemp("store"), config)
+    # One worker keeps each of the many examples light.
+    with mock.patch.dict(os.environ, {"HALFCAV_THREADS": "1"}):
+        check_run_json_reads_the_export(tmp_path_factory.mktemp("store"), config)
 
 
 def test_one_mirror_program_per_store(tmp_path, monkeypatch):
