@@ -37,7 +37,8 @@ from .write_optimizer import WriteResult, optimal_write_profile
 
 SQRT_HALF = math.sqrt(0.5)
 
-# Sampling rule: dt must resolve both the atomic lifetime and the pulse.
+# Sampling rule, the least grid.dt_factor a config may set: dt must
+# resolve both the atomic lifetime and the pulse.
 DT_RULE_FACTOR = 50.0
 
 # The write-phase grid reaches GRID_PADDING/sigma before the first bin and
@@ -108,23 +109,21 @@ class GridSpec:
     """Grid step: dt = min(1/gamma0, 1/sigma)/dt_factor.  The write-phase
     grid it samples reaches GRID_PADDING/sigma beyond both time bins.
 
-    The trapezoid-vs-RK4 population gap of the write falls as dt^2.
-    Measured with ``halfcav oracle`` (tolerance 1e-6), the default config
-    gives 2.68e-7 at the default factor 200, but 1.07e-6 at 100 and
-    4.28e-6 at 50, which fail; at 200 a single Gaussian of sigma = 1 fails
-    too (2.60e-6), one of sigma = 0.5 passes (9.6e-7).  So 50 is the
-    resolution rule, not a bound on the gap.  Factors in [1, 50) still
-    run, with a warning on stderr and the oracle gate skipped
-    (``resolution_warning``).  Below 1 the step exceeds a lifetime or the
-    pulse width, so the config is rejected.
+    dt_factor must be at least DT_RULE_FACTOR, the resolution rule; a
+    coarser grid is rejected.  The rule is not a bound on the error: the
+    trapezoid-vs-RK4 population gap of the write falls as dt^2, and
+    ``halfcav oracle`` (tolerance 1e-6) gives 2.68e-7 on the default config
+    at the default factor 200, but 1.07e-6 at 100 and 4.28e-6 at 50, which
+    fail; at 200 a single Gaussian of sigma = 1 fails too (2.60e-6).
     """
 
     dt_factor: float = 200.0
 
     def __post_init__(self):
-        if self.dt_factor < 1.0:
+        if self.dt_factor < DT_RULE_FACTOR:
             raise ValueError(
-                "grid.dt_factor must be at least 1 (dt <= min(1/gamma0, 1/sigma))"
+                f"grid.dt_factor must be at least {DT_RULE_FACTOR:g}, the resolution "
+                f"rule dt <= min(1/gamma0, 1/sigma)/{DT_RULE_FACTOR:g}, got {self.dt_factor!r}"
             )
 
 
@@ -313,19 +312,6 @@ class StoreRun:
         }
 
 
-def resolution_warning(cfg: ScenarioConfig) -> str | None:
-    """Why the config's grid is coarser than the resolution rule, or None.
-
-    The rule is a ratio, dt <= min(1/gamma0, 1/sigma)/50, so it holds or
-    fails for every sigma of a sweep alike."""
-    if cfg.grid.dt_factor >= DT_RULE_FACTOR:
-        return None
-    return (
-        f"grid.dt_factor={cfg.grid.dt_factor:g} is below the resolution rule "
-        f"{DT_RULE_FACTOR:g} (dt <= min(1/gamma0, 1/sigma)/{DT_RULE_FACTOR:g})"
-    )
-
-
 def _step(cfg: ScenarioConfig, sigma: float) -> float:
     """Step resolving both the atomic lifetime and a pulse of bandwidth
     sigma, min(1/gamma0, 1/sigma)/dt_factor."""
@@ -433,13 +419,13 @@ def _random_envelope(rng: np.random.Generator, grid: TimeGrid) -> ComplexEnvelop
     return env.with_samples(env.samples * (1.0 / math.sqrt(env.norm)))
 
 
-def _oracle_cases(cfg: ScenarioConfig, seed: int, random_cases: int):
+def _oracle_cases(cfg: ScenarioConfig, seed: int):
     """The oracle's cases in report order, each as (name, profile, input,
-    quadrature P): the scenario's write phase, then ``random_cases`` seeded
-    random pairs.  Every series the RK4 reads that a profile derives on
-    first use (``g`` and ``gamma_complex``; ``gamma_z`` is the profile's
-    own), and the write's ``xi_effective``, is derived here, before the case
-    is yielded, so a helper thread running the RK4 only reads frozen
+    quadrature P): the scenario's write phase, then ORACLE_RANDOM_CASES
+    seeded random pairs.  Every series the RK4 reads that a profile derives
+    on first use (``g`` and ``gamma_complex``; ``gamma_z`` is the profile's
+    own), and the write's ``xi_effective``, is derived here, before the
+    case is yielded, so a helper thread running the RK4 only reads frozen
     arrays."""
     mem = cfg.memory
     w = optimal_write_profile(_write_input(cfg), mem, cfg.phase_compensation)
@@ -447,7 +433,7 @@ def _oracle_cases(cfg: ScenarioConfig, seed: int, random_cases: int):
     yield "scenario_write", w.profile, w.xi_effective, w.trace.P
     rng = np.random.default_rng(seed)
     rnd_grid = TimeGrid(0.0, 20.0 / mem.gamma0, 16001)  # 20 lifetimes
-    for i in range(random_cases):
+    for i in range(ORACLE_RANDOM_CASES):
         gz = _random_smooth_rate(rng, rnd_grid, mem.cap)
         profile = profile_from_gamma_z(rnd_grid, gz, mem)
         env = _random_envelope(rng, rnd_grid)
@@ -467,22 +453,18 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int = 1) -> di
     """Cross-check the quadrature against the RK4 route.
 
     Compares the population traces on the scenario's write phase and on a
-    batch of seeded random (profile, pulse) pairs.  If the configured grid
-    is too coarse to resolve the dynamics (dt above the min(1/gamma0,
-    1/sigma)/50 rule) the pass/fail gate is skipped with a warning, since
-    the discrepancy then only measures discretization order.
+    batch of seeded random (profile, pulse) pairs; the check passes when
+    the largest gap is at most 1e-6.
 
     With ``threads`` >= 2 the check uses one helper thread, and no more: it
     runs the RK4 of each case while this thread draws the next case and runs
-    its quadrature, with one case at a time in each stage.  With fewer, or
-    one case, no thread starts.  The gaps are taken in case order, so the
-    report does not depend on ``threads``.  An error in either route leaves
-    this function once the helper's case is done, and the helper with it.
+    its quadrature, with one case at a time in each stage.  With fewer, no
+    thread starts.  The gaps are taken in case order, so the report does not
+    depend on ``threads``.  An error in either route leaves this function
+    once the helper's case is done, and the helper with it.
     """
-    warning = resolution_warning(cfg)
-    coarse = warning is not None
-    cases = _oracle_cases(cfg, seed, 0 if coarse else ORACLE_RANDOM_CASES)
-    if threads < 2 or coarse:
+    cases = _oracle_cases(cfg, seed)
+    if threads < 2:
         checks = [_rk4_gap(case) for case in cases]
     else:
         # Imported here so a check without the helper never loads it.
@@ -500,15 +482,9 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int = 1) -> di
             checks.append(pending.result())
     worst = max(c["max_abs_dP"] for c in checks)
 
-    report = {
+    return {
         "max_abs_dP": worst,
         "tolerance": 1e-6,
         "cases": checks,
-        "skipped": coarse,
-        "passed": (worst <= 1e-6) if not coarse else None,
+        "passed": worst <= 1e-6,
     }
-    if coarse:
-        report["warning"] = (
-            f"{warning}; discrepancy reflects discretization order, gate skipped"
-        )
-    return report

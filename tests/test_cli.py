@@ -171,14 +171,19 @@ class TestConfigRejected:
 
     @pytest.mark.parametrize("command", ["store", "sweep", "oracle"])
     def test_dt_factor_below_one_rejected_before_compute(self, tmp_path, command, capsys):
-        config = {"grid": {"dt_factor": 0.3}, "sweep": SWEEP3}
-        assert run_cli(tmp_path, command, config) == 2
-        err = capsys.readouterr()
-        assert err.err.startswith(
-            "halfcav: invalid config: section 'grid': grid.dt_factor must be at least 1"
-        )
-        assert err.out == ""
-        assert not (tmp_path / "out").exists()
+        # Every factor below the resolution rule, 50, is rejected at load,
+        # whatever the subcommand.
+        for value in (0.3, 1, 49.999):
+            config = {"grid": {"dt_factor": value}, "sweep": SWEEP3}
+            assert run_cli(tmp_path, command, config) == 2
+            err = capsys.readouterr()
+            assert err.err == (
+                "halfcav: invalid config: section 'grid': grid.dt_factor must be at "
+                "least 50, the resolution rule dt <= min(1/gamma0, 1/sigma)/50, "
+                f"got {float(value)!r}\n"
+            )
+            assert err.out == ""
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "config",
@@ -516,48 +521,24 @@ class TestOracle:
         assert run_cli(tmp_path, "oracle") == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
-        assert report["skipped"] is False
-
-    def test_coarse_grid_skips_gate(self, tmp_path, capsys):
-        assert run_cli(tmp_path, "oracle", {"grid": {"dt_factor": 40}}) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["skipped"] is True
-        assert report["passed"] is None
-
-    @pytest.mark.parametrize("sigma", [0.02, 0.2, 1.0, 5.0])
-    def test_coarsest_accepted_grid_runs(self, tmp_path, capsys, sigma):
-        config = {"grid": {"dt_factor": 1}, "pulse": {"sigma": sigma}}
-        assert run_cli(tmp_path, "oracle", config) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["skipped"] is True
-        assert report["passed"] is None
+        assert set(report) == {"cases", "max_abs_dP", "passed", "tolerance"}
 
 
 class TestResolutionWarning:
-    @pytest.mark.parametrize("command", ["store", "sweep"])
-    def test_coarse_grid_warns_once(self, tmp_path, command, capsys, monkeypatch):
-        monkeypatch.setenv("HALFCAV_THREADS", "1")
-        assert run_cli(tmp_path, command, {"grid": {"dt_factor": 1}, "sweep": SWEEP3}) == 0
-        captured = capsys.readouterr()
-        assert captured.err == (
-            "halfcav: grid.dt_factor=1 is below the resolution rule 50 "
-            "(dt <= min(1/gamma0, 1/sigma)/50); results are not resolved\n"
-        )
-        if command != "sweep":
-            json.loads(captured.out)
-        assert any((tmp_path / "out").iterdir())
-
+    # No grid warns: one below the resolution rule exits 2 at load
+    # (TestConfigRejected), and one at or above it runs silently.
     @pytest.mark.parametrize("command", ["store", "sweep"])
     def test_default_grid_is_silent(self, tmp_path, command, capsys):
         assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 0
         assert capsys.readouterr().err == ""
 
-    def test_oracle_report_carries_the_same_rule(self, tmp_path, capsys):
-        assert run_cli(tmp_path, "oracle", {"grid": {"dt_factor": 1}}) == 0
-        captured = capsys.readouterr()
-        warning = json.loads(captured.out)["warning"]
-        assert warning.startswith("grid.dt_factor=1 is below the resolution rule 50")
-        assert captured.err == f"halfcav: {warning}\n"
+    @pytest.mark.parametrize("command", ["store", "sweep"])
+    def test_dt_factor_at_the_rule_accepted(self, tmp_path, command, capsys, monkeypatch):
+        monkeypatch.setenv("HALFCAV_THREADS", "1")
+        config = {"grid": {"dt_factor": 50}, "sweep": SWEEP3}
+        assert run_cli(tmp_path, command, config) == 0
+        assert capsys.readouterr().err == ""
+        assert any((tmp_path / "out").iterdir())
 
 
 class TestDeterministicOutput:
