@@ -202,7 +202,10 @@ def _trapezoid_amplitude(exponent: np.ndarray, drive: np.ndarray, dt: float) -> 
             "grid too coarse for the long-storage scan: a step decays the "
             f"amplitude by more than a factor {SCAN_MIN_FACTOR}; refine dt"
         )
-    return affine_scan(decay, decay * (h * drive[:-1]) + h * drive[1:], 0.0)
+    # decay stays the left operand at every length: numpy would swap it with
+    # a temporary from 16,384 samples on (see core.affine_scan on why).
+    b = h * drive[:-1]
+    return affine_scan(decay, np.multiply(decay, b, out=b) + h * drive[1:], 0.0)
 
 
 def absorption_probability(

@@ -28,11 +28,11 @@ class TimeBinSpec:
     phi is the relative phase of the late bin.
     """
 
-    alpha: float
-    beta: float
-    t1: float
-    t2: float
-    sigma: float
+    alpha: float = math.sqrt(0.5)
+    beta: float = math.sqrt(0.5)
+    t1: float = 0.0
+    t2: float = 20.0
+    sigma: float = 0.2
     phi: float = 0.0
 
     def __post_init__(self):

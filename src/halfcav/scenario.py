@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import get_type_hints
+import sys
+from dataclasses import asdict, dataclass, is_dataclass, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -34,8 +35,6 @@ from .mirror import feasibility_report, trajectory_from_decay
 from .pulses import TimeBinSpec, make_time_bin
 from .read_shaper import ReadResult, read_profile_for_target, total_efficiency
 from .write_optimizer import WriteResult, optimal_write_profile
-
-SQRT_HALF = math.sqrt(0.5)
 
 # Sampling rule, the least grid.dt_factor a config may set: dt must
 # resolve both the atomic lifetime and the pulse.
@@ -78,30 +77,44 @@ _JSON_TYPES = {
 }
 
 
-def _typed(cls, values: dict) -> dict:
-    """values with each float field of cls as a float, after checking that
-    each key names a field of cls and each bool/int/float field matches its
-    annotation: a bool only from true/false, an int only from an integer, a
-    float from either finite number.  Other fields are left to cls."""
+def _load(cls, raw: dict):
+    """cls(**raw), after checking that each key names a field of cls and
+    each bool/int/float field matches its annotation: a bool only from
+    true/false, an int only from an integer, a float from either number
+    within the float range (an integer past it would overflow), passed as a
+    float.  A field typed as a dataclass (alone or `| None`) is a section:
+    it is loaded from a JSON object the same way, and its errors name it.
+    A key not given keeps its field default, and the other checks are left
+    to cls."""
     hints = get_type_hints(cls)
-    unknown = sorted(set(values) - set(hints))
+    unknown = sorted(set(raw) - set(hints))
     if unknown:
         raise ValueError(f"unknown keys {unknown}")
-    out = dict(values)
-    for key, value in values.items():
-        kind = hints.get(key)
-        if kind not in _JSON_TYPES:
-            continue
-        expected, accepted = _JSON_TYPES[kind]
-        if (
-            isinstance(value, bool) != (kind is bool)
-            or not isinstance(value, accepted)
-            or (kind is float and not math.isfinite(value))
-        ):
-            raise ValueError(f"{key} must be {expected}, got {value!r}")
-        if kind is float:
-            out[key] = float(value)
-    return out
+    values = {}
+    for key, value in raw.items():
+        kind = hints[key]
+        section = [t for t in get_args(kind) or (kind,) if is_dataclass(t)]
+        if section:
+            if not isinstance(value, dict):
+                raise ValueError(
+                    f"section '{key}' must be a JSON object, got {json.dumps(value)}"
+                )
+            try:
+                value = _load(section[0], value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"section '{key}': {exc}") from exc
+        elif kind in _JSON_TYPES:
+            expected, accepted = _JSON_TYPES[kind]
+            if (
+                isinstance(value, bool) != (kind is bool)
+                or not isinstance(value, accepted)
+                or (kind is float and not abs(value) <= sys.float_info.max)
+            ):
+                raise ValueError(f"{key} must be {expected}, got {value!r}")
+            if kind is float:
+                value = float(value)
+        values[key] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -150,8 +163,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    memory: MemoryConfig
-    pulse: TimeBinSpec
+    memory: MemoryConfig = MemoryConfig()
+    pulse: TimeBinSpec = TimeBinSpec()
     storage_T: float = 30.0
     grid: GridSpec = GridSpec()
     phase_compensation: bool = True
@@ -184,30 +197,7 @@ class ScenarioConfig:
     def from_dict(raw: dict) -> "ScenarioConfig":
         if not isinstance(raw, dict):
             raise ValueError("expected a JSON object at the top level")
-        top = _typed(ScenarioConfig, raw)
-
-        def section(name, cls, defaults):
-            given = raw.get(name, {})
-            if not isinstance(given, dict):
-                raise ValueError(
-                    f"section '{name}' must be a JSON object, got {json.dumps(given)}"
-                )
-            try:
-                return cls(**_typed(cls, {**defaults, **given}))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"section '{name}': {exc}") from exc
-
-        memory = section("memory", MemoryConfig, {})
-        pulse = section(
-            "pulse",
-            TimeBinSpec,
-            {"alpha": SQRT_HALF, "beta": SQRT_HALF, "t1": 0.0, "t2": 20.0, "sigma": 0.2},
-        )
-        grid = section("grid", GridSpec, {})
-        sweep = section("sweep", SweepSpec, {}) if "sweep" in raw else None
-        return ScenarioConfig(
-            **{**top, "memory": memory, "pulse": pulse, "grid": grid, "sweep": sweep}
-        )
+        return _load(ScenarioConfig, raw)
 
     def to_dict(self) -> dict:
         """The settable values, as accepted by ``from_dict``."""

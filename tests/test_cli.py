@@ -5,6 +5,8 @@ chunked one."""
 import concurrent.futures
 import contextlib
 import ctypes
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -94,13 +96,16 @@ class TestConfigRejected:
             {"grid": ""},
             {"pulse": []},
             {"sweep": False},
+            # Past the float range: float() of it would overflow.
+            '{"storage_T": 1' + "0" * 400 + "}",
         ],
         ids=["invalid_json", "not_an_object", "unknown_section_key",
              "unknown_top_level_key", "tau_adjustment", "n_override",
              "bool_from_string", "float_from_string", "float_from_bool",
              "int_from_float", "section_float_from_string", "nan", "infinity",
              "tau", "omega_a", "markov_limit", "section_false", "section_zero",
-             "section_null", "section_empty_string", "section_list", "sweep_false"],
+             "section_null", "section_empty_string", "section_list", "sweep_false",
+             "integer_past_float_range"],
     )
     def test_exit_2(self, tmp_path, config, capsys):
         assert run_cli(tmp_path, "store", config) == 2
@@ -115,9 +120,12 @@ class TestConfigRejected:
          ({"memory": False}, "section 'memory' must be a JSON object, got false"),
          ({"memory": None}, "section 'memory' must be a JSON object, got null"),
          ({"grid": ""}, "section 'grid' must be a JSON object, got \"\""),
-         ({"sweep": False}, "section 'sweep' must be a JSON object, got false")],
+         ({"sweep": False}, "section 'sweep' must be a JSON object, got false"),
+         # sweep is the one section that may be None, and null still is not an object.
+         ({"sweep": None}, "section 'sweep' must be a JSON object, got null"),
+         ({"pulse": []}, "section 'pulse' must be a JSON object, got []")],
         ids=["removed_key", "removed_grid_padding", "false", "null", "empty_string",
-             "sweep_false"],
+             "sweep_false", "sweep_null", "list"],
     )
     def test_section_errors_name_the_section(self, tmp_path, config, message, capsys):
         assert run_cli(tmp_path, "store", config) == 2
@@ -434,11 +442,49 @@ def test_import_leaves_the_process_pool_unloaded():
     assert done.stdout == "[]\n[]\n"
 
 
+@st.composite
+def settable_configs(draw):
+    """Accepted configs that set every settable value, with or without a
+    sweep section."""
+    alpha = draw(st.floats(-1.0, 1.0))
+    t1 = draw(st.floats(-100.0, 100.0))
+    raw = {
+        "memory": {"gamma0": draw(st.floats(0.3, 3.0))},
+        "pulse": {"alpha": alpha,
+                  "beta": draw(st.sampled_from([1.0, -1.0])) * math.sqrt(1.0 - alpha * alpha),
+                  "t1": t1, "t2": t1 + draw(st.floats(0.5, 100.0)),
+                  "sigma": draw(st.floats(0.05, 5.0)), "phi": draw(st.floats(-10.0, 10.0))},
+        "storage_T": draw(st.floats(0.0, 1000.0)),
+        "grid": {"dt_factor": draw(st.floats(50.0, 400.0))},
+        "phase_compensation": draw(st.booleans()),
+    }
+    if draw(st.booleans()):
+        sigma_min = draw(st.floats(0.01, 1.0))
+        raw["sweep"] = {"sigma_min": sigma_min,
+                        "sigma_max": sigma_min * draw(st.floats(1.5, 10.0)),
+                        "n_points": draw(st.integers(2, MAX_SWEEP_POINTS)),
+                        "log_spacing": draw(st.booleans())}
+    return raw
+
+
 class TestConfigRoundTrip:
-    @pytest.mark.parametrize("raw", [{}, GAMMA0_2], ids=["default", "gamma0"])
+    @settings(deadline=None)
+    @given(raw=settable_configs())
+    @example(raw={})
+    @example(raw=GAMMA0_2)
     def test_from_dict_inverts_to_dict(self, raw):
         cfg = ScenarioConfig.from_dict(raw)
-        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+        def overlay(base, top):
+            return {**base, **{k: overlay(base[k], v) if isinstance(v, dict) else v
+                               for k, v in top.items()}}
+
+        # Every value given is kept as given.
+        assert overlay(cfg.to_dict(), raw) == cfg.to_dict()
+        assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_empty_config_is_the_default(self):
+        assert ScenarioConfig.from_dict({}) == ScenarioConfig()
 
     def test_float_fields_accept_integers(self):
         default = ScenarioConfig.from_dict({})
@@ -505,8 +551,14 @@ class TestSettableSurface:
     def test_readme_config_table_names_the_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
-        named = [name for row in table.splitlines()[1:]
-                 for name in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        # Each key with its default cell: one per key, or one for the row.
+        named = {}
+        for row in table.splitlines()[1:]:
+            keys_cell, default_cell = row.split("|")[1:3]
+            names = re.findall(r"`([^`]+)`", keys_cell)
+            cells = [cell.strip() for cell in default_cell.split(",")]
+            assert len(cells) in (1, len(names)), row
+            named.update(zip(names, cells * len(names) if len(cells) == 1 else cells))
 
         def dotted(d, prefix=""):
             for k, v in d.items():
@@ -514,6 +566,19 @@ class TestSettableSurface:
 
         keys = dotted(ScenarioConfig.from_dict({"sweep": SWEEP3}).to_dict())
         assert sorted(named) == sorted(keys)
+
+        # The defaults are the dataclass fields': ScenarioConfig() outside
+        # the sweep, SweepSpec's field defaults inside, "required" where a
+        # field has none.
+        sweep = {f.name: f.default for f in dataclasses.fields(scenario.SweepSpec)}
+        for key, cell in named.items():
+            section, _, name = key.rpartition(".")
+            if section == "sweep":
+                expected = "required" if sweep[name] is dataclasses.MISSING else sweep[name]
+            else:
+                expected = functools.reduce(getattr, key.split("."), ScenarioConfig())
+            given = {"√½": math.sqrt(0.5), "required": "required"}.get(cell) or json.loads(cell)
+            assert (key, type(given), given) == (key, type(expected), expected)
 
 
 class TestOracle:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz
+from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, affine_scan, cumtrapz
 from halfcav.dynamics import (
     _rk4_step_map,
     absorption_probability,
@@ -274,6 +274,22 @@ class TestAbsorptionProbability:
         ref = _reference_long_storage(prof, xi)
         amplitude = absorption_probability(prof, xi).amplitude
         assert np.max(np.abs(amplitude - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [16001, 20001])
+    def test_long_storage_product_order(self, n):
+        # numpy fuses complex products where the CPU has FMA, so decay*b
+        # and b*decay can differ in the last bit, and from 16,384 samples
+        # on it evaluates decay*<temporary> as <temporary>*decay.  The scan
+        # keeps decay the left operand on either side of that size.
+        grid = TimeGrid(0.0, 1400.0, n)
+        prof = profile_from_gamma_z(grid, smooth_rate(grid, 21), MEM)
+        assert prof.Gamma_z[-1] >= 1200.0
+        xi = smooth_pulse(grid, 22)
+        h = 0.5 * grid.dt
+        drive = prof.g * xi.samples
+        decay = np.exp(prof.Gamma[:-1] - prof.Gamma[1:])
+        ref = affine_scan(decay, np.multiply(decay, h * drive[:-1]) + h * drive[1:], 0.0)
+        assert absorption_probability(prof, xi).amplitude.tobytes() == ref.tobytes()
 
     def test_long_storage_too_coarse_rejected(self):
         # dt = 3 at gamma_z = 2: each step decays the amplitude by e^-3, and
