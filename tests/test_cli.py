@@ -467,21 +467,28 @@ def settable_configs(draw):
     return raw
 
 
+def assert_round_trip(raw):
+    cfg = ScenarioConfig.from_dict(raw)
+
+    def overlay(base, top):
+        return {**base, **{k: overlay(base[k], v) if isinstance(v, dict) else v
+                           for k, v in top.items()}}
+
+    # Every value given is kept as given.
+    assert overlay(cfg.to_dict(), raw) == cfg.to_dict()
+    assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 class TestConfigRoundTrip:
+    @pytest.mark.parametrize("raw", [{}, GAMMA0_2], ids=["default", "gamma0"])
+    def test_from_dict_inverts_to_dict(self, raw):
+        assert_round_trip(raw)
+
     @settings(deadline=None)
     @given(raw=settable_configs())
-    @example(raw={})
-    @example(raw=GAMMA0_2)
-    def test_from_dict_inverts_to_dict(self, raw):
-        cfg = ScenarioConfig.from_dict(raw)
-
-        def overlay(base, top):
-            return {**base, **{k: overlay(base[k], v) if isinstance(v, dict) else v
-                               for k, v in top.items()}}
-
-        # Every value given is kept as given.
-        assert overlay(cfg.to_dict(), raw) == cfg.to_dict()
-        assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    def test_from_dict_inverts_to_dict_on_any_settable_config(self, raw):
+        assert_round_trip(raw)
 
     def test_empty_config_is_the_default(self):
         assert ScenarioConfig.from_dict({}) == ScenarioConfig()
