@@ -1,0 +1,56 @@
+"""Every number in the physics ledger, recomputed in process on one worker.
+
+On the build that the ledger records each number must match bit for bit;
+on any other, within the ledger's relative bound (``physics_ledger``).  A
+change that moves a number on purpose rewrites the ledger with
+``PYTHONPATH=src python tests/physics_ledger.py``, and its diff lists every
+moved digit."""
+import json
+
+import pytest
+
+import physics_ledger
+
+LEDGER = json.loads(physics_ledger.LEDGER.read_text())
+SAME_BUILD = LEDGER["build"] == physics_ledger.build()
+
+
+def _leaves(tree, path=""):
+    """(path, value) for each number, bool or string in a JSON tree."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, tree
+
+
+def _matches(got, want) -> bool:
+    if SAME_BUILD:
+        # repr keeps every bit, and the sign of a zero.
+        return type(got) is type(want) and repr(got) == repr(want)
+    if type(got) is float and type(want) is float:
+        return abs(got - want) <= max(LEDGER["rel_tol"] * abs(want), LEDGER["abs_tol"])
+    return got == want
+
+
+def test_ledger_holds_the_script_cases():
+    assert [(c["name"], c["command"], c["config"]) for c in LEDGER["cases"]] == [
+        (name, command, json.loads(json.dumps(config)))
+        for name, command, config in physics_ledger.CASES
+    ]
+    assert (LEDGER["rel_tol"], LEDGER["abs_tol"]) == (physics_ledger.REL_TOL, physics_ledger.ABS_TOL)
+
+
+@pytest.mark.parametrize("case", LEDGER["cases"], ids=lambda case: case["name"])
+def test_numbers_match_the_ledger(case):
+    # The JSON round trip gives the numbers the types the ledger reads back.
+    got = dict(_leaves(json.loads(json.dumps(physics_ledger.compute(case["command"], case["config"])))))
+    want = dict(_leaves(case["numbers"]))
+    assert list(got) == list(want)
+    moved = {path: (want[path], got[path]) for path in want if not _matches(got[path], want[path])}
+    mode = "bit for bit" if SAME_BUILD else f"within {LEDGER['rel_tol']:g} relative"
+    assert not moved, f"moved against the ledger ({mode}), as (ledger, now): {moved}"
+
