@@ -7,20 +7,20 @@ and with it the complex decay rate
                = -i*gamma0 * sin(phi/2) * exp(i*phi/2)
     gamma_z(t) = 2*gamma0 * sin(phi/2)^2 = 2*Re[gamma(t)]
 
-On the principal branch phi in [0, pi], sqrt(2*gamma0) times sin(phi/2)
-and cos(phi/2) are the coupling g = sqrt(gamma_z) and its complement
-gbar = sqrt(2*gamma0 - gamma_z) (``complementary_coupling``).  So the level
-shift is Im gamma = -g*gbar/2 <= 0, |gamma|^2 = gamma0*gamma_z/2, and the
-mirror sits at l/lambda = atan2(g, gbar)/(2*pi), from a node (l = 0,
-gamma_z = 0) to an antinode (l = lambda/4, gamma_z = 2*gamma0), each to
-full relative precision at both ends of the rate range.  ``physical_rate``
-owns the range, for the profiles here and for ``mirror`` alike.
+sqrt(2*gamma0) times sin(phi/2) and cos(phi/2), phi/2 in [0, pi), are the
+coupling g = sqrt(gamma_z) and its signed complement gbar.  So the level
+shift is Im gamma = -g*gbar/2, |gamma|^2 = gamma0*gamma_z/2, and the mirror
+sits at l/lambda = atan2(g, gbar)/(2*pi), each to full relative precision
+at both ends of the rate range.  From a node (l = 0, gamma_z = 0) to an
+antinode (l = lambda/4, gamma_z = 2*gamma0), the principal branch,
+gbar = sqrt(2*gamma0 - gamma_z) (``complementary_coupling``); past the
+antinode gbar < 0 and the shift is positive.  ``physical_rate`` owns the
+range, for the profiles here and for ``mirror`` alike.
 
-A ``DecayProfile`` holds the real gamma_z that the programs synthesize.
-The complex gamma, with its level shift, and every other series are
-derived from it on first read.  With phase compensation a store or sweep
-point never builds the complex rate: the write runs in the co-rotating
-frame, and the de-chirped read needs only g.
+A ``DecayProfile`` holds the real gamma_z that the programs synthesize,
+and a mirror's gbar (``decay_from_mirror``); the complex gamma and every
+other series are derived on first read, so a phase-compensated store or
+sweep point never builds the complex rate.
 
 Two independent routes compute the excited-state population driven by an
 input envelope: a closed-form cumulative quadrature and a fixed-step RK4
@@ -38,7 +38,7 @@ package.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,41 +51,28 @@ from .core import SCAN_MIN_FACTOR
 class DecayProfile:
     """Sampled decay rate gamma_z on a grid, with the series derived from it.
 
-    Built from the real series gamma_z, the one every program synthesizes.
-    The complex rate gamma_complex = gamma_z/2 + i*Im(gamma), whose level
-    shift Im(gamma) = -g*gbar/2 <= 0 takes the principal branch
-    (``complementary_coupling``), the coupling g = sqrt(gamma_z), and the
-    cumulative trapezoidal integrals Gamma and Gamma_z from the grid start
-    are each derived on first use and then kept, so a caller pays only for
-    the series it reads: neither a compensated write nor a de-chirped read
-    builds the complex rate, since the read needs only
-    |gamma| = sqrt(gamma0/2)*g.  A profile driven by a mirror passes its own
-    complex rate as ``gamma`` (``decay_from_mirror``), which is kept as
-    given, off the principal branch too.  Gamma_z is non-decreasing since
-    gamma_z >= 0.
+    Built by ``profile_from_gamma_z``, from the real series gamma_z and
+    the signed complement gbar, None on the principal branch.  The complex
+    rate gamma_complex = gamma_z/2 - i*g*gbar/2, the coupling
+    g = sqrt(gamma_z), and the cumulative trapezoidal integrals Gamma and
+    Gamma_z from the grid start are each derived on first use and then
+    kept, so a caller pays only for the series it reads: neither a
+    compensated write nor a de-chirped read builds the complex rate or a
+    principal gbar, since the read needs only |gamma| = sqrt(gamma0/2)*g.
+    Gamma_z is non-decreasing since gamma_z >= 0.
     """
 
     grid: TimeGrid
     gamma_z: np.ndarray
     cfg: MemoryConfig
-    gamma: InitVar[np.ndarray | None] = None
-
-    def __post_init__(self, gamma):
-        gamma_z = np.asarray(self.gamma_z, dtype=float)
-        if gamma_z.shape != (self.grid.n,):
-            raise ValueError(f"expected {self.grid.n} rates, got shape {gamma_z.shape}")
-        object.__setattr__(self, "gamma_z", _freeze(gamma_z))
-        if gamma is not None:
-            # The cache slot of gamma_complex: it is never derived.
-            self.__dict__["gamma_complex"] = _freeze(np.asarray(gamma, dtype=np.complex128))
+    gbar: np.ndarray | None = None
 
     @cached_property
     def gamma_complex(self) -> np.ndarray:
         gamma = np.empty(self.grid.n, dtype=np.complex128)
         np.multiply(0.5, self.gamma_z, out=gamma.real)
-        # The shift g*gbar/2, built in the buffer of gbar.
-        shift = complementary_coupling(self.gamma_z, self.cfg)
-        np.multiply(self.g, shift, out=shift)
+        gbar = complementary_coupling(self.gamma_z, self.cfg) if self.gbar is None else self.gbar
+        shift = np.multiply(self.g, gbar)
         np.multiply(0.5, shift, out=shift)
         # 0 - x, not -x, so the shift is +0 where the rate is 0.
         np.subtract(0.0, shift, out=gamma.imag)
@@ -133,38 +120,45 @@ def physical_rate(gamma_z, cfg: MemoryConfig) -> np.ndarray:
 
 
 def complementary_coupling(gamma_z, cfg: MemoryConfig) -> np.ndarray:
-    """gbar = sqrt(2*gamma0 - gamma_z), as a new array, for the rate gamma_z
-    (``physical_rate``).  With g = sqrt(gamma_z) it fixes the half phase
-    phi/2 in [0, pi/2] of the mirror that realizes the rate:
+    """gbar = sqrt(2*gamma0 - gamma_z), as a new array, for a rate gamma_z
+    that ``physical_rate`` has checked and clipped.  With g = sqrt(gamma_z)
+    it fixes the half phase phi/2 in [0, pi/2] of the mirror that realizes
+    the rate on the principal branch:
     (g, gbar) = sqrt(2*gamma0)*(sin(phi/2), cos(phi/2))."""
-    gbar = physical_rate(gamma_z, cfg)
-    np.subtract(cfg.cap, gbar, out=gbar)
+    gbar = np.subtract(cfg.cap, gamma_z)
     return np.sqrt(gbar, out=gbar)
 
 
 def profile_from_gamma_z(
-    grid: TimeGrid, gamma_z: np.ndarray, cfg: MemoryConfig
+    grid: TimeGrid, gamma_z: np.ndarray, cfg: MemoryConfig, gbar: np.ndarray | None = None
 ) -> DecayProfile:
     """The profile of a real decay-rate series, checked against and clipped
-    to [0, 2*gamma0] (``physical_rate``); its complex rate follows the
-    principal branch, Im gamma = -g*gbar/2 <= 0.  The profile
-    keeps 2*(gamma_z/2), so that gamma_z = 2*Re(gamma) holds bit for bit:
-    the halving drops the last bit of a subnormal rate."""
+    to [0, 2*gamma0] (``physical_rate``), with the signed complement gbar of
+    g = sqrt(gamma_z) that picks the mirror's branch, or None for the
+    principal one.  The profile keeps 2*(gamma_z/2), so that
+    gamma_z = 2*Re(gamma) holds bit for bit: the halving drops the last
+    bit of a subnormal rate."""
     gamma_z = np.asarray(gamma_z, dtype=float)
     if gamma_z.shape != (grid.n,):
         raise ValueError(f"expected {grid.n} samples, got {gamma_z.shape}")
     gamma_z = physical_rate(gamma_z, cfg)
     np.multiply(0.5, gamma_z, out=gamma_z)
-    return DecayProfile(grid, np.multiply(gamma_z, 2.0, out=gamma_z), cfg)
+    gamma_z = _freeze(np.multiply(gamma_z, 2.0, out=gamma_z))
+    return DecayProfile(grid, gamma_z, cfg, None if gbar is None else _freeze(gbar))
 
 
 def decay_from_mirror(grid: TimeGrid, l_over_lambda, cfg: MemoryConfig) -> DecayProfile:
     """Decay profile generated by a mirror displacement l/lambda sampled on
-    grid, gamma = -i*gamma0*sin(phi/2)*exp(i*phi/2): unlike 1 - exp(i*phi)
-    it does not cancel, so a rate near 0 keeps its relative precision."""
-    half_phi = 2.0 * np.pi * np.asarray(l_over_lambda, dtype=float)
-    gamma = -1j * cfg.gamma0 * np.sin(half_phi) * np.exp(1j * half_phi)
-    return DecayProfile(grid, 2.0 * gamma.real, cfg, gamma)
+    grid, on either branch.  With l taken modulo 1/2, both roots come from
+    exact distances, to the nearer node and to the antinode:
+    g = sqrt(2*gamma0)*sin(2*pi*min(l, 1/2 - l)) and the signed
+    gbar = sqrt(2*gamma0)*sin(2*pi*(1/4 - l)).  So gamma keeps its relative
+    precision near both, where 1 - exp(i*phi) cancels, and l = 0, 1/4 and
+    1/2 give gamma = 0, gamma0 and 0 exactly."""
+    l = np.mod(np.asarray(l_over_lambda, dtype=float), 0.5)
+    s = np.sin(2.0 * np.pi * np.minimum(l, 0.5 - l))
+    gbar = np.sqrt(cfg.cap) * np.sin(2.0 * np.pi * (0.25 - l))
+    return profile_from_gamma_z(grid, cfg.cap * (s * s), cfg, gbar)
 
 
 # Gamma_z(end) from which the quadrature runs as a scan.  Below it the

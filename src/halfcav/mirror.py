@@ -1,13 +1,15 @@
 """Conversions between decay programs and physical mirror motion.
 
-On the principal branch the mirror displacement away from the node is
-l/lambda = atan2(sqrt(gamma_z), sqrt(2*gamma0 - gamma_z)) / (2*pi), running
-from 0 (node, coupling off) to 1/4 (antinode, coupling 2*gamma0).  This
-makes the decay-rate <-> displacement map a bijection and fixes the sign of
-the level shift.  The arctangent keeps the relative precision of l at
-both ends of the range.  The rate range and the complementary coupling
-live in ``dynamics.physical_rate`` and ``dynamics.complementary_coupling``,
-which the decay profile uses too.
+The programs stay on the principal branch, where the mirror sits
+l/lambda = atan2(sqrt(gamma_z), sqrt(2*gamma0 - gamma_z)) / (2*pi) away
+from the node, from 0 (coupling off) to 1/4 (antinode, coupling 2*gamma0).
+This makes the decay-rate <-> displacement map a bijection and fixes the
+sign of the level shift; past the antinode a mirror gives the rate of its
+image 1/2 - l with the opposite shift (``dynamics.decay_from_mirror``).
+The arctangent keeps the relative precision of l at both ends of the
+range.  The rate range and the complementary coupling live in
+``dynamics.physical_rate`` and ``dynamics.complementary_coupling``, which
+the decay profile uses too.
 
 A store builds its mirror program once, for the export's ``l_over_lambda``
 column (``scenario.StoreRun.timeseries_columns``), and its feasibility

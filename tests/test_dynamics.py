@@ -146,18 +146,47 @@ class TestDecayFromMirror:
         assert prof.gamma_complex.imag == pytest.approx(-0.5 * MEM.gamma0, abs=1e-12)
 
 
-    def test_keeps_its_complex_rate_as_given(self):
-        # Past l = lambda/4 the mirror leaves the principal branch and the
-        # level shift turns positive: the rate is kept as the mirror gives
-        # it, never rebuilt from gamma_z.
-        grid = TimeGrid(0.0, 1.0, 101)
-        l = np.linspace(0.0, 0.5, 101)
-        prof = decay_from_mirror(grid, l, MEM)
-        half_phi = 2.0 * np.pi * l
-        gamma = -1j * MEM.gamma0 * np.sin(half_phi) * np.exp(1j * half_phi)
-        assert np.array_equal(prof.gamma_complex.view(np.int64), gamma.view(np.int64))
-        assert np.array_equal(prof.gamma_z.view(np.int64), (2.0 * gamma.real).view(np.int64))
-        assert prof.gamma_complex.imag.max() > 0.4
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([0.5, 1.0, 3.0]),
+           st.one_of(st.sampled_from([0.25 + 5.6e-17, 0.5 - 5.6e-17]),
+                     st.floats(0.25, 0.5, exclude_min=True, exclude_max=True)))
+    def test_far_branch_is_the_mirror_image_conjugated(self, gamma0, l):
+        # Past the antinode the mirror at l gives the rate of its image
+        # 1/2 - l, bit for bit, and the conjugate complex rate: the level
+        # shift turns positive.  The two roots give l back.
+        cfg = MemoryConfig(gamma0)
+        grid = TimeGrid(0.0, 1.0, 2)
+        prof = decay_from_mirror(grid, np.full(2, l), cfg)
+        image = decay_from_mirror(grid, np.full(2, 0.5 - l), cfg)
+        assert np.array_equal(prof.gamma_z.view(np.int64), image.gamma_z.view(np.int64))
+        assert np.array_equal(prof.gamma_complex.view(np.int64),
+                              np.conjugate(image.gamma_complex).view(np.int64))
+        assert np.all(prof.gamma_complex.imag > 0.0)
+        back = np.arctan2(prof.g, prof.gbar) / (2.0 * np.pi)
+        assert np.all(np.abs(back / l - 1.0) <= 4.5e-16)
+
+    @pytest.mark.parametrize("gamma0", [0.5, 1.0, 3.0])
+    def test_landmarks_are_exact(self, gamma0):
+        # A node, the antinode and the next node: gamma = 0, gamma0 with no
+        # level shift, and 0.
+        prof = decay_from_mirror(TimeGrid(0.0, 1.0, 3), np.array([0.0, 0.25, 0.5]),
+                                 MemoryConfig(gamma0))
+        assert prof.gamma_complex.tolist() == [0j, complex(gamma0, 0.0), 0j]
+
+    @pytest.mark.parametrize("gamma0", [0.5, 1.0, 3.0])
+    def test_series_near_a_node_and_the_antinode(self, gamma0):
+        # 1e-12 of a wavelength from a node, gamma = gamma0*(x^2 + i*x), and
+        # from the antinode, gamma = gamma0*(1 -+ i*x), with x = 2*pi*d at
+        # the distance d, which is exact in floats here; the next series
+        # terms are x^2 ~ 4e-23 smaller.
+        l = np.array([0.5 - 1e-12, 0.25 - 1e-12, 0.25 + 1e-12])
+        gamma = decay_from_mirror(TimeGrid(0.0, 1.0, 3), l, MemoryConfig(gamma0)).gamma_complex
+        x = [2.0 * math.pi * d for d in (0.5 - l[0], 0.25 - l[1], l[2] - 0.25)]
+        series = [(gamma0 * x[0] ** 2, gamma0 * x[0]), (gamma0, -gamma0 * x[1]),
+                  (gamma0, gamma0 * x[2])]
+        for got, (re, im) in zip(gamma, series):
+            assert got.real == pytest.approx(re, rel=1e-15, abs=0.0)
+            assert got.imag == pytest.approx(im, rel=1e-15, abs=0.0)
 
 
 @st.composite
