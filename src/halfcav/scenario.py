@@ -62,11 +62,11 @@ MAX_TIMELINE_SAMPLES = 20_000_000
 # so the fidelity reads wrong, then has no value.
 MAX_SIGMA_OVER_GAMMA0 = 1e12
 
-# Most sweep points: each is a full store compute, on one core (numpy 2.4,
-# default grid, best of 7, the heap kept as `sweep` keeps it) about 4 ms
-# near sigma = gamma0 and 27-28 ms at sigma = 0.02*gamma0 on 164,001
-# samples, growing as 1/sigma below that, so 10,000 points run for minutes
-# to hours, and more for days.
+# Most sweep points: each is a full store compute, on one core of a 2-CPU
+# Xeon (numpy 2.4.6, default grid, best of 7 in one process, the heap kept
+# as `sweep` keeps it) 1.1-1.6 ms near sigma = gamma0, 3.3-3.5 ms at 5*gamma0
+# and 17-20 ms at 0.02*gamma0 on 164,001 samples, growing as 1/sigma below
+# that, so 10,000 points run for minutes to hours, and more for days.
 MAX_SWEEP_POINTS = 10_000
 
 # JSON values a config field of each annotated type accepts.

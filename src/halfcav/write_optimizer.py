@@ -18,9 +18,10 @@ concave in the absorption kernel).
 
 The rate is synthesized one arc at a time.  On an uncapped arc Heun's
 method for r is the trapezoid rule, so the whole arc is one cumulative sum;
-only the capped samples and the steps into and out of them are stepped one
-by one.  ``optimal_program`` runs it forward for a write and backwards
-for a read (``read_shaper``).
+on a capped arc u = sqrt(r) obeys a linear equation, so the whole arc is
+one ``core.affine_scan``.  Only the steps onto and off the cap are taken
+one at a time.  ``optimal_program`` runs it forward for a write and
+backwards for a read (``read_shaper``).
 
 The level-shift phase Im(Gamma) is compensated by default: the input is
 taken in the frame co-rotating with the shifted atomic resonance, the frame
@@ -44,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, NORM_TOL
+from .core import ComplexEnvelope, MemoryConfig, NORM_TOL, affine_scan
 from .dynamics import (
     DecayProfile,
     ExcitationTrace,
@@ -97,57 +98,56 @@ class WriteResult:
 def _synthesize_gamma_z(q2: np.ndarray, dt: float, cap: float, eps: float) -> np.ndarray:
     """Forward synthesis of the optimal rate for intensity samples q2.
 
-    Steps the running absorbed population r from eps with Heun's method
-    through dr/dt = 2q*sqrt(gz*r) - gz*r, gz = min(q2/r, cap), and returns
-    gz on every sample.  A step from sample k is a trapezoid step when it
-    starts and predicts uncapped, q2[k] <= cap*r[k] and
-    q2[k+1] <= cap*(r[k] + dt*q2[k]); Heun then gives exactly
-    r[k+1] = r[k] + dt/2*(q2[k] + q2[k+1]), the closed-form profile.  An arc
-    of such steps is one cumsum, checked in windows that double while the
-    arc lasts, so the cost stays linear in n however often arcs alternate.
-    The other steps (capped samples and the arc transitions) take the scalar
-    Heun update, until a trapezoid step recurs.
+    Integrates the running absorbed population r from eps through
+    dr/dt = 2q*sqrt(gz*r) - gz*r, gz = min(q2/r, cap), and returns gz on
+    every sample.  A step from sample k that starts and predicts uncapped,
+    q2[k] <= cap*r[k] and q2[k+1] <= cap*(r[k] + dt*q2[k]), is the
+    trapezoid rule, so an arc of them is one cumsum.  On the cap u = sqrt(r)
+    obeys u' = sqrt(cap)*q - (cap/2)*u: a step between capped samples is
+    u[k+1] = a*u[k] + dt/2*sqrt(cap)*(a*q[k] + q[k+1]), a = exp(-cap*dt/2)
+    (trapezoid weights in the variation of constants), so an arc of them is
+    one ``core.affine_scan``, ending before the first sample where
+    q2 <= cap*u^2.  A step onto or off the cap is one Heun step.  Arcs are
+    checked in windows that double while the arc lasts, so the cost stays
+    linear in n however often arcs alternate.
     """
-    n = q2.shape[0]
-    q2l = None  # Python floats for the scalar steps, made on first use
-    r = np.empty(n)
-    r[0] = eps
     half_dt = 0.5 * dt
+    decay = math.exp(-0.5 * cap * dt)
+    def heun(rk: float, qk2: float, qp2: float) -> float:
+        gzk = min(qk2 / rk, cap)
+        f0 = 2.0 * math.sqrt(qk2 * gzk * rk) - gzk * rk
+        rp = rk + dt * f0
+        gzp = min(qp2 / rp, cap)
+        return rk + half_dt * (f0 + (2.0 * math.sqrt(qp2 * gzp * rp) - gzp * rp))
+
+    n = q2.shape[0]
+    r = np.empty(n)
+    # A support that starts on the cap steps onto it from the zero input
+    # before it, as the quadrature's first trapezoid does.
+    r[0] = heun(eps, 0.0, float(q2[0])) if q2[0] > cap * eps else eps
     k, window = 0, _FIRST_WINDOW
     while k < n - 1:
         seg = q2[k : k + window + 1]
-        arc = np.cumsum(np.concatenate(([r[k]], half_dt * (seg[:-1] + seg[1:]))))
-        trapezoid = (seg[:-1] <= cap * arc[:-1]) & (
-            seg[1:] <= cap * (arc[:-1] + dt * seg[:-1])
-        )
-        m = int(trapezoid.argmin()) if not trapezoid.all() else trapezoid.size
+        capped = seg[0] > cap * r[k]
+        if capped:
+            q = np.sqrt(seg)
+            b = half_dt * math.sqrt(cap) * (decay * q[:-1] + q[1:])
+            arc = affine_scan(np.full(b.size, decay), b, math.sqrt(r[k])) ** 2
+            steps = seg[1:] > cap * arc[1:]
+        else:
+            arc = np.cumsum(np.concatenate(([r[k]], half_dt * (seg[:-1] + seg[1:]))))
+            steps = (seg[:-1] <= cap * arc[:-1]) & (seg[1:] <= cap * (arc[:-1] + dt * seg[:-1]))
+        m = int(steps.argmin()) if not steps.all() else steps.size
         r[k + 1 : k + m + 1] = arc[1 : m + 1]
         k += m
-        if m == trapezoid.size:
+        if m == steps.size:
             window *= 2
             continue
         window = _FIRST_WINDOW
-        # Step k is not a trapezoid step: Heun steps until one recurs.
-        if q2l is None:
-            q2l = q2.tolist()
-        rk = float(r[k])
-        while True:
-            gzk = q2l[k] / rk
-            if gzk > cap:
-                gzk = cap
-            f0 = 2.0 * math.sqrt(q2l[k] * gzk * rk) - gzk * rk
-            rp = rk + dt * f0
-            gzp = q2l[k + 1] / rp
-            if gzp > cap:
-                gzp = cap
-            f1 = 2.0 * math.sqrt(q2l[k + 1] * gzp * rp) - gzp * rp
-            rk = rk + 0.5 * dt * (f0 + f1)
+        # One Heun step onto or off the cap; a trapezoid arc ending on a capped k scans on.
+        if capped or seg[m] <= cap * arc[m]:
+            r[k + 1] = heun(float(r[k]), float(q2[k]), float(q2[k + 1]))
             k += 1
-            r[k] = rk
-            if k == n - 1 or (
-                q2l[k] <= cap * rk and q2l[k + 1] <= cap * (rk + dt * q2l[k])
-            ):
-                break
     np.divide(q2, r, out=r)
     return np.minimum(r, cap, out=r)
 

@@ -523,6 +523,25 @@ def test_single_gaussian_efficiency_extrapolates_to_the_continuous_curve():
             assert 3.9 <= (continuous - eta_200) / (continuous - eta_400) <= 4.1, sigma
 
 
+def test_capped_time_bin_write_and_read_converge_at_second_order():
+    # The ledger's capped time bin, where the write and the read program
+    # both reach the cap.  At dt_factor 200 (dt = 0.001), against 1,600,
+    # eta_w is 1.185e-7 low and eta_r 1.413e-7 low: 0.1185*dt^2 and
+    # 0.1413*dt^2.  The write's constant is steady (0.120 to 0.105 over
+    # dt_factor 200 to 1,131, against 3,200); the read's swings within
+    # +-0.36 over the same grids, so it is pinned at this pair.  A
+    # first-order error in an arc switch would be of order dt.
+    pulse = {"alpha": -0.6, "beta": 0.8, "phi": 2.0, "sigma": 5.0}
+    coarse, fine = (
+        build_store_run(ScenarioConfig.from_dict({"pulse": pulse, "grid": {"dt_factor": f}}))
+        for f in (200.0, 1600.0)
+    )
+    assert coarse.write.capped and coarse.read.capped
+    dt2 = coarse.write.xi_in.grid.dt ** 2
+    assert abs(coarse.write.eta_w - fine.write.eta_w) < 0.125 * dt2
+    assert abs(coarse.read.eta_r - fine.read.eta_r) < 0.15 * dt2
+
+
 # The upper bound for the default time bin uses the pair's ∫|xi|.
 @settings(max_examples=20, deadline=None)
 @given(sigma=st.floats(0.05, 50.0))
