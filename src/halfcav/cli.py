@@ -12,7 +12,10 @@ floats are written with 17 significant digits, JSON keys are sorted, and
 sweep points and CSV row chunks are written in input order regardless of
 worker scheduling.  The sweep points and the row chunks of every CSV run on
 one worker process per CPU this process may use, at most HALFCAV_THREADS (a
-positive integer) when that is set; any other value exits 2, on every
+positive integer) when that is set.  Each chunk's worker writes the chunk
+into its own region of a temporary file beside the CSV, and this process
+copies the regions into the CSV in order (write_csv), so no CSV text
+passes through the pool.  Any other HALFCAV_THREADS value exits 2, on every
 subcommand, before anything is computed or written.  With one worker, or
 one item, no process pool starts.  The oracle starts no process and at
 most one thread: when that count is 2 or more, a helper thread runs each
@@ -31,6 +34,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from collections import deque
 from pathlib import Path
 
@@ -47,6 +51,10 @@ from .scenario import (
 
 # Rows formatted and held in memory at a time by one write_csv chunk.
 CSV_CHUNK_ROWS = 4096
+
+# Bytes of write_csv's temporary file set aside for one field of a chunk:
+# the longest float64 "%.17g", -2.2250738585072014e-308, and a separator.
+CSV_FIELD_BYTES = 25
 
 # Items a pool worker reads through every call, set once per worker process
 # by the pool's initializer; never set in the parent.
@@ -129,48 +137,93 @@ def pool_map(fn, items, threads: int | None, shared: tuple = ()):
             yield pending.popleft().result()
 
 
-def _format_chunk(arrays: list, rows: slice) -> str:
-    """The CSV text of ``rows``: the first field of each row formatted, the
-    rest of the row (its tail) only where it differs from the row before."""
-    tail_format = ",%.17g" * (len(arrays) - 1) + "\n"
-    n = rows.stop - rows.start
-    tail = np.empty((n, len(arrays) - 1))
-    for j, a in enumerate(arrays[1:]):
-        tail[:, j] = a[rows]
-    bits = tail.view(np.int64)
-    changed = np.ones(n, dtype=bool)
-    changed[1:] = (bits[1:] != bits[:-1]).any(axis=1)
-    tails = np.array(
-        [tail_format % tuple(r) for r in tail[changed].tolist()], dtype=object
-    )
-    parts = [""] * (2 * n)
-    parts[0::2] = ["%.17g" % v for v in arrays[0][rows].tolist()]
-    parts[1::2] = tails[np.cumsum(changed) - 1].tolist()
-    return "".join(parts)
+class _PoolFd(int):
+    """A file descriptor that pool_map's workers can write to: a forked
+    worker inherits it, and a spawned or forkserver one gets a duplicate
+    when the pool pickles the items it shares with the worker."""
+
+    def __reduce__(self):
+        # Imported here: a forked pool, or none, never pickles the descriptor.
+        from multiprocessing.reduction import DupFd
+
+        return _detach_fd, (DupFd(int(self)),)
+
+
+def _detach_fd(dup) -> int:
+    return dup.detach()
+
+
+def _format_chunk(arrays: list, rows: slice) -> bytes:
+    """The CSV bytes of ``rows``.  A run of rows whose tails (each row but its
+    first field) change is one format of all its fields; a run that repeats
+    the tail of the row before it formats its first fields only, around that
+    tail formatted once."""
+    block = np.empty((rows.stop - rows.start, len(arrays)))
+    for j, a in enumerate(arrays):
+        block[:, j] = a[rows]
+    bits = block[:, 1:].view(np.int64)
+    repeats = np.zeros(len(block), dtype=bool)
+    repeats[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    bounds = (np.flatnonzero(repeats[1:] != repeats[:-1]) + 1).tolist()
+    tail_format = b",%.17g" * (len(arrays) - 1) + b"\n"
+    row_format = b"%.17g" + tail_format
+    parts = []
+    for start, stop in zip([0, *bounds], [*bounds, len(block)]):
+        if repeats[start]:
+            tail = tail_format % tuple(block[start - 1, 1:].tolist())
+            parts.append((b"%.17g" + tail) * (stop - start) % tuple(block[start:stop, 0].tolist()))
+        else:
+            parts.append(row_format * (stop - start) % tuple(block[start:stop].ravel().tolist()))
+    return b"".join(parts)
+
+
+def _write_chunk(arrays: list, fd: int, rows: slice) -> int:
+    """Write the CSV bytes of ``rows`` at the start of their region of the
+    file ``fd``, CSV_FIELD_BYTES a field from row ``rows.start`` on, and
+    return their length."""
+    text = _format_chunk(arrays, rows)
+    region = (rows.stop - rows.start) * len(arrays) * CSV_FIELD_BYTES
+    if len(text) > region:
+        raise RuntimeError(f"rows from {rows.start}: {len(text)} CSV bytes for a {region}-byte region")
+    written = os.pwrite(fd, text, rows.start * len(arrays) * CSV_FIELD_BYTES)
+    if written != len(text):
+        raise OSError(f"short write: {written} of {len(text)} CSV bytes from row {rows.start}")
+    return written
 
 
 def write_csv(path: Path, header: list[str], columns: list, threads: int | None = None) -> None:
     """Write columns of floats, each with 17 significant digits ("%.17g"),
     one header name per column; columns of unequal length, or a header of
-    another length, raise ValueError.
+    another length, raise ValueError before any file is opened.
 
     The bytes are those of formatting every field of every row, with fewer
     formats: the rows go out in chunks of CSV_CHUNK_ROWS, and in a chunk the
-    first field of each row is formatted, but the rest of the row (its tail)
-    only where it differs from the tail of the row before.  Tails are
-    compared bit for bit, so -0.0 and 0.0 stay apart.  A run of equal tails,
-    such as the hold rows of the store timeline where only t moves, reuses
-    one string.  Each chunk restarts the reuse, so its text depends on its
-    own rows only: the chunks are formatted on pool_map's workers (at most
-    ``threads``) and written in order as they arrive, and the file is the
-    same at any worker count.
+    rest of a row after its first field (its tail) is formatted only where
+    it differs from the tail of the row before.  Tails are compared bit for
+    bit, so -0.0 and 0.0 stay apart.  A run of equal tails, such as the hold
+    rows of the store timeline where only t moves, is one format of its
+    first fields around one tail; a run of changing tails is one format of
+    all its fields.  Each chunk restarts the reuse, so its bytes depend on
+    its own rows only, and the file is the same at any worker count.
 
-    Memory is bounded by the chunks in flight, at most 2 x workers of them,
-    each about 0.8 kB a row until it is written.  On a storage_T = 1000
-    store (perfbench store_long_hold, 2 CPUs) the peak RSS is about 63.5 MB
-    formatting in process and 69 MB on two workers, the difference mostly
-    the pool's modules and the heap of its result thread; 32,768-row chunks
-    raised the in-process peak by 8 MB for no further speed.
+    Each chunk runs on one of pool_map's workers (at most ``threads``; with
+    one, in this process on the same path).  The worker writes the chunk's
+    bytes with os.pwrite into its own region of an anonymous temporary file
+    beside ``path`` and returns only their length.  A region holds
+    CSV_FIELD_BYTES (25) a field: the longest "%.17g" of a float64,
+    -2.2250738585072014e-308, is 24 bytes, and a separator follows it.  So
+    regions do not overlap; a chunk longer than its region raises
+    RuntimeError rather than write into the next, and a short write raises
+    OSError.  This process then copies each chunk in order from its region
+    into ``path`` with os.pread: no text crosses the pool, and this process
+    holds no chunk text but the one it copies.  A forked worker inherits the
+    temporary file's descriptor, and any other gets a duplicate (_PoolFd).
+
+    The temporary file takes disk space up to the CSV's size while it runs
+    (the rest of each region is a hole) and is gone when write_csv returns
+    or raises, so no other file is left beside ``path``.  A chunk peaks at
+    about 0.6 kB a row of nine columns while it is formatted (0.2 kB a hold
+    row), and at most 2 x workers chunks are in flight.
     """
     arrays = [np.asarray(c, dtype=np.float64) for c in columns]
     lengths = {len(a) for a in arrays}
@@ -178,10 +231,11 @@ def write_csv(path: Path, header: list[str], columns: list, threads: int | None 
         raise ValueError(f"{len(header)} header names for columns of lengths {sorted(lengths)}")
     n = min(lengths, default=0)
     chunks = [slice(start, min(start + CSV_CHUNK_ROWS, n)) for start in range(0, n, CSV_CHUNK_ROWS)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        # writelines drops each chunk's text before it asks for the next.
-        fh.writelines(pool_map(_format_chunk, chunks, threads, shared=(arrays,)))
+    with open(path, "wb") as fh, tempfile.TemporaryFile(dir=path.parent) as tmp:
+        fh.write((",".join(header) + "\n").encode())
+        written = pool_map(_write_chunk, chunks, threads, shared=(arrays, _PoolFd(tmp.fileno())))
+        for rows, length in zip(chunks, written):
+            fh.write(os.pread(tmp.fileno(), length, rows.start * len(arrays) * CSV_FIELD_BYTES))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -203,7 +257,7 @@ def emit_store(run: StoreRun, out_dir: Path, threads: int | None = None) -> dict
     columns = run.timeseries_columns()
     # Taken before the CSV is written, whose chunks then reuse the heap that
     # the feasibility numbers' arrays free: taken after it, they raised the
-    # peak RSS of a storage_T = 1000 store on one worker from 44.3 to 46.4 MB.
+    # peak RSS of a storage_T = 1000 store on one worker from 44.0 to 45.2 MB.
     record = run.record(columns)
     write_csv(ts_path, list(columns), list(columns.values()), threads)
     record["files"] = {"timeseries": ts_path.name, "run": "run.json"}

@@ -48,12 +48,13 @@ GRID_PADDING = 8.0
 ORACLE_RANDOM_CASES = 20
 
 # Most store timeline samples.  Measured on one worker above a 28 MB
-# interpreter (numpy 2.4): a zero-hold store at sigma = 0.004 peaks at
-# 237 MB for 1,191,108 samples, and each write-phase sample adds about
-# 180 B of peak RSS and 109 B of CSV, so about 3.6 GB and 2.2 GB at this
-# bound.  A hold sample adds about 32 B and 55 B (storage_T = 1000 and 5000:
-# 44 and 68 MB for 231,771 and 1,031,771 samples, 70 and 40 B a sample on
-# average), so about 0.7 GB and 1.1 GB.  Tests and benchmarks reach 231,771.
+# interpreter (numpy 2.4, ru_maxrss, three runs each): a zero-hold store at
+# sigma = 0.004 peaks at 220 MB for 1,191,108 samples, and each write-phase
+# sample adds about 160 B of peak RSS and 109 B of CSV, so about 3.2 GB and
+# 2.2 GB at this bound.  A hold sample adds about 48 B and 53 B
+# (storage_T = 1000 and 5000: 44 and 81 MB for 231,771 and 1,031,771
+# samples, 70 and 53 B a sample on average), so about 1.0 GB and 1.1 GB.
+# Tests and benchmarks reach 231,771.
 MAX_TIMELINE_SAMPLES = 20_000_000
 
 # Most pulse bandwidth per atomic decay rate, sigma/gamma0.  A slower atom

@@ -878,6 +878,117 @@ class TestChunkedWriteCsv:
         assert repeats > 3 * cli.CSV_CHUNK_ROWS
 
 
+# The widest "%.17g" fields of a float64, 24 bytes each.
+WIDEST_FIELDS = (-2.2250738585072014e-308, -1.7976931348623157e+308)
+
+
+def logged_pwrite(log):
+    """os.pwrite that first appends "offset length" to ``log``, from this
+    process or a pool worker."""
+    real = os.pwrite
+
+    def pwrite(fd, data, offset):
+        entry = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(entry, b"%d %d\n" % (offset, len(data)))
+        finally:
+            os.close(entry)
+        return real(fd, data, offset)
+
+    return pwrite
+
+
+class TestCsvRegions:
+    """Each chunk's worker writes it into its own region of a temporary file
+    beside the CSV, and only the CSV is left."""
+
+    @staticmethod
+    def widest_columns():
+        n = 2 * cli.CSV_CHUNK_ROWS + 5
+        fields = np.resize(WIDEST_FIELDS, 3 * n).reshape(n, 3)
+        return list(fields.T)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_widest_fields_fill_adjacent_regions(self, tmp_path, threads, monkeypatch):
+        # Every field 24 bytes: each chunk fills its region exactly, and the
+        # next region starts where it ends.
+        columns = self.widest_columns()
+        monkeypatch.setattr(os, "pwrite", logged_pwrite(tmp_path / "writes.log"))
+        with cpus_allowed(2):
+            TestChunkedWriteCsv.assert_reference_bytes(tmp_path, columns, threads)
+        writes = sorted(tuple(map(int, line.split()))
+                        for line in (tmp_path / "writes.log").read_text().splitlines())
+        n = len(columns[0])
+        starts = range(0, n, cli.CSV_CHUNK_ROWS)
+        assert [offset for offset, _ in writes] == [3 * cli.CSV_FIELD_BYTES * row for row in starts]
+        assert [offset + length for offset, length in writes] == [
+            3 * cli.CSV_FIELD_BYTES * row for row in [*starts[1:], n]
+        ]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunk_longer_than_its_region_raises(self, tmp_path, threads, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_FIELD_BYTES", 24)
+        monkeypatch.setattr(os, "pwrite", logged_pwrite(tmp_path / "writes.log"))
+        region = cli.CSV_CHUNK_ROWS * 3 * 24
+        with cpus_allowed(2), pytest.raises(RuntimeError, match=f"CSV bytes for a {region}-byte region"):
+            write_csv(tmp_path / "new.csv", ["a", "b", "c"], self.widest_columns(), threads)
+        assert not (tmp_path / "writes.log").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_short_write_exits_2_and_leaves_only_the_csv(self, tmp_path, threads, capsys, monkeypatch):
+        # Every chunk but the first is written one byte short.
+        real = os.pwrite
+        monkeypatch.setattr(os, "pwrite",
+                            lambda fd, data, offset: real(fd, data[:-1] if offset else data, offset))
+        monkeypatch.setenv("HALFCAV_THREADS", threads)
+        with cpus_allowed(2):
+            assert run_cli(tmp_path, "store", LONG_HOLD) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"halfcav: cannot write the outputs: short write: \d+ of \d+ CSV bytes "
+                            rf"from row {cli.CSV_CHUNK_ROWS}\n", captured.err)
+        assert os.listdir(tmp_path / "out") == ["timeseries.csv"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunk_that_raises_leaves_only_the_csv(self, tmp_path, threads, monkeypatch):
+        real = cli._format_chunk
+
+        def second_chunk_fails(arrays, rows):
+            if rows.start == cli.CSV_CHUNK_ROWS:
+                raise ZeroDivisionError("second chunk")
+            return real(arrays, rows)
+
+        monkeypatch.setattr(cli, "_format_chunk", second_chunk_fails)
+        (tmp_path / "out").mkdir()
+        with cpus_allowed(2), pytest.raises(ZeroDivisionError, match="second chunk"):
+            write_csv(tmp_path / "out" / "new.csv", ["a", "b"], self.widest_columns()[:2], threads)
+        assert os.listdir(tmp_path / "out") == ["new.csv"]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_workers_that_are_not_forked(self, tmp_path, method):
+        # Such workers inherit no descriptor; the temporary file's reaches
+        # them when the pool pickles the items it shares with them.
+        script = tmp_path / "export.py"
+        script.write_text(
+            "import multiprocessing, os, sys\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "from halfcav import cli\n"
+            "if __name__ == '__main__':\n"
+            f"    multiprocessing.set_start_method({method!r})\n"
+            "    os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "    columns = [np.linspace(0.0, 1.0, 3 * cli.CSV_CHUNK_ROWS), np.zeros(3 * cli.CSV_CHUNK_ROWS)]\n"
+            "    cli.write_csv(Path(sys.argv[1]), ['a', 'b'], columns, 2)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, str(script), str(tmp_path / "new.csv")],
+                       env=env, check=True, timeout=120)
+        n = 3 * cli.CSV_CHUNK_ROWS
+        _reference_write_csv(tmp_path / "reference.csv", ["a", "b"],
+                             [np.linspace(0.0, 1.0, n), np.zeros(n)])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
 class TestPoolMap:
     """When pool_map starts a process pool, and how much it keeps in flight."""
 
