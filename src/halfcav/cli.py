@@ -17,16 +17,17 @@ into its own region of a temporary file beside the CSV, and this process
 copies the regions into the CSV in order (write_csv), so no CSV text
 passes through the pool.  Any other HALFCAV_THREADS value exits 2, on every
 subcommand, before anything is computed or written.  With one worker, or
-one item, no process pool starts.  The oracle starts no process and at
-most one thread: when that count is 2 or more, a helper thread runs each
-case's RK4 while this thread runs the next case's quadrature; with one,
-no thread starts.  Its report is the same either way.
+one item, no process pool starts.  The oracle starts no process: when
+that count is 2 or more, its 21 cases run whole, each as one task, on that
+many threads, at most one a case, and each case running holds about 2.5 MB;
+with one, no thread starts.  Its report is the same either way.
 
 Where the C library is glibc, sweep and oracle keep up to 64 MiB of freed
-heap for the rest of the process (_keep_freed_heap), so that each sweep
-point or oracle case reuses the pages the one before it freed instead of
-faulting fresh ones in; no output depends on it.  store does not: it has
-one run to make, and the kept heap only raised its peak RSS.
+heap for the rest of the process, in one arena for all its threads
+(_keep_freed_heap), so that each sweep point or oracle case reuses the
+pages one before it freed instead of faulting fresh ones in; no output
+depends on it.  store does not: it has one run to make, and the kept heap
+only raised its peak RSS.
 """
 from __future__ import annotations
 
@@ -62,15 +63,19 @@ _worker_shared: tuple = ()
 
 
 def _keep_freed_heap() -> bool:
-    """Set glibc's M_MMAP_THRESHOLD to 32 MiB, its 64-bit maximum, and
-    M_TRIM_THRESHOLD to 64 MiB, for the rest of this process and the pool
-    workers it forks.
+    """Set glibc's M_MMAP_THRESHOLD to 32 MiB, its 64-bit maximum,
+    M_TRIM_THRESHOLD to 64 MiB and M_ARENA_MAX to 1, for the rest of this
+    process and the pool workers it forks.
 
     By default glibc maps each array above a dynamic threshold afresh and
     hands the freed top of the heap back to the kernel, so every sweep point
     and oracle case faulted its whole peak in again: about 16k minor faults
-    an op, against under ten with these settings.  True when mallopt accepted
-    both; False where the C library is not glibc, has no mallopt, or
+    an op, against under ten with these settings.  Each further thread that
+    allocates would also get an arena of its own, which kept its own freed
+    heap: the oracle's threads share the one arena instead (12 oracle runs in
+    one process on two threads of a 2-CPU Xeon: 47.4 MB ru_maxrss with an
+    arena a thread, 46.0 MB with one, at the same speed).  True when mallopt accepted all
+    three; False where the C library is not glibc, has no mallopt, or
     refuses a value.
     """
     if not hasattr(os, "confstr"):
@@ -89,8 +94,10 @@ def _keep_freed_heap() -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1) in glibc's malloc.h.
-    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+    # M_MMAP_THRESHOLD (-3), M_TRIM_THRESHOLD (-1) and M_ARENA_MAX (-8) in
+    # glibc's malloc.h.
+    return (mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+            and mallopt(-8, 1) == 1)
 
 
 def _usable_cpus() -> int:

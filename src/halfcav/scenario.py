@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import get_args, get_type_hints
 
@@ -378,66 +379,87 @@ def sweep_point(cfg: ScenarioConfig, sigma: float) -> dict:
     }
 
 
-def _random_smooth_rate(rng: np.random.Generator, grid: TimeGrid, cap: float) -> np.ndarray:
+def _draw_pair(rng: np.random.Generator) -> tuple:
+    """One random pair's 16 scalars, in the order the rng gives them: the
+    rate's offset and its 4 (amplitude, phase) harmonics, then the
+    envelope's centre, width, ripple (harmonic, phase) and phase modulation
+    (amplitude, harmonic, phase)."""
+    rate = (rng.normal(0.0, 0.5),
+            tuple((rng.normal(0.0, 0.7), rng.uniform(0.0, 2.0 * np.pi)) for _ in range(4)))
+    envelope = (rng.uniform(0.3, 0.7), rng.uniform(0.05, 0.15),
+                rng.integers(1, 4), rng.uniform(0.0, 2.0 * np.pi),
+                rng.normal(0.0, 0.5), rng.integers(1, 4), rng.uniform(0.0, 2.0 * np.pi))
+    return rate, envelope
+
+
+def _random_smooth_rate(draws: tuple, grid: TimeGrid, cap: float) -> np.ndarray:
     """Band-limited random decay rate strictly inside (0, cap)."""
+    offset, harmonics = draws
     t = grid.times
     span = grid.t_end - grid.t_start
-    series = rng.normal(0.0, 0.5)
-    for k in range(1, 5):
-        series = series + rng.normal(0.0, 0.7) * np.cos(
-            2.0 * np.pi * k * (t - grid.t_start) / span + rng.uniform(0.0, 2.0 * np.pi)
+    series = offset
+    for k, (amplitude, phase) in enumerate(harmonics, start=1):
+        series = series + amplitude * np.cos(
+            2.0 * np.pi * k * (t - grid.t_start) / span + phase
         )
     return cap * 0.5 * (1.0 + np.tanh(series))
 
 
-def _random_envelope(rng: np.random.Generator, grid: TimeGrid) -> ComplexEnvelope:
+def _random_envelope(draws: tuple, grid: TimeGrid) -> ComplexEnvelope:
     """Smooth normalized input with mild amplitude and phase structure."""
+    at, wide, ripple_k, ripple_phase, chirp, chirp_k, chirp_phase = draws
     t = grid.times
     span = grid.t_end - grid.t_start
-    center = grid.t_start + rng.uniform(0.3, 0.7) * span
-    width = rng.uniform(0.05, 0.15) * span
+    center = grid.t_start + at * span
+    width = wide * span
     body = np.exp(-0.5 * ((t - center) / width) ** 2)
     ripple = 1.0 + 0.25 * np.cos(
-        2.0 * np.pi * rng.integers(1, 4) * (t - grid.t_start) / span
-        + rng.uniform(0.0, 2.0 * np.pi)
+        2.0 * np.pi * ripple_k * (t - grid.t_start) / span + ripple_phase
     )
-    phase = rng.normal(0.0, 0.5) * np.cos(
-        2.0 * np.pi * rng.integers(1, 4) * (t - grid.t_start) / span
-        + rng.uniform(0.0, 2.0 * np.pi)
+    phase = chirp * np.cos(
+        2.0 * np.pi * chirp_k * (t - grid.t_start) / span + chirp_phase
     )
     env = ComplexEnvelope(grid, body * ripple * np.exp(1j * phase))
     # The bits of complex division by the norm (no sample is 0), at a tenth of its cost.
     return env.with_samples(env.samples * (1.0 / math.sqrt(env.norm)))
 
 
-def _oracle_cases(cfg: ScenarioConfig, seed: int):
-    """The oracle's cases in report order, each as (name, profile, input,
-    quadrature P): the scenario's write phase, then ORACLE_RANDOM_CASES
-    seeded random pairs.  Every series the RK4 reads that a profile derives
-    on first use (``g`` and ``gamma_complex``; ``gamma_z`` is the profile's
-    own), and the write's ``xi_effective``, is derived here, before the
-    case is yielded, so a helper thread running the RK4 only reads frozen
-    arrays."""
-    mem = cfg.memory
-    w = optimal_write_profile(_write_input(cfg), mem, cfg.phase_compensation)
-    w.profile.g, w.profile.gamma_complex
-    yield "scenario_write", w.profile, w.xi_effective, w.trace.P
-    rng = np.random.default_rng(seed)
-    rnd_grid = TimeGrid(0.0, 20.0 / mem.gamma0, 16001)  # 20 lifetimes
-    for i in range(ORACLE_RANDOM_CASES):
-        gz = _random_smooth_rate(rng, rnd_grid, mem.cap)
-        profile = profile_from_gamma_z(rnd_grid, gz, mem)
-        env = _random_envelope(rng, rnd_grid)
-        P = absorption_probability(profile, env).P
-        profile.g, profile.gamma_complex
-        yield f"random_{i:02d}", profile, env, P
+def _write_case(cfg: ScenarioConfig) -> tuple:
+    """The scenario's write phase as (profile, input, quadrature P)."""
+    w = optimal_write_profile(_write_input(cfg), cfg.memory, cfg.phase_compensation)
+    return w.profile, w.xi_effective, w.trace.P
 
 
-def _rk4_gap(case) -> dict:
-    """A case's largest gap between the quadrature and the RK4 population."""
-    name, profile, env, P = case
+def _random_case(mem: MemoryConfig, grid: TimeGrid, draws: tuple) -> tuple:
+    """A random pair from its drawn scalars as (profile, input, quadrature P)."""
+    rate, envelope = draws
+    profile = profile_from_gamma_z(grid, _random_smooth_rate(rate, grid, mem.cap), mem)
+    env = _random_envelope(envelope, grid)
+    return profile, env, absorption_probability(profile, env).P
+
+
+def _case_gap(name: str, build, *args) -> dict:
+    """One case whole: its arrays and quadrature P (``build(*args)``), its
+    RK4, and the largest gap between the two populations."""
+    profile, env, P = build(*args)
     dP = float(np.max(np.abs(P - bloch_ode_oracle(profile, env).P)))
     return {"case": name, "max_abs_dP": dP}
+
+
+def _oracle_cases(cfg: ScenarioConfig, seed: int) -> list:
+    """The oracle's cases in report order, each as ``_case_gap``'s arguments:
+    the scenario's write phase, then ORACLE_RANDOM_CASES seeded random pairs.
+    Every random number is drawn here, in order, and the shared random
+    grid's times are derived here, so a case run on any thread reads only
+    frozen shared state and builds the rest itself."""
+    mem = cfg.memory
+    rng = np.random.default_rng(seed)
+    rnd_grid = TimeGrid(0.0, 20.0 / mem.gamma0, 16001)  # 20 lifetimes
+    rnd_grid.times
+    return [("scenario_write", _write_case, cfg)] + [
+        (f"random_{i:02d}", _random_case, mem, rnd_grid, _draw_pair(rng))
+        for i in range(ORACLE_RANDOM_CASES)
+    ]
 
 
 def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int = 1) -> dict:
@@ -447,30 +469,40 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int = 1) -> di
     batch of seeded random (profile, pulse) pairs; the check passes when
     the largest gap is at most 1e-6.
 
-    With ``threads`` >= 2 the check uses one helper thread, and no more: it
-    runs the RK4 of each case while this thread draws the next case and runs
-    its quadrature, with one case at a time in each stage.  With fewer, no
-    thread starts.  The gaps are taken in case order, so the report does not
-    depend on ``threads``.  An error in either route leaves this function
-    once the helper's case is done, and the helper with it.
+    Each case runs whole (its arrays, quadrature, RK4 and gap) as one task.
+    With ``threads`` >= 2 the tasks run on min(threads, cases) threads of
+    one pool, each case holding about 2.5 MB while it runs; with fewer, they
+    run in this thread and no thread starts.  The random numbers are all
+    drawn before any case runs and the gaps are taken in case order, so the
+    report does not depend on ``threads``.  The first case that fails stops
+    every case not yet begun; the error of the earliest failing case in case
+    order leaves this function once the running cases are done, and the
+    threads with it.
     """
     cases = _oracle_cases(cfg, seed)
     if threads < 2:
-        checks = [_rk4_gap(case) for case in cases]
+        checks = [_case_gap(*case) for case in cases]
     else:
-        # Imported here so a check without the helper never loads it.
+        # Imported here so a check without threads never loads it.
         from concurrent.futures import ThreadPoolExecutor
 
-        checks = []
-        with ThreadPoolExecutor(1) as helper:
-            pending = None
-            # The next case is drawn, and its quadrature run, while the
-            # helper runs the RK4 of the one before.
-            for case in cases:
-                if pending is not None:
-                    checks.append(pending.result())
-                pending = helper.submit(_rk4_gap, case)
-            checks.append(pending.result())
+        failed = threading.Event()
+
+        def whole(case):
+            if failed.is_set():
+                return None  # a case has failed, so no report is made
+            try:
+                return _case_gap(*case)
+            except BaseException:
+                failed.set()
+                raise
+
+        pool = ThreadPoolExecutor(min(threads, len(cases)))
+        try:
+            futures = [pool.submit(whole, case) for case in cases]
+            checks = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
     worst = max(c["max_abs_dP"] for c in checks)
 
     return {

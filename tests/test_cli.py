@@ -422,7 +422,7 @@ def test_slow_atom_timeline_ends_after_the_read(tmp_path):
 def test_import_leaves_the_process_pool_unloaded():
     # Only pool_map with more than one worker (sweep points, or the row
     # chunks of a CSV) uses the process pool, and only the oracle with more
-    # than one worker starts a helper thread, so importing the CLI loads no
+    # than one worker starts a thread pool, so importing the CLI loads no
     # concurrent.futures module, and neither does an oracle run with
     # HALFCAV_THREADS=1.
     code = (
@@ -632,8 +632,8 @@ class TestDeterministicOutput:
 
     @pytest.mark.parametrize("seed", ["12345", "7"])
     def test_oracle_stdout_independent_of_worker_count(self, tmp_path, seed, capsys, monkeypatch):
-        # Two workers run the RK4 on one helper thread; one usable CPU or
-        # HALFCAV_THREADS=1 starts none.
+        # Two workers run the cases on a pool of two threads; one usable CPU
+        # or HALFCAV_THREADS=1 starts none.
         started = []
 
         class CountedHelper(concurrent.futures.ThreadPoolExecutor):
@@ -650,7 +650,7 @@ class TestDeterministicOutput:
             with cpus_allowed(cpus):
                 assert main(["oracle", "--seed", seed, "--out", str(tmp_path / "out")]) == 0
             outputs[name] = capsys.readouterr().out
-        assert started == [(1,)]
+        assert started == [(2,)]
         assert outputs["one_thread"] == outputs["two_threads"] == outputs["one_cpu"]
         assert json.loads(outputs["one_thread"])["passed"] is True
 
@@ -709,14 +709,18 @@ class TestKeptHeap:
 
     @pytest.mark.parametrize("command, calls", [("store", 0), ("sweep", 1), ("oracle", 1)])
     def test_only_sweep_and_oracle_set_it_once(self, tmp_path, command, calls, monkeypatch):
-        counted = []
-        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: counted.append(command) or True)
+        # Through a stand-in glibc, so this process keeps its own settings:
+        # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_ARENA_MAX, once a run.
+        settings = []
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+        libc_symbols = types.SimpleNamespace(mallopt=lambda *setting: settings.append(setting) or 1)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc_symbols)
         monkeypatch.setenv("HALFCAV_THREADS", "0")
         assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 2
-        assert counted == []
+        assert settings == []
         monkeypatch.setenv("HALFCAV_THREADS", "1")
         assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 0
-        assert counted == [command] * calls
+        assert settings == [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)] * calls
 
     @pytest.mark.parametrize("libc", ["no_confstr", "unknown_name", "not_glibc",
                                       "no_mallopt", "mallopt_fails"])

@@ -4,8 +4,8 @@ storage gap whose decay rate is exactly zero, agreement with the
 full-timeline builder kept below as the reference, compute work that
 does not grow with the storage time, and the sweep's eta_w(sigma/gamma0)
 between analytic bounds and against its continuous values."""
-import itertools
 import math
+import sys
 import threading
 from dataclasses import replace
 from types import SimpleNamespace
@@ -27,8 +27,6 @@ from halfcav.scenario import (
     MAX_SIGMA_OVER_GAMMA0,
     MAX_TIMELINE_SAMPLES,
     ScenarioConfig,
-    _oracle_cases,
-    _rk4_gap,
     _step,
     build_store_run,
     default_write_grid,
@@ -329,28 +327,44 @@ def test_each_envelope_intensity_is_derived_once_per_point(monkeypatch):
             assert [id(env) for env in norms] == [id(env) for env in intensities]
 
 
-class _Underived:
-    """A lazily derived series that may no longer be derived."""
-
-    def __get__(self, instance, owner=None):
-        raise AssertionError("a series was derived after its case was yielded")
-
-
 @pytest.mark.parametrize("compensated", [True, False])
 def test_oracle_cases_hold_every_series_the_rk4_reads(monkeypatch, compensated):
-    # The RK4 may run on a helper thread, which must only read frozen
-    # arrays: every series it reads that is derived on first use has been
-    # derived when the case is yielded.  A derived value sits in the
-    # instance, ahead of the class's descriptor, so only a missing one
-    # reaches _Underived.
+    # The cases run whole on the threads of one pool.  A series derived on
+    # first use (a cached_property) may be derived on a pool thread only for
+    # an object that thread made itself: what the cases share (cfg and the
+    # random grid's times) is derived before they are dispatched, so no two
+    # threads derive the same value.
+    made_on, derived = {}, []
+
+    def recording(init):
+        def made(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made_on[id(self)] = threading.get_ident()
+        return made
+
+    for module in (core, dynamics, write_optimizer):
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and any(
+                isinstance(slot, cached_property) for slot in vars(cls).values()
+            ):
+                monkeypatch.setattr(cls, "__init__", recording(cls.__init__))
+    derive = cached_property.__get__
+
+    def first_read(self, instance, owner=None):
+        if instance is not None and self.attrname not in vars(instance):
+            derived.append((made_on.get(id(instance)), threading.get_ident(),
+                            f"{type(instance).__name__}.{self.attrname}"))
+        return derive(self, instance, owner)
+
+    monkeypatch.setattr(cached_property, "__get__", first_read)
     cfg = ScenarioConfig.from_dict({"phase_compensation": compensated})
-    cases = list(itertools.islice(_oracle_cases(cfg, 7), 4))  # the write and 3 random pairs
-    for cls in (dynamics.DecayProfile, core.ComplexEnvelope):
-        for name, slot in list(vars(cls).items()):
-            if isinstance(slot, cached_property):
-                monkeypatch.setattr(cls, name, _Underived())
-    for case in cases:
-        assert _rk4_gap(case)["max_abs_dP"] < 1e-6
+    assert oracle_check(cfg, seed=7, threads=3)["passed"] is True
+    main = threading.get_ident()
+    on_pool = [(maker, name) for maker, on, name in derived if on != main]
+    # The cases' own grids, profiles and envelopes.
+    assert {"TimeGrid.times", "DecayProfile.g", "ComplexEnvelope.norm"} <= {n for _, n in on_pool}
+    assert all(maker not in (None, main) for maker, _ in on_pool), on_pool
+    assert all(maker == on for maker, on, _ in derived), derived
 
 
 @pytest.mark.parametrize("gamma0", [0.5, 2.0, 3.0, 4.0])
@@ -385,30 +399,82 @@ def test_oracle_cases_scale_with_gamma0(gamma0):
     assert scaled["passed"] is True
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("failing", [0, 1, 13, 20])
-def test_oracle_error_leaves_with_no_thread_behind(monkeypatch, threads, failing):
-    # The RK4 of case ``failing`` (0 is the write) raises.  The same error
-    # leaves oracle_check, on the helper thread or without one, and the
-    # helper has ended when it does.
-    error = RuntimeError("population left [0,1]")
-    callers = []
+@pytest.mark.parametrize("config", [{}, {"phase_compensation": False, "storage_T": 0}],
+                         ids=["default", "chirped"])
+def test_oracle_report_independent_of_threads(config):
+    # More threads than CPUs, switching every 10 us, so the cases interleave.
+    cfg = ScenarioConfig.from_dict(config)
+    serial = oracle_check(cfg, threads=1)
+    assert len(serial["cases"]) == 21 and serial["passed"] is True
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (2, 3, 25):
+            assert oracle_check(cfg, threads=threads) == serial, threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_oracle_runs_a_thread_a_case(monkeypatch):
+    # At 25 threads the pool has 21, one per case: each case's RK4 waits
+    # until every case has reached its own, which only 21 threads can do.
+    everyone = threading.Barrier(21, timeout=60)
+    callers = set()
 
     def rk4(profile, xi_in):
-        callers.append(threading.current_thread())
-        if len(callers) == failing + 1:
+        callers.add(threading.get_ident())
+        everyone.wait()
+        return dynamics.bloch_ode_oracle(profile, xi_in)
+
+    monkeypatch.setattr(scenario, "bloch_ode_oracle", rk4)
+    before = threading.active_count()
+    assert oracle_check(ScenarioConfig(), threads=25)["passed"] is True
+    assert len(callers) == 21 and threading.get_ident() not in callers
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("failing", [0, 1, 13, 20])
+def test_oracle_error_leaves_with_no_thread_behind(monkeypatch, threads, failing):
+    # The RK4 of case ``failing`` (0 is the write) raises.  On threads the
+    # case after it raises too, and first, and every later case waits in its
+    # RK4 until it has.  The error of the earliest failing case in case
+    # order leaves oracle_check; every case before it ran its RK4; no case
+    # begins once one has failed, so at most threads - 1 cases after it
+    # began; and the pool's threads have ended.
+    error, later_error = RuntimeError("population left [0,1]"), RuntimeError("a later case")
+    later_failed = threading.Event()
+    current = threading.local()
+    began, ran = [], []
+    case_gap = scenario._case_gap
+
+    def counted_case(name, build, *args):
+        current.index = 0 if name == "scenario_write" else int(name[len("random_"):]) + 1
+        began.append(current.index)
+        return case_gap(name, build, *args)
+
+    def rk4(profile, xi_in):
+        ran.append(current.index)
+        if current.index == failing + 1:
+            later_failed.set()
+            raise later_error
+        if current.index >= failing and threads > 1 and failing < 20:
+            assert later_failed.wait(timeout=60)
+        if current.index == failing:
             raise error
         return dynamics.bloch_ode_oracle(profile, xi_in)
 
+    monkeypatch.setattr(scenario, "_case_gap", counted_case)
     monkeypatch.setattr(scenario, "bloch_ode_oracle", rk4)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
         oracle_check(ScenarioConfig.from_dict({}), threads=threads)
     assert raised.value is error
     assert threading.active_count() == before
-    assert len(callers) == failing + 1
-    on_main = {c is threading.main_thread() for c in callers}
-    assert on_main == {threads == 1}
+    assert set(range(failing + 1)) <= set(ran)
+    later = {i for i in began if i > failing}
+    assert len(later) <= threads - 1
+    assert (failing + 1 in later) == (threads > 1 and failing < 20)
 
 
 def test_slowest_accepted_atom_stores_a_normal_number():
