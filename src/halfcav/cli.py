@@ -19,8 +19,9 @@ passes through the pool.  Any other HALFCAV_THREADS value exits 2, on every
 subcommand, before anything is computed or written.  With one worker, or
 one item, no process pool starts.  The oracle starts no process: when
 that count is 2 or more, its 21 cases run whole, each as one task, on that
-many threads, at most one a case, and each case running holds about 2.5 MB;
-with one, no thread starts.  Its report is the same either way.
+many threads, at most one a case, each peaking at about 4 MB (the write at
+5.3 MB) beside the random pairs' shared 1 MB harmonic table; with one, no
+thread starts.  Its report is the same either way.
 
 Where the C library is glibc, sweep and oracle keep up to 64 MiB of freed
 heap for the rest of the process, in one arena for all its threads

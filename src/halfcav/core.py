@@ -82,7 +82,8 @@ class ComplexEnvelope:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.complex128)
+        # Contiguous, so that a strided view reads as float64 pairs below.
+        samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if samples.shape != (self.grid.n,):
             raise ValueError(
                 f"expected {self.grid.n} samples, got shape {samples.shape}"
@@ -103,6 +104,14 @@ class ComplexEnvelope:
     def norm(self) -> float:
         """∫|xi(t)|^2 dt by the trapezoid rule."""
         return float(np.trapezoid(self.intensity, dx=self.grid.dt))
+
+
+def polar(magnitude: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """magnitude*exp(i*phase) from a cos and a sin, at half the cost of a complex exp."""
+    out = np.empty(np.shape(phase), dtype=np.complex128)
+    np.multiply(magnitude, np.cos(phase), out=out.real)
+    np.multiply(magnitude, np.sin(phase), out=out.imag)
+    return out
 
 
 def cumtrapz(values: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, TimeGrid
+from .core import ComplexEnvelope, MemoryConfig, TimeGrid, _freeze, polar
 from .dynamics import absorption_probability, bloch_ode_oracle, profile_from_gamma_z
 from .mirror import feasibility_report, trajectory_from_decay
 from .pulses import TimeBinSpec, make_time_bin
@@ -392,34 +392,38 @@ def _draw_pair(rng: np.random.Generator) -> tuple:
     return rate, envelope
 
 
-def _random_smooth_rate(draws: tuple, grid: TimeGrid, cap: float) -> np.ndarray:
+def _harmonic_basis(grid: TimeGrid) -> tuple:
+    """Read-only cos(k*theta) and sin(k*theta), k = 1..4, theta = 2*pi*(t - t_start)/span."""
+    theta = 2.0 * np.pi * (grid.times - grid.t_start) / (grid.t_end - grid.t_start)
+    return tuple((_freeze(np.cos(k * theta)), _freeze(np.sin(k * theta))) for k in range(1, 5))
+
+
+def _harmonic(basis: tuple, k: int, amplitude: float, phase: float) -> np.ndarray:
+    """amplitude*cos(k*theta + phase) from the basis."""
+    cos_k, sin_k = basis[k - 1]
+    return (amplitude * math.cos(phase)) * cos_k - (amplitude * math.sin(phase)) * sin_k
+
+
+def _random_smooth_rate(draws: tuple, basis: tuple, cap: float) -> np.ndarray:
     """Band-limited random decay rate strictly inside (0, cap)."""
     offset, harmonics = draws
-    t = grid.times
-    span = grid.t_end - grid.t_start
     series = offset
     for k, (amplitude, phase) in enumerate(harmonics, start=1):
-        series = series + amplitude * np.cos(
-            2.0 * np.pi * k * (t - grid.t_start) / span + phase
-        )
+        series = series + _harmonic(basis, k, amplitude, phase)
     return cap * 0.5 * (1.0 + np.tanh(series))
 
 
-def _random_envelope(draws: tuple, grid: TimeGrid) -> ComplexEnvelope:
+def _random_envelope(draws: tuple, grid: TimeGrid, basis: tuple) -> ComplexEnvelope:
     """Smooth normalized input with mild amplitude and phase structure."""
     at, wide, ripple_k, ripple_phase, chirp, chirp_k, chirp_phase = draws
     t = grid.times
     span = grid.t_end - grid.t_start
     center = grid.t_start + at * span
     width = wide * span
-    body = np.exp(-0.5 * ((t - center) / width) ** 2)
-    ripple = 1.0 + 0.25 * np.cos(
-        2.0 * np.pi * ripple_k * (t - grid.t_start) / span + ripple_phase
-    )
-    phase = chirp * np.cos(
-        2.0 * np.pi * chirp_k * (t - grid.t_start) / span + chirp_phase
-    )
-    env = ComplexEnvelope(grid, body * ripple * np.exp(1j * phase))
+    amplitude = np.exp(-0.5 * ((t - center) / width) ** 2)
+    amplitude *= 1.0 + _harmonic(basis, ripple_k, 0.25, ripple_phase)
+    phase = _harmonic(basis, chirp_k, chirp, chirp_phase)
+    env = ComplexEnvelope(grid, polar(amplitude, phase))
     # The bits of complex division by the norm (no sample is 0), at a tenth of its cost.
     return env.with_samples(env.samples * (1.0 / math.sqrt(env.norm)))
 
@@ -430,11 +434,11 @@ def _write_case(cfg: ScenarioConfig) -> tuple:
     return w.profile, w.xi_effective, w.trace.P
 
 
-def _random_case(mem: MemoryConfig, grid: TimeGrid, draws: tuple) -> tuple:
+def _random_case(mem: MemoryConfig, grid: TimeGrid, basis: tuple, draws: tuple) -> tuple:
     """A random pair from its drawn scalars as (profile, input, quadrature P)."""
     rate, envelope = draws
-    profile = profile_from_gamma_z(grid, _random_smooth_rate(rate, grid, mem.cap), mem)
-    env = _random_envelope(envelope, grid)
+    profile = profile_from_gamma_z(grid, _random_smooth_rate(rate, basis, mem.cap), mem)
+    env = _random_envelope(envelope, grid, basis)
     return profile, env, absorption_probability(profile, env).P
 
 
@@ -450,14 +454,14 @@ def _oracle_cases(cfg: ScenarioConfig, seed: int) -> list:
     """The oracle's cases in report order, each as ``_case_gap``'s arguments:
     the scenario's write phase, then ORACLE_RANDOM_CASES seeded random pairs.
     Every random number is drawn here, in order, and the shared random
-    grid's times are derived here, so a case run on any thread reads only
-    frozen shared state and builds the rest itself."""
+    grid's read-only harmonic basis is derived here, so a case run on any
+    thread reads only frozen shared state and builds the rest itself."""
     mem = cfg.memory
     rng = np.random.default_rng(seed)
     rnd_grid = TimeGrid(0.0, 20.0 / mem.gamma0, 16001)  # 20 lifetimes
-    rnd_grid.times
+    basis = _harmonic_basis(rnd_grid)
     return [("scenario_write", _write_case, cfg)] + [
-        (f"random_{i:02d}", _random_case, mem, rnd_grid, _draw_pair(rng))
+        (f"random_{i:02d}", _random_case, mem, rnd_grid, basis, _draw_pair(rng))
         for i in range(ORACLE_RANDOM_CASES)
     ]
 
@@ -471,13 +475,13 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int = 1) -> di
 
     Each case runs whole (its arrays, quadrature, RK4 and gap) as one task.
     With ``threads`` >= 2 the tasks run on min(threads, cases) threads of
-    one pool, each case holding about 2.5 MB while it runs; with fewer, they
-    run in this thread and no thread starts.  The random numbers are all
-    drawn before any case runs and the gaps are taken in case order, so the
-    report does not depend on ``threads``.  The first case that fails stops
-    every case not yet begun; the error of the earliest failing case in case
-    order leaves this function once the running cases are done, and the
-    threads with it.
+    one pool, each peaking at about 4 MB (the write at 5.3 MB); with fewer,
+    they run in this thread and no thread starts.  The random numbers are
+    all drawn, and the random pairs' shared harmonic basis built, before any
+    case runs, and the gaps are taken in case order, so the report does not
+    depend on ``threads``.  The first case that fails stops every case not
+    yet begun; the error of the earliest failing case in case order leaves
+    this function once the running cases are done, and the threads with it.
     """
     cases = _oracle_cases(cfg, seed)
     if threads < 2:

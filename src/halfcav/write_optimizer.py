@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, NORM_TOL, affine_scan
+from .core import ComplexEnvelope, MemoryConfig, NORM_TOL, affine_scan, polar
 from .dynamics import (
     DecayProfile,
     ExcitationTrace,
@@ -90,8 +90,9 @@ class WriteResult:
     def xi_effective(self) -> ComplexEnvelope:
         if not self.phase_compensation:
             return self.xi_in
+        # 0 - Im Gamma, not -Im Gamma: +0 where the shift is 0, as exp(-1j*Im Gamma) has.
         return self.xi_in.with_samples(
-            np.abs(self.xi_in.samples) * np.exp(-1j * self.profile.Gamma.imag)
+            polar(np.abs(self.xi_in.samples), 0.0 - self.profile.Gamma.imag)
         )
 
 

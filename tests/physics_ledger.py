@@ -18,6 +18,9 @@ A change that moves a number on purpose rewrites the ledger, and its diff
 shows every moved digit.  Rewrite it from the repository root with
 
     PYTHONPATH=src python tests/physics_ledger.py
+
+which prints each number it moved as ``path: old -> new`` and then the
+largest absolute and relative move.
 """
 from __future__ import annotations
 
@@ -95,13 +98,53 @@ def compute(command: str, config: dict):
     raise ValueError(f"unknown command {command!r}")
 
 
+def leaves(tree, path=""):
+    """(path, value) for each number, bool or string in a JSON tree."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, tree
+
+
+def moves(old_cases: list, new_cases: list) -> list:
+    """(path, old, new) for each value the new cases hold with other bits
+    than the old, by case name; None stands for a value one side lacks."""
+    old = dict(leaves({c["name"]: c["numbers"] for c in old_cases}))
+    new = dict(leaves({c["name"]: c["numbers"] for c in new_cases}))
+    return [(path, old.get(path), new.get(path)) for path in {**old, **new}
+            if repr(old.get(path)) != repr(new.get(path))]
+
+
+def report(moved: list) -> None:
+    """Print each move and the largest absolute and relative float move."""
+    for path, old, new in moved:
+        print(f"{path}: {old!r} -> {new!r}")
+    print(f"{len(moved)} moved")
+    floats = [(abs(new - old), path, old) for path, old, new in moved
+              if type(old) is type(new) is float]
+    if floats:
+        step, path, _ = max(floats)
+        print(f"largest absolute move: {step!r} at {path}")
+    relative = [(step / abs(old), path) for step, path, old in floats if old]
+    if relative:
+        step, path = max(relative)
+        print(f"largest relative move: {step!r} at {path}")
+
+
 def main() -> int:
+    old = json.loads(LEDGER.read_text())["cases"] if LEDGER.exists() else []
     cases = [{"name": name, "command": command, "config": config,
               "numbers": compute(command, config)}
              for name, command, config in CASES]
     ledger = {"build": build(), "rel_tol": REL_TOL, "abs_tol": ABS_TOL, "cases": cases}
     LEDGER.write_text(json.dumps(ledger, indent=1) + "\n")
     print(f"wrote {LEDGER.name}: {len(cases)} cases", file=sys.stderr)
+    # Read back as the file holds them, so a move is one the file shows.
+    report(moves(old, json.loads(LEDGER.read_text())["cases"]))
     return 0
 
 

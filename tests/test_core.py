@@ -168,6 +168,14 @@ class TestComplexEnvelope:
         with pytest.raises(ValueError):
             env.samples[0] = 1.0
 
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_strided_samples(self, kind):
+        g = TimeGrid(0.0, 1.0, 11)
+        full = np.exp(1j * g.times) if kind == "complex" else g.times
+        env = ComplexEnvelope(TimeGrid(0.0, 1.0, 6), full[::2])
+        assert env.samples.flags.c_contiguous
+        assert np.array_equal(env.samples, full[::2])
+
     def test_intensity_and_norm_derived_once(self):
         g = TimeGrid(0.0, 1.0, 101)
         rng = np.random.default_rng(4)

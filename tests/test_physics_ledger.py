@@ -15,18 +15,6 @@ LEDGER = json.loads(physics_ledger.LEDGER.read_text())
 SAME_BUILD = LEDGER["build"] == physics_ledger.build()
 
 
-def _leaves(tree, path=""):
-    """(path, value) for each number, bool or string in a JSON tree."""
-    if isinstance(tree, dict):
-        for key, value in tree.items():
-            yield from _leaves(value, f"{path}.{key}" if path else key)
-    elif isinstance(tree, list):
-        for i, value in enumerate(tree):
-            yield from _leaves(value, f"{path}[{i}]")
-    else:
-        yield path, tree
-
-
 def _matches(got, want) -> bool:
     if SAME_BUILD:
         # repr keeps every bit, and the sign of a zero.
@@ -47,10 +35,24 @@ def test_ledger_holds_the_script_cases():
 @pytest.mark.parametrize("case", LEDGER["cases"], ids=lambda case: case["name"])
 def test_numbers_match_the_ledger(case):
     # The JSON round trip gives the numbers the types the ledger reads back.
-    got = dict(_leaves(json.loads(json.dumps(physics_ledger.compute(case["command"], case["config"])))))
-    want = dict(_leaves(case["numbers"]))
+    got = dict(physics_ledger.leaves(json.loads(json.dumps(physics_ledger.compute(case["command"], case["config"])))))
+    want = dict(physics_ledger.leaves(case["numbers"]))
     assert list(got) == list(want)
     moved = {path: (want[path], got[path]) for path in want if not _matches(got[path], want[path])}
     mode = "bit for bit" if SAME_BUILD else f"within {LEDGER['rel_tol']:g} relative"
     assert not moved, f"moved against the ledger ({mode}), as (ledger, now): {moved}"
 
+
+
+def test_rewrite_reports_each_move(capsys):
+    old = [{"name": "a", "numbers": {"x": 1.0, "y": [2.0, 3.0], "z": 0.0, "ok": True}}]
+    new = [{"name": "a", "numbers": {"x": 1.0, "y": [2.0, 3.5], "z": -0.0, "ok": False}},
+           {"name": "b", "numbers": {"w": 4.0}}]
+    moved = physics_ledger.moves(old, new)
+    assert moved == [("a.y[1]", 3.0, 3.5), ("a.z", 0.0, -0.0), ("a.ok", True, False), ("b.w", None, 4.0)]
+    physics_ledger.report(moved)
+    assert capsys.readouterr().out.splitlines() == [
+        "a.y[1]: 3.0 -> 3.5", "a.z: 0.0 -> -0.0", "a.ok: True -> False", "b.w: None -> 4.0",
+        "4 moved", "largest absolute move: 0.5 at a.y[1]",
+        "largest relative move: 0.16666666666666666 at a.y[1]",
+    ]

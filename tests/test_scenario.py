@@ -399,6 +399,48 @@ def test_oracle_cases_scale_with_gamma0(gamma0):
     assert scaled["passed"] is True
 
 
+def _reference_rate(draws, grid, cap):
+    """A random pair's rate with one cos per harmonic, cos(k*theta + phase)."""
+    offset, harmonics = draws
+    t = grid.times
+    span = grid.t_end - grid.t_start
+    series = offset
+    for k, (amplitude, phase) in enumerate(harmonics, start=1):
+        series = series + amplitude * np.cos(2.0 * np.pi * k * (t - grid.t_start) / span + phase)
+    return cap * 0.5 * (1.0 + np.tanh(series))
+
+
+def _reference_envelope(draws, grid):
+    """A random pair's normalized input with its own cos and complex exp."""
+    at, wide, ripple_k, ripple_phase, chirp, chirp_k, chirp_phase = draws
+    t = grid.times
+    span = grid.t_end - grid.t_start
+    body = np.exp(-0.5 * ((t - (grid.t_start + at * span)) / (wide * span)) ** 2)
+    ripple = 1.0 + 0.25 * np.cos(2.0 * np.pi * ripple_k * (t - grid.t_start) / span + ripple_phase)
+    phase = chirp * np.cos(2.0 * np.pi * chirp_k * (t - grid.t_start) / span + chirp_phase)
+    samples = body * ripple * np.exp(1j * phase)
+    return samples / math.sqrt(np.trapezoid(np.abs(samples) ** 2, dx=grid.dt))
+
+
+@pytest.mark.parametrize("seed", [12345, 7])
+def test_oracle_random_pairs_from_the_shared_basis(seed):
+    # Every random pair's harmonics are mixed from one read-only basis of
+    # cos(k*theta) and sin(k*theta): the problems are those of one cos per
+    # harmonic and a complex exp, to rounding, and no case can write to it.
+    cases = scenario._oracle_cases(ScenarioConfig(), seed)
+    assert len(cases) == 21 and all(case[4] is cases[1][4] for case in cases[1:])
+    for name, _, mem, grid, basis, (rate, envelope) in cases[1:]:
+        got = scenario._random_smooth_rate(rate, basis, mem.cap)
+        assert np.max(np.abs(got - _reference_rate(rate, grid, mem.cap))) <= 1e-12, name
+        got = scenario._random_envelope(envelope, grid, basis).samples
+        assert np.max(np.abs(got - _reference_envelope(envelope, grid))) <= 1e-12, name
+    assert len(basis) == 4
+    for array in (a for pair in basis for a in pair):
+        assert array.shape == (grid.n,) and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 @pytest.mark.parametrize("config", [{}, {"phase_compensation": False, "storage_T": 0}],
                          ids=["default", "chirped"])
 def test_oracle_report_independent_of_threads(config):

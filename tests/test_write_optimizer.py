@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from functools import partial
@@ -5,10 +6,12 @@ from functools import partial
 import numpy as np
 import pytest
 
+import physics_ledger
 from halfcav import write_optimizer
 from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz
 from halfcav.dynamics import profile_from_gamma_z
 from halfcav.pulses import SUPPORT_CUTOFF, TimeBinSpec, make_time_bin, support_indices
+from halfcav.scenario import ScenarioConfig, _write_input
 from halfcav.write_optimizer import (
     ETA_TARGET,
     _synthesize_gamma_z,
@@ -482,6 +485,23 @@ class TestCoRotatingWrite:
             lambda env, q2, cfg: (profile, False, support_indices(env)),
         )
         self.assert_matches_lab_frame(optimal_write_profile(env, MEM))
+
+    def test_effective_input_keeps_the_complex_exp_bits(self):
+        # xi_effective is |xi|*exp(-i*Im Gamma) formed from a cos and a sin;
+        # on the ledger's build its bytes are those of the complex exp, and
+        # on any other within an ulp of them.
+        same_build = json.loads(physics_ledger.LEDGER.read_text())["build"] == physics_ledger.build()
+        for name, command, config in physics_ledger.CASES:
+            if command != "store":
+                continue
+            cfg = ScenarioConfig.from_dict(config)
+            w = optimal_write_profile(_write_input(cfg), cfg.memory, phase_compensation=True)
+            want = np.abs(w.xi_in.samples) * np.exp(-1j * w.profile.Gamma.imag)
+            got = w.xi_effective.samples
+            if same_build:
+                assert got.tobytes() == want.tobytes(), name
+            else:
+                np.testing.assert_array_max_ulp(got.view(np.float64), want.view(np.float64), maxulp=1)
 
     def test_uncompensated_write_is_lab_frame(self):
         w = optimal_write_profile(timebin_env(0.2), MEM, phase_compensation=False)
