@@ -9,22 +9,23 @@ Subcommands:
 All emitted files are deterministic byte-for-byte for a fixed config (and,
 for oracle, a fixed --seed, the only subcommand that draws random numbers):
 floats are written with 17 significant digits, JSON keys are sorted, and
-sweep points and CSV row chunks are written in input order regardless of
-worker scheduling.  The sweep points and the row chunks of every CSV run on
-one worker process per CPU this process may use, at most HALFCAV_THREADS (a
-positive integer) when that is set.  Each chunk's worker writes the chunk
-into its own region of a temporary file beside the CSV, and this process
-copies the regions into the CSV in order (write_csv), so no CSV text
-passes through the pool.  Any other HALFCAV_THREADS value exits 2, on every
-subcommand, before anything is computed or written.  With one worker, or
-one item, no process pool starts.  The oracle starts no process: when
-that count is 2 or more, its 21 cases run whole, each as one task, on that
-many threads, at most one a case, each peaking at about 4 MB (the write at
-5.3 MB) beside the random pairs' shared 1 MB harmonic table; with one, no
-thread starts.  Its report is the same either way.
+sweep points, oracle cases and CSV row chunks come back in input order
+regardless of worker scheduling.  All three run through one map,
+core.pool_map, on one process per CPU this process may use, this process
+among them, and at most HALFCAV_THREADS (a positive integer) when that is
+set.  The map forks the other workers up front; they take items from the
+front of the list while this process takes them from the back.  Any other
+HALFCAV_THREADS value exits 2, on every subcommand, before anything is
+computed or written.  With one worker, or one item, nothing is forked.
+Each chunk's worker writes the chunk into its own region of a temporary
+file beside the CSV, and this process copies the regions into the CSV in
+order (write_csv), so no CSV text passes through a pipe.  Each of the
+oracle's 21 cases runs whole as one item, peaking at about 4 MB (the write
+at 5.3 MB) beside the random pairs' shared 1 MB harmonic table.  Every
+output is the same at any worker count.
 
 Where the C library is glibc, sweep and oracle keep up to 64 MiB of freed
-heap for the rest of the process, in one arena for all its threads
+heap for the rest of the process and the workers it forks
 (_keep_freed_heap), so that each sweep point or oracle case reuses the
 pages one before it freed instead of faulting fresh ones in; no output
 depends on it.  store does not: it has one run to make, and the kept heap
@@ -37,11 +38,11 @@ import json
 import os
 import sys
 import tempfile
-from collections import deque
 from pathlib import Path
 
 import numpy as np
 
+from .core import pool_map
 from .scenario import (
     ScenarioConfig,
     StoreRun,
@@ -58,26 +59,18 @@ CSV_CHUNK_ROWS = 4096
 # the longest float64 "%.17g", -2.2250738585072014e-308, and a separator.
 CSV_FIELD_BYTES = 25
 
-# Items a pool worker reads through every call, set once per worker process
-# by the pool's initializer; never set in the parent.
-_worker_shared: tuple = ()
-
 
 def _keep_freed_heap() -> bool:
-    """Set glibc's M_MMAP_THRESHOLD to 32 MiB, its 64-bit maximum,
-    M_TRIM_THRESHOLD to 64 MiB and M_ARENA_MAX to 1, for the rest of this
-    process and the pool workers it forks.
+    """Set glibc's M_MMAP_THRESHOLD to 32 MiB, its 64-bit maximum, and
+    M_TRIM_THRESHOLD to 64 MiB, for the rest of this process and the
+    workers pool_map forks.
 
     By default glibc maps each array above a dynamic threshold afresh and
     hands the freed top of the heap back to the kernel, so every sweep point
     and oracle case faulted its whole peak in again: about 16k minor faults
-    an op, against under ten with these settings.  Each further thread that
-    allocates would also get an arena of its own, which kept its own freed
-    heap: the oracle's threads share the one arena instead (12 oracle runs in
-    one process on two threads of a 2-CPU Xeon: 47.4 MB ru_maxrss with an
-    arena a thread, 46.0 MB with one, at the same speed).  True when mallopt accepted all
-    three; False where the C library is not glibc, has no mallopt, or
-    refuses a value.
+    an op, against under ten with these settings.  True when mallopt
+    accepted both; False where the C library is not glibc, has no mallopt,
+    or refuses a value.
     """
     if not hasattr(os, "confstr"):
         return False
@@ -95,70 +88,8 @@ def _keep_freed_heap() -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # M_MMAP_THRESHOLD (-3), M_TRIM_THRESHOLD (-1) and M_ARENA_MAX (-8) in
-    # glibc's malloc.h.
-    return (mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
-            and mallopt(-8, 1) == 1)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity set, where os has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _share(*shared) -> None:
-    global _worker_shared
-    _worker_shared = shared
-
-
-def _call_shared(fn, item):
-    return fn(*_worker_shared, item)
-
-
-def pool_map(fn, items, threads: int | None, shared: tuple = ()):
-    """Yield ``fn(*shared, item)`` for each of ``items``, in order.
-
-    The work runs on min(_usable_cpus(), threads, len(items)) worker
-    processes (``threads`` None: no cap), and in this process, with no pool,
-    when that is 1.  ``shared`` goes to each worker once, through the pool's
-    initializer, so under fork the workers inherit it unpickled.  At most
-    2 x workers items are in flight, so a caller that consumes each result
-    as it arrives holds a bounded number of them.
-    """
-    workers = min(_usable_cpus(), threads or len(items), len(items))
-    if workers <= 1:
-        for item in items:
-            yield fn(*shared, item)
-        return
-    # Imported here so a run with one worker never loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, initializer=_share, initargs=shared) as pool:
-        pending = deque()
-        for item in items:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(_call_shared, fn, item))
-        while pending:
-            yield pending.popleft().result()
-
-
-class _PoolFd(int):
-    """A file descriptor that pool_map's workers can write to: a forked
-    worker inherits it, and a spawned or forkserver one gets a duplicate
-    when the pool pickles the items it shares with the worker."""
-
-    def __reduce__(self):
-        # Imported here: a forked pool, or none, never pickles the descriptor.
-        from multiprocessing.reduction import DupFd
-
-        return _detach_fd, (DupFd(int(self)),)
-
-
-def _detach_fd(dup) -> int:
-    return dup.detach()
+    # M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1) in glibc's malloc.h.
+    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
 
 
 def _format_chunk(arrays: list, rows: slice) -> bytes:
@@ -214,24 +145,24 @@ def write_csv(path: Path, header: list[str], columns: list, threads: int | None 
     all its fields.  Each chunk restarts the reuse, so its bytes depend on
     its own rows only, and the file is the same at any worker count.
 
-    Each chunk runs on one of pool_map's workers (at most ``threads``; with
-    one, in this process on the same path).  The worker writes the chunk's
-    bytes with os.pwrite into its own region of an anonymous temporary file
-    beside ``path`` and returns only their length.  A region holds
-    CSV_FIELD_BYTES (25) a field: the longest "%.17g" of a float64,
-    -2.2250738585072014e-308, is 24 bytes, and a separator follows it.  So
-    regions do not overlap; a chunk longer than its region raises
+    Each chunk is one item of core.pool_map (at most ``threads`` processes,
+    this one among them; with one, nothing is forked).  Whichever process
+    runs a chunk writes its bytes with os.pwrite into its own region of an
+    anonymous temporary file beside ``path`` and returns only their length.
+    A region holds CSV_FIELD_BYTES (25) a field: the longest "%.17g" of a
+    float64, -2.2250738585072014e-308, is 24 bytes, and a separator follows
+    it.  So regions do not overlap; a chunk longer than its region raises
     RuntimeError rather than write into the next, and a short write raises
     OSError.  This process then copies each chunk in order from its region
-    into ``path`` with os.pread: no text crosses the pool, and this process
-    holds no chunk text but the one it copies.  A forked worker inherits the
-    temporary file's descriptor, and any other gets a duplicate (_PoolFd).
+    into ``path`` with os.pread: no text crosses a pipe, and this process
+    holds no chunk text but the one it copies or formats.  The forked
+    workers inherit the temporary file's descriptor.
 
     The temporary file takes disk space up to the CSV's size while it runs
     (the rest of each region is a hole) and is gone when write_csv returns
     or raises, so no other file is left beside ``path``.  A chunk peaks at
     about 0.6 kB a row of nine columns while it is formatted (0.2 kB a hold
-    row), and at most 2 x workers chunks are in flight.
+    row), and each process formats one chunk at a time.
     """
     arrays = [np.asarray(c, dtype=np.float64) for c in columns]
     lengths = {len(a) for a in arrays}
@@ -241,7 +172,7 @@ def write_csv(path: Path, header: list[str], columns: list, threads: int | None 
     chunks = [slice(start, min(start + CSV_CHUNK_ROWS, n)) for start in range(0, n, CSV_CHUNK_ROWS)]
     with open(path, "wb") as fh, tempfile.TemporaryFile(dir=path.parent) as tmp:
         fh.write((",".join(header) + "\n").encode())
-        written = pool_map(_write_chunk, chunks, threads, shared=(arrays, _PoolFd(tmp.fileno())))
+        written = pool_map(_write_chunk, chunks, threads, shared=(arrays, tmp.fileno()))
         for rows, length in zip(chunks, written):
             fh.write(os.pread(tmp.fileno(), length, rows.start * len(arrays) * CSV_FIELD_BYTES))
 
@@ -274,7 +205,8 @@ def emit_store(run: StoreRun, out_dir: Path, threads: int | None = None) -> dict
 
 
 def parse_threads(raw: str | None) -> int | None:
-    """The HALFCAV_THREADS cap on pool workers, or None when unset."""
+    """The HALFCAV_THREADS cap on pool_map's processes, this one among
+    them, or None when unset."""
     if not raw:
         return None
     if raw.isdecimal() and int(raw) >= 1:
@@ -283,7 +215,7 @@ def parse_threads(raw: str | None) -> int | None:
 
 
 def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -> list[dict]:
-    """Run the sweep on up to ``threads`` workers (default: one per CPU)."""
+    """Run the sweep on up to ``threads`` processes (default: one per CPU)."""
     sigmas = [float(s) for s in cfg.sweep.sigmas()]
     rows = list(pool_map(sweep_point, sigmas, threads, shared=(cfg,)))
     header = ["sigma_over_gamma0", "eta_w", "eta_r", "eta", "F"]
@@ -334,8 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         _keep_freed_heap()
 
     if args.command == "oracle":
-        cpus = _usable_cpus()
-        report = oracle_check(cfg, seed=args.seed, threads=min(cpus, threads or cpus))
+        report = oracle_check(cfg, seed=args.seed, threads=threads)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if report["passed"] else 1
     try:

@@ -1,4 +1,4 @@
-"""Shared domain types and numerical primitives.
+"""Shared domain types, numerical primitives and the one parallel map.
 
 Everything downstream works in natural units: the free-space atomic decay
 rate gamma0 sets the unit of inverse time and the speed of light is 1, so
@@ -7,6 +7,10 @@ fractions of the transition wavelength.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import struct
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -175,3 +179,207 @@ def affine_scan(a: np.ndarray, b: np.ndarray, x0) -> np.ndarray:
     x[0] = x0
     return x[: m + 1]
 
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set, where os has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The claim indices of a pool_map run, front and back: the items not yet
+# claimed are those in [front, back).
+_CLAIM_INDICES = struct.Struct("qq")
+
+
+class _Claims:
+    """Which items of a pool_map run are still to claim: two indices in a
+    small temporary file, mapped shared, that the run's forked workers
+    inherit.  Each read and update holds an fcntl lock on the file, which
+    the kernel releases when its holder dies, so a worker killed mid-claim
+    blocks no one."""
+
+    def __init__(self, n: int):
+        # Imported here so a run in one process never loads it.
+        import mmap
+
+        self._file = tempfile.TemporaryFile()
+        os.ftruncate(self._file.fileno(), _CLAIM_INDICES.size)
+        self._indices = mmap.mmap(self._file.fileno(), _CLAIM_INDICES.size)
+        _CLAIM_INDICES.pack_into(self._indices, 0, 0, n)
+
+    def _update(self, step):
+        """Replace (front, back) by ``step(front, back)``'s first two values
+        under the lock, and return its third."""
+        # Imported here so a run in one process never loads it.
+        import fcntl
+
+        fd = self._file.fileno()
+        fcntl.lockf(fd, fcntl.LOCK_EX)
+        try:
+            front, back, claimed = step(*_CLAIM_INDICES.unpack_from(self._indices))
+            _CLAIM_INDICES.pack_into(self._indices, 0, front, back)
+            return claimed
+        finally:
+            fcntl.lockf(fd, fcntl.LOCK_UN)
+
+    def front(self) -> int | None:
+        """The first unclaimed index, now claimed, or None when none is left."""
+        return self._update(lambda front, back: (front + 1, back, front) if front < back
+                            else (front, back, None))
+
+    def back(self) -> int | None:
+        """The last unclaimed index, now claimed, or None when none is left."""
+        return self._update(lambda front, back: (front, back - 1, back - 1) if front < back
+                            else (front, back, None))
+
+    def stop_after(self, index: int) -> None:
+        """Leave unclaimed for good every item after ``index``, which failed."""
+        self._update(lambda front, back: (front, max(front, min(back, index)), None))
+
+    def close(self) -> None:
+        self._indices.close()
+        self._file.close()
+
+
+def _report(stream, index: int, ok: bool | None, value=None) -> None:
+    """Send one report of a forked worker through its pipe: item ``index``
+    has begun (``ok`` None), returned ``value`` (True) or raised it (False).
+    The value is pickled on its own, so that the parent can tell which item
+    a report it cannot unpickle belongs to."""
+    pickle.dump((index, ok, pickle.dumps(value)), stream)
+    stream.flush()
+
+
+def _work(fn, items, shared: tuple, claims: _Claims, out: int):
+    """The life of a forked pool_map worker: claim items from the front and
+    report each through the pipe ``out`` until none is left, then leave
+    through os._exit, which flushes none of the stdio buffers it inherited
+    and runs no atexit handler."""
+    code = 1
+    try:
+        with open(out, "wb") as stream:
+            while (index := claims.front()) is not None:
+                _report(stream, index, None)
+                try:
+                    value = fn(*shared, items[index])
+                    ok = True
+                # Every error, KeyboardInterrupt too, is raised again in the
+                # calling process.
+                except BaseException as exc:
+                    claims.stop_after(index)
+                    value, ok = exc, False
+                try:
+                    _report(stream, index, ok, value)
+                except Exception as exc:  # a value pickle refuses
+                    claims.stop_after(index)
+                    _report(stream, index, False, RuntimeError(
+                        f"item {index}: cannot send {type(value).__name__} {value!r}: {exc}"))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid: int, workers: dict, reports: dict, claims: _Claims):
+    """Read the reports of worker ``pid`` from its pipe ``workers[pid]``
+    into ``reports`` (index -> (ok, value)) until the pipe closes, then
+    reap the worker and drop it from ``workers``, yielding after each
+    report and once at the end.  A worker that ended while an item it began
+    was unreported, or with a status other than 0, leaves a RuntimeError
+    naming that status in the item's place, or in ``reports[None]`` when
+    it held none."""
+    begun = None
+    while True:
+        try:
+            index, ok, value = pickle.load(workers[pid])
+        except (EOFError, pickle.UnpicklingError):  # closed, or cut mid-report
+            break
+        if ok is None:
+            begun = index
+            continue
+        begun = None
+        try:
+            value = pickle.loads(value)
+        except Exception as exc:
+            ok, value = False, RuntimeError(f"item {index}: unreadable report: {exc!r}")
+        if not ok:
+            claims.stop_after(index)
+        reports[index] = ok, value
+        yield
+    workers[pid].close()
+    status = os.waitpid(pid, 0)[1]
+    del workers[pid]
+    if begun is not None or status != 0:
+        ended = (f"signal {os.WTERMSIG(status)}" if os.WIFSIGNALED(status)
+                 else f"exit status {os.waitstatus_to_exitcode(status)}")
+        held = "" if begun is None else f" before it reported item {begun}"
+        if begun is not None:
+            claims.stop_after(begun)
+        reports[begun] = False, RuntimeError(f"pool_map worker {pid} ended with {ended}{held}")
+    yield
+
+
+def pool_map(fn, items, threads: int | None, shared: tuple = ()):
+    """Yield ``fn(*shared, item)`` for each of ``items``, in order.
+
+    The work runs on w = min(_usable_cpus(), threads, len(items)) processes,
+    this one among them (``threads`` None: no cap).  At w = 1 it runs here
+    and nothing is forked.  At w >= 2, w - 1 workers are forked up front;
+    they inherit ``fn``, ``items`` and ``shared`` unpickled and claim items
+    from the front, while this process claims them from the back, so its
+    warm heap runs the trailing items and no worker's first-item page
+    faults are paid twice.  Both claim under one fcntl lock (_Claims).  A
+    worker sends each result, or the error it raised, pickled through a
+    pipe of its own, and leaves through os._exit.  The package starts no
+    thread of its own, so no worker inherits a lock held mid-update.
+
+    An item that raises stops every item after it that has not begun; the
+    items before it still run, so the error that leaves pool_map, with its
+    type and message, is the one of the earliest failing item in item
+    order, as in one process.  A worker that dies without a report (say,
+    killed mid-item) gives a RuntimeError naming its status.  Every worker
+    is reaped before pool_map returns or raises, also on KeyboardInterrupt
+    and when the caller stops iterating.
+    """
+    workers = min(_usable_cpus(), threads or len(items), len(items))
+    if workers <= 1:
+        for item in items:
+            yield fn(*shared, item)
+        return
+    claims = _Claims(len(items))
+    workers_left = {}  # pid -> the read end of its pipe
+    reports = {}
+    try:
+        for _ in range(workers - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # Only this process reads the pipes, so that a worker whose
+                # reports are no longer read gets EPIPE rather than block.
+                os.close(read_end)
+                for stream in workers_left.values():
+                    stream.close()
+                _work(fn, items, shared, claims, write_end)
+            os.close(write_end)
+            workers_left[pid] = open(read_end, "rb")
+        while (index := claims.back()) is not None:
+            try:
+                reports[index] = True, fn(*shared, items[index])
+            except Exception as exc:
+                claims.stop_after(index)
+                reports[index] = False, exc
+        done = 0  # items yielded
+        for pid in list(workers_left):
+            for _ in _collect(pid, workers_left, reports, claims):
+                while reports.get(done, (False,))[0]:
+                    yield reports.pop(done)[1]
+                    done += 1
+        failed = [index for index, (ok, _) in reports.items() if not ok]
+        if failed:
+            raise reports[min(failed, key=lambda index: len(items) if index is None else index)][1]
+    finally:
+        claims.stop_after(-1)
+        for pid, stream in workers_left.items():
+            stream.close()
+            os.waitpid(pid, 0)
+        claims.close()

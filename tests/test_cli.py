@@ -2,7 +2,6 @@
 trip, the CSV number format, and byte-identical outputs across runs and
 worker counts.  The per-row CSV writer kept below is the reference for the
 chunked one."""
-import concurrent.futures
 import contextlib
 import ctypes
 import dataclasses
@@ -13,8 +12,10 @@ import math
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 from unittest import mock
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halfcav import cli, scenario
+from halfcav import cli, core, scenario
 from halfcav.cli import main, pool_map, write_csv
 from halfcav.scenario import MAX_SIGMA_OVER_GAMMA0, MAX_SWEEP_POINTS, ScenarioConfig, build_store_run
 
@@ -50,14 +51,26 @@ def cpus_allowed(n):
     return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(n)), create=True)
 
 
-class NoPool:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a process pool started")
+@contextlib.contextmanager
+def counted_forks():
+    """The pids of the workers this process forks while the block runs."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with mock.patch.object(os, "fork", counted):
+        yield forks
 
 
-class NoThread:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a helper thread started")
+def assert_no_child_left():
+    """Every process this one forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli(tmp_path, command, config=None, out="out"):
@@ -419,27 +432,34 @@ def test_slow_atom_timeline_ends_after_the_read(tmp_path):
     assert rows == 7_556
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # Only pool_map with more than one worker (sweep points, or the row
-    # chunks of a CSV) uses the process pool, and only the oracle with more
-    # than one worker starts a thread pool, so importing the CLI loads no
-    # concurrent.futures module, and neither does an oracle run with
-    # HALFCAV_THREADS=1.
+def test_import_leaves_the_process_pool_unloaded(tmp_path):
+    # pool_map forks its workers itself, so neither importing the CLI nor
+    # running any subcommand, at one worker or at two, loads a
+    # concurrent.futures or multiprocessing module.
+    (tmp_path / "sweep.json").write_text(json.dumps({"sweep": SWEEP3}))
     code = (
-        "import contextlib, io, sys, halfcav.cli\n"
+        "import contextlib, io, os, sys, halfcav.cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "def loaded():\n"
         "    return [m for m in sys.modules if m.startswith(('concurrent', 'multiprocessing'))]\n"
         "print(loaded())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert halfcav.cli.main(['oracle']) == 0\n"
-        "print(loaded())\n"
+        "for threads in ('1', '2'):\n"
+        "    os.environ['HALFCAV_THREADS'] = threads\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert halfcav.cli.main(['oracle']) == 0\n"
+        "        assert halfcav.cli.main(['store', '--out', sys.argv[1] + '/store' + threads]) == 0\n"
+        "        assert halfcav.cli.main(['sweep', '--config', sys.argv[1] + '/sweep.json',\n"
+        "                                 '--out', sys.argv[1] + '/sweep' + threads]) == 0\n"
+        "    print(loaded())\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
-           "HALFCAV_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True,
+        check=True,
     )
-    assert done.stdout == "[]\n[]\n"
+    assert done.stdout == "[]\n[]\n[]\n"
+    for name in ("store2/timeseries.csv", "store2/run.json", "sweep2/sweep.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / name.replace("2", "1")).read_bytes()
 
 
 @st.composite
@@ -632,37 +652,32 @@ class TestDeterministicOutput:
 
     @pytest.mark.parametrize("seed", ["12345", "7"])
     def test_oracle_stdout_independent_of_worker_count(self, tmp_path, seed, capsys, monkeypatch):
-        # Two workers run the cases on a pool of two threads; one usable CPU
-        # or HALFCAV_THREADS=1 starts none.
-        started = []
-
-        class CountedHelper(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(args)
-                super().__init__(*args, **kwargs)
-
+        # Two and three workers fork one and two processes; one usable CPU
+        # or HALFCAV_THREADS=1 forks none.
         outputs = {}
-        for name, threads, cpus, helper in [("one_thread", "1", 2, NoThread),
-                                            ("two_threads", "2", 2, CountedHelper),
-                                            ("one_cpu", "", 1, NoThread)]:
+        for name, threads, cpus, forked in [("one_worker", "1", 3, 0), ("two_workers", "2", 3, 1),
+                                            ("three_workers", "3", 3, 2), ("one_cpu", "", 1, 0)]:
             monkeypatch.setenv("HALFCAV_THREADS", threads)
-            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", helper)
-            with cpus_allowed(cpus):
+            with cpus_allowed(cpus), counted_forks() as forks:
                 assert main(["oracle", "--seed", seed, "--out", str(tmp_path / "out")]) == 0
+            assert len(forks) == forked, name
+            assert_no_child_left()
             outputs[name] = capsys.readouterr().out
-        assert started == [(2,)]
-        assert outputs["one_thread"] == outputs["two_threads"] == outputs["one_cpu"]
-        assert json.loads(outputs["one_thread"])["passed"] is True
+        assert len(set(outputs.values())) == 1
+        assert json.loads(outputs["one_worker"])["passed"] is True
 
     def test_sweep_independent_of_worker_count(self, tmp_path, monkeypatch):
         config = {"sweep": SWEEP3}
-        monkeypatch.setenv("HALFCAV_THREADS", "1")
-        assert run_cli(tmp_path, "sweep", config, out="serial") == 0
-        monkeypatch.setenv("HALFCAV_THREADS", "2")
-        assert run_cli(tmp_path, "sweep", config, out="pooled") == 0
-        serial = (tmp_path / "serial" / "sweep.csv").read_bytes()
-        assert serial.count(b"\n") == 4
-        assert serial == (tmp_path / "pooled" / "sweep.csv").read_bytes()
+        outputs = []
+        for threads in ["1", "2", "3"]:
+            monkeypatch.setenv("HALFCAV_THREADS", threads)
+            with cpus_allowed(3), counted_forks() as forks:
+                assert run_cli(tmp_path, "sweep", config, out=threads) == 0
+            assert len(forks) == int(threads) - 1
+            assert_no_child_left()
+            outputs.append((tmp_path / threads / "sweep.csv").read_bytes())
+        assert outputs[0].count(b"\n") == 4
+        assert outputs == [outputs[0]] * 3
 
 
 # Runs main in a fresh interpreter, with _keep_freed_heap replaced by a stub
@@ -710,7 +725,8 @@ class TestKeptHeap:
     @pytest.mark.parametrize("command, calls", [("store", 0), ("sweep", 1), ("oracle", 1)])
     def test_only_sweep_and_oracle_set_it_once(self, tmp_path, command, calls, monkeypatch):
         # Through a stand-in glibc, so this process keeps its own settings:
-        # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_ARENA_MAX, once a run.
+        # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, once a run, and no
+        # M_ARENA_MAX, since no run starts a thread.
         settings = []
         monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
         libc_symbols = types.SimpleNamespace(mallopt=lambda *setting: settings.append(setting) or 1)
@@ -720,7 +736,7 @@ class TestKeptHeap:
         assert settings == []
         monkeypatch.setenv("HALFCAV_THREADS", "1")
         assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 0
-        assert settings == [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)] * calls
+        assert settings == [(-3, 32 << 20), (-1, 64 << 20)] * calls
 
     @pytest.mark.parametrize("libc", ["no_confstr", "unknown_name", "not_glibc",
                                       "no_mallopt", "mallopt_fails"])
@@ -851,29 +867,23 @@ class TestChunkedWriteCsv:
     def test_long_hold_exports_match_the_reference_writer(
         self, tmp_path, command, files, capsys, monkeypatch
     ):
-        # The same bytes in this process and on two pool workers.
-        pools = []
-
-        class CountedPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        # The same bytes in this process alone and with one or two forked
+        # workers.
         stdout = {}
-        with cpus_allowed(2):
-            for threads in ["1", "2"]:
-                monkeypatch.setenv("HALFCAV_THREADS", threads)
+        for threads in ["1", "2", "3"]:
+            monkeypatch.setenv("HALFCAV_THREADS", threads)
+            with cpus_allowed(3), counted_forks() as forks:
                 assert run_cli(tmp_path, command, LONG_HOLD, out=threads) == 0
-                stdout[threads] = capsys.readouterr().out
-                assert len(pools) == int(threads) - 1
+            stdout[threads] = capsys.readouterr().out
+            assert len(forks) == int(threads) - 1
+            assert_no_child_left()
         with mock.patch.object(cli, "write_csv", _reference_write_csv):
             assert run_cli(tmp_path, command, LONG_HOLD, out="reference") == 0
         reference = capsys.readouterr().out
-        assert reference and stdout == {"1": reference, "2": reference}
+        assert reference and stdout == dict.fromkeys(["1", "2", "3"], reference)
         for name in files:
             expected = (tmp_path / "reference" / name).read_bytes()
-            for threads in ["1", "2"]:
+            for threads in ["1", "2", "3"]:
                 assert (tmp_path / threads / name).read_bytes() == expected
         # The repeated tails (the hold) span several chunks.
         rows = (tmp_path / "2" / files[0]).read_text().splitlines()[1:]
@@ -970,8 +980,8 @@ class TestCsvRegions:
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_workers_that_are_not_forked(self, tmp_path, method):
-        # Such workers inherit no descriptor; the temporary file's reaches
-        # them when the pool pickles the items it shares with them.
+        # pool_map forks its workers itself, so multiprocessing's start
+        # method, whatever it is set to, does not reach the export.
         script = tmp_path / "export.py"
         script.write_text(
             "import multiprocessing, os, sys\n"
@@ -994,51 +1004,212 @@ class TestCsvRegions:
 
 
 class TestPoolMap:
-    """When pool_map starts a process pool, and how much it keeps in flight."""
+    """When pool_map forks, which process runs which items, and what its
+    workers leave behind."""
 
     # One usable CPU on a host that may have more, or HALFCAV_THREADS=1.
     @pytest.mark.parametrize("threads, cpus", [("", 1), ("1", 2)], ids=["one_cpu", "one_thread"])
     @pytest.mark.parametrize("command", ["store", "sweep"])
     def test_one_worker_starts_no_pool(self, tmp_path, command, threads, cpus, monkeypatch):
         monkeypatch.setenv("HALFCAV_THREADS", threads)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
-        with cpus_allowed(cpus):
+        with cpus_allowed(cpus), counted_forks() as forks:
             assert run_cli(tmp_path, command, {**LONG_HOLD, "sweep": SWEEP3}) == 0
+        assert forks == []
 
-    def test_one_chunk_starts_no_pool(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    def test_one_chunk_starts_no_pool(self, tmp_path):
         columns = [np.linspace(0.0, 1.0, cli.CSV_CHUNK_ROWS), np.zeros(cli.CSV_CHUNK_ROWS)]
-        with cpus_allowed(2):
+        with cpus_allowed(2), counted_forks() as forks:
             write_csv(tmp_path / "new.csv", ["a", "b"], columns, None)
+        assert forks == []
         _reference_write_csv(tmp_path / "reference.csv", ["a", "b"], columns)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
-    @pytest.mark.parametrize("cpus, threads, workers", [(3, None, 3), (4, 2, 2)])
-    def test_items_in_flight_bounded(self, monkeypatch, cpus, threads, workers):
-        submitted = []
+    @pytest.mark.parametrize("cpus, threads, workers", [(1, None, 1), (3, None, 3), (4, 2, 2),
+                                                        (3, 3, 3), (4, None, 4)])
+    def test_results_in_order_at_any_worker_count(self, cpus, threads, workers):
+        with cpus_allowed(cpus), counted_forks() as forks:
+            assert list(pool_map(pow, range(20), threads, (2,))) == [2 ** i for i in range(20)]
+        assert len(forks) == workers - 1
+        assert_no_child_left()
 
-        class FakePool:
-            def __init__(self, max_workers, initializer, initargs):
-                assert max_workers == workers
-                self.shared = initargs
+    def test_this_process_runs_the_trailing_items(self):
+        # The forked worker takes items from the front and this process
+        # takes them from the back, each item once.
+        def where(delay, item):
+            time.sleep(delay)
+            return item, os.getpid()
 
-            def __enter__(self):
-                return self
+        with cpus_allowed(2), counted_forks() as forks:
+            ran = list(pool_map(where, range(12), 2, (0.01,)))
+        assert [item for item, _ in ran] == list(range(12))
+        pids = [pid for _, pid in ran]
+        assert pids[0] == forks[0] and pids[-1] == os.getpid()
+        first_here = pids.index(os.getpid())
+        assert pids == [forks[0]] * first_here + [os.getpid()] * (12 - first_here)
+        assert_no_child_left()
 
-            def __exit__(self, *exc):
-                return False
+    def test_each_item_claimed_once_on_more_workers_than_cpus(self, tmp_path):
+        # Four processes on whatever CPUs the host has: an item claimed
+        # twice, or skipped, shows in the log every call appends to.
+        log = tmp_path / "calls.log"
 
-            def submit(self, call, fn, item):
-                submitted.append(item)
-                future = concurrent.futures.Future()
-                future.set_result(fn(*self.shared, item))
-                return future
+        def logged(item):
+            entry = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(entry, b"%d %d\n" % (item, os.getpid()))
+            finally:
+                os.close(entry)
+            return -item
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        in_flight = []
-        with cpus_allowed(cpus):
-            for received, value in enumerate(pool_map(pow, range(20), threads, (2,))):
-                assert value == 2 ** received
-                in_flight.append(len(submitted) - received)
-        assert submitted == list(range(20))
-        assert max(in_flight) == 2 * workers
+        with cpus_allowed(4), counted_forks() as forks:
+            assert list(pool_map(logged, range(300), 4)) == [-i for i in range(300)]
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert sorted(item for item, _ in calls) == list(range(300))
+        assert {pid for _, pid in calls} <= {os.getpid(), *forks} and len(forks) == 3
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_earliest_failing_item_wins(self, tmp_path, workers):
+        # Items 3 and 7 raise; 7 may fail first, but every item before 3
+        # still runs and 3's error, its type and message, leaves pool_map,
+        # as in one process.
+        log = tmp_path / "calls.log"
+
+        def item_fails(item):
+            entry = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(entry, b"%d\n" % item)
+            finally:
+                os.close(entry)
+            time.sleep(0.002)
+            if item in (3, 7):
+                raise (KeyError if item == 3 else ValueError)(f"item {item}")
+            return item
+
+        with cpus_allowed(workers), pytest.raises(KeyError, match="item 3"):
+            list(pool_map(item_fails, range(12), workers))
+        ran = {int(line) for line in log.read_text().split()}
+        assert {0, 1, 2, 3} <= ran
+        assert_no_child_left()
+
+    def test_no_item_after_a_failure_begins(self, tmp_path):
+        # The worker fails at item 0 while this process runs item 9, which
+        # waits until the failure is reported: by then every item after 0
+        # is stopped, so item 9 is the last to begin.
+        log = tmp_path / "calls.log"
+
+        def item_waits(item):
+            with open(log, "a") as fh:
+                fh.write(f"began {item}\n")
+            if item == 0:
+                raise ReportedError(str(log))
+            deadline = time.monotonic() + 60
+            while "reported" not in log.read_text():
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            return item
+
+        with cpus_allowed(2), pytest.raises(ReportedError):
+            list(pool_map(item_waits, range(10), 2))
+        assert log.read_text().split("\n")[:-1].count("reported") == 1
+        began = {int(line.split()[1]) for line in log.read_text().splitlines()
+                 if line.startswith("began")}
+        assert began == {0, 9}
+        assert_no_child_left()
+
+    def test_claims_stop_after_a_failed_item(self):
+        # The unclaimed items after a failed one are dropped; those before
+        # it stay to claim.
+        claims = core._Claims(10)
+        try:
+            assert (claims.front(), claims.back(), claims.front()) == (0, 9, 1)
+            claims.stop_after(9)
+            assert (claims.back(), claims.front()) == (8, 2)
+            claims.stop_after(6)
+            assert (claims.back(), claims.front(), claims.back(), claims.front()) == (5, 3, 4, None)
+            assert claims.back() is None
+        finally:
+            claims.close()
+
+    def test_killed_worker_gives_its_status(self):
+        def killed_in_worker(parent, item):
+            time.sleep(0.01)
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return item
+
+        with cpus_allowed(2), pytest.raises(
+            RuntimeError, match=r"pool_map worker \d+ ended with signal 9 before it reported item 0"
+        ):
+            list(pool_map(killed_in_worker, range(10), 2, (os.getpid(),)))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("report, message", [
+        ("result", "item 0: cannot send function"),
+        ("error", r"item 0: unreadable report: TypeError\("),
+    ])
+    def test_report_that_cannot_cross_raises_in_this_process(self, report, message):
+        # A worker's result that pickle refuses, and an error that pickles
+        # but cannot be rebuilt from its args, each fail their item.
+        def closure(item):
+            time.sleep(0.01)
+            if report == "error":
+                raise TwoArgumentError(item, "raised")
+            return lambda: item
+
+        with cpus_allowed(2), pytest.raises(RuntimeError, match=message):
+            list(pool_map(closure, range(6), 2))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("stop", ["keyboard_interrupt", "abandoned"])
+    def test_workers_reaped_when_the_map_stops_early(self, stop):
+        def slow(parent, item):
+            time.sleep(0.01)
+            if stop == "keyboard_interrupt" and os.getpid() == parent:
+                raise KeyboardInterrupt
+            return item
+
+        with cpus_allowed(3), counted_forks() as forks:
+            results = pool_map(slow, range(20), 3, (os.getpid(),))
+            if stop == "abandoned":
+                assert next(results) == 0
+                results.close()
+            else:
+                with pytest.raises(KeyboardInterrupt):
+                    list(results)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_workers_flush_no_inherited_stdio_and_run_no_atexit(self, tmp_path):
+        # A forked worker inherits this process's unflushed stdout buffer
+        # and its atexit handlers; leaving through os._exit, it runs neither.
+        code = (
+            "import atexit, os, sys, halfcav.cli\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "atexit.register(lambda: os.write(2, b'atexit ran\\n'))\n"
+            "print('before the store', end=' ')\n"
+            "raise SystemExit(halfcav.cli.main(['store', '--out', sys.argv[1]]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+               "HALFCAV_THREADS": "2"}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        assert done.stdout.count("before the store") == 1
+        assert done.stdout.startswith("before the store {")
+        assert done.stderr == "atexit ran\n"
+
+
+class TwoArgumentError(Exception):
+    def __init__(self, item, what):
+        super().__init__(f"item {item} {what}")
+
+
+class ReportedError(Exception):
+    """An error that notes in a log file, named by its message, when a
+    worker pickles it to report it: pool_map has stopped the later items by
+    then."""
+
+    def __reduce__(self):
+        with open(self.args[0], "a") as fh:
+            fh.write("reported\n")
+        return type(self), self.args
