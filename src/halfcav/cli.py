@@ -10,26 +10,30 @@ All emitted files are deterministic byte-for-byte for a fixed config (and,
 for oracle, a fixed --seed, the only subcommand that draws random numbers):
 floats are written with 17 significant digits, JSON keys are sorted, and
 sweep points, oracle cases and CSV row chunks come back in input order
-regardless of worker scheduling.  All three run through one map,
-core.pool_map, on one process per CPU this process may use, this process
-among them, and at most HALFCAV_THREADS (a positive integer) when that is
-set.  The map forks the other workers up front; they take items from the
-front of the list while this process takes them from the back.  Any other
-HALFCAV_THREADS value exits 2, on every subcommand, before anything is
-computed or written.  With one worker, or one item, nothing is forked.
-Each chunk's worker writes the chunk into its own region of a temporary
-file beside the CSV, and this process copies the regions into the CSV in
-order (write_csv), so no CSV text passes through a pipe.  Each of the
-oracle's 21 cases runs whole as one item, peaking at about 4 MB (the write
-at 5.3 MB) beside the random pairs' shared 1 MB harmonic table.  Every
-output is the same at any worker count.
+regardless of worker scheduling.  Each subcommand uses one worker per CPU
+this process may use, and at most HALFCAV_THREADS (a positive integer)
+when that is set.  Any other HALFCAV_THREADS value exits 2, on every
+subcommand, before anything is computed or written.  With one worker, or
+one item, nothing is forked and no thread starts.
+
+The sweep points and the row chunks of every CSV run through one map,
+core.pool_map, in which this process is one of the workers: it forks the
+others up front, and they take items from the front of the list while
+this process takes them from the back.  Each chunk's worker writes the
+chunk into its own region of a temporary file beside the CSV, and this
+process copies the regions into the CSV in order (write_csv), so no CSV
+text passes through a pipe.  The oracle forks no process: its 21 cases
+run whole, each as one task, on that many threads, at most one a case,
+each peaking at about 4 MB (the write at 5.3 MB) beside the random pairs'
+shared 1 MB harmonic table.  Every output is the same at any worker
+count.
 
 Where the C library is glibc, sweep and oracle keep up to 64 MiB of freed
-heap for the rest of the process and the workers it forks
-(_keep_freed_heap), so that each sweep point or oracle case reuses the
-pages one before it freed instead of faulting fresh ones in; no output
-depends on it.  store does not: it has one run to make, and the kept heap
-only raised its peak RSS.
+heap for the rest of the process and the workers it forks, in one arena
+for all its threads (_keep_freed_heap), so that each sweep point or oracle
+case reuses the pages one before it freed instead of faulting fresh ones
+in; no output depends on it.  store does not: it has one run to make, and
+the kept heap only raised its peak RSS.
 """
 from __future__ import annotations
 
@@ -38,11 +42,12 @@ import json
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import pool_map
+from .core import _usable_cpus, pool_map
 from .scenario import (
     ScenarioConfig,
     StoreRun,
@@ -61,16 +66,20 @@ CSV_FIELD_BYTES = 25
 
 
 def _keep_freed_heap() -> bool:
-    """Set glibc's M_MMAP_THRESHOLD to 32 MiB, its 64-bit maximum, and
-    M_TRIM_THRESHOLD to 64 MiB, for the rest of this process and the
-    workers pool_map forks.
+    """Set glibc's M_MMAP_THRESHOLD to 32 MiB, its 64-bit maximum,
+    M_TRIM_THRESHOLD to 64 MiB and M_ARENA_MAX to 1, for the rest of this
+    process and the workers pool_map forks.
 
     By default glibc maps each array above a dynamic threshold afresh and
     hands the freed top of the heap back to the kernel, so every sweep point
     and oracle case faulted its whole peak in again: about 16k minor faults
-    an op, against under ten with these settings.  True when mallopt
-    accepted both; False where the C library is not glibc, has no mallopt,
-    or refuses a value.
+    an op, against under ten with these settings.  Each further thread that
+    allocates would also get an arena of its own, which kept its own freed
+    heap: the oracle's threads share the one arena instead (12 oracle runs in
+    one process on two threads of a 2-CPU Xeon: 47.4 MB ru_maxrss with an
+    arena a thread, 46.0 MB with one, at the same speed).  True when mallopt
+    accepted all three; False where the C library is not glibc, has no
+    mallopt, or refuses a value.
     """
     if not hasattr(os, "confstr"):
         return False
@@ -88,8 +97,10 @@ def _keep_freed_heap() -> bool:
         return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    # M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1) in glibc's malloc.h.
-    return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+    # M_MMAP_THRESHOLD (-3), M_TRIM_THRESHOLD (-1) and M_ARENA_MAX (-8) in
+    # glibc's malloc.h.
+    return (mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+            and mallopt(-8, 1) == 1)
 
 
 def _format_chunk(arrays: list, rows: slice) -> bytes:
@@ -172,7 +183,7 @@ def write_csv(path: Path, header: list[str], columns: list, threads: int | None 
     chunks = [slice(start, min(start + CSV_CHUNK_ROWS, n)) for start in range(0, n, CSV_CHUNK_ROWS)]
     with open(path, "wb") as fh, tempfile.TemporaryFile(dir=path.parent) as tmp:
         fh.write((",".join(header) + "\n").encode())
-        written = pool_map(_write_chunk, chunks, threads, shared=(arrays, tmp.fileno()))
+        written = pool_map(partial(_write_chunk, arrays, tmp.fileno()), chunks, threads)
         for rows, length in zip(chunks, written):
             fh.write(os.pread(tmp.fileno(), length, rows.start * len(arrays) * CSV_FIELD_BYTES))
 
@@ -205,8 +216,8 @@ def emit_store(run: StoreRun, out_dir: Path, threads: int | None = None) -> dict
 
 
 def parse_threads(raw: str | None) -> int | None:
-    """The HALFCAV_THREADS cap on pool_map's processes, this one among
-    them, or None when unset."""
+    """The HALFCAV_THREADS cap on workers (pool_map's processes, this one
+    among them, or the oracle's threads), or None when unset."""
     if not raw:
         return None
     if raw.isdecimal() and int(raw) >= 1:
@@ -217,7 +228,7 @@ def parse_threads(raw: str | None) -> int | None:
 def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -> list[dict]:
     """Run the sweep on up to ``threads`` processes (default: one per CPU)."""
     sigmas = [float(s) for s in cfg.sweep.sigmas()]
-    rows = list(pool_map(sweep_point, sigmas, threads, shared=(cfg,)))
+    rows = list(pool_map(partial(sweep_point, cfg), sigmas, threads))
     header = ["sigma_over_gamma0", "eta_w", "eta_r", "eta", "F"]
     write_csv(out_dir / "sweep.csv", header, [[row[k] for row in rows] for k in header], threads)
     return rows
@@ -266,7 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         _keep_freed_heap()
 
     if args.command == "oracle":
-        report = oracle_check(cfg, seed=args.seed, threads=threads)
+        cpus = _usable_cpus()
+        report = oracle_check(cfg, seed=args.seed, threads=min(cpus, threads or cpus))
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if report["passed"] else 1
     try:

@@ -194,19 +194,15 @@ _CLAIM_INDICES = struct.Struct("qq")
 
 class _Claims:
     """Which items of a pool_map run are still to claim: two indices in a
-    small temporary file, mapped shared, that the run's forked workers
-    inherit.  Each read and update holds an fcntl lock on the file, which
-    the kernel releases when its holder dies, so a worker killed mid-claim
-    blocks no one."""
+    small unbuffered temporary file that the run's forked workers inherit.
+    Each read and update holds an fcntl lock on the file, which the kernel
+    releases when its holder dies, so a worker killed mid-claim blocks no
+    one.  The processes share the file's offset, so each access seeks to
+    the start first, under the lock."""
 
     def __init__(self, n: int):
-        # Imported here so a run in one process never loads it.
-        import mmap
-
-        self._file = tempfile.TemporaryFile()
-        os.ftruncate(self._file.fileno(), _CLAIM_INDICES.size)
-        self._indices = mmap.mmap(self._file.fileno(), _CLAIM_INDICES.size)
-        _CLAIM_INDICES.pack_into(self._indices, 0, 0, n)
+        self._file = tempfile.TemporaryFile(buffering=0)
+        self._file.write(_CLAIM_INDICES.pack(0, n))
 
     def _update(self, step):
         """Replace (front, back) by ``step(front, back)``'s first two values
@@ -214,14 +210,15 @@ class _Claims:
         # Imported here so a run in one process never loads it.
         import fcntl
 
-        fd = self._file.fileno()
-        fcntl.lockf(fd, fcntl.LOCK_EX)
+        fcntl.lockf(self._file, fcntl.LOCK_EX)
         try:
-            front, back, claimed = step(*_CLAIM_INDICES.unpack_from(self._indices))
-            _CLAIM_INDICES.pack_into(self._indices, 0, front, back)
+            self._file.seek(0)
+            front, back, claimed = step(*_CLAIM_INDICES.unpack(self._file.read(_CLAIM_INDICES.size)))
+            self._file.seek(0)
+            self._file.write(_CLAIM_INDICES.pack(front, back))
             return claimed
         finally:
-            fcntl.lockf(fd, fcntl.LOCK_UN)
+            fcntl.lockf(self._file, fcntl.LOCK_UN)
 
     def front(self) -> int | None:
         """The first unclaimed index, now claimed, or None when none is left."""
@@ -238,7 +235,6 @@ class _Claims:
         self._update(lambda front, back: (front, max(front, min(back, index)), None))
 
     def close(self) -> None:
-        self._indices.close()
         self._file.close()
 
 
@@ -251,7 +247,7 @@ def _report(stream, index: int, ok: bool | None, value=None) -> None:
     stream.flush()
 
 
-def _work(fn, items, shared: tuple, claims: _Claims, out: int):
+def _work(fn, items, claims: _Claims, out: int):
     """The life of a forked pool_map worker: claim items from the front and
     report each through the pipe ``out`` until none is left, then leave
     through os._exit, which flushes none of the stdio buffers it inherited
@@ -262,7 +258,7 @@ def _work(fn, items, shared: tuple, claims: _Claims, out: int):
             while (index := claims.front()) is not None:
                 _report(stream, index, None)
                 try:
-                    value = fn(*shared, items[index])
+                    value = fn(items[index])
                     ok = True
                 # Every error, KeyboardInterrupt too, is raised again in the
                 # calling process.
@@ -319,19 +315,20 @@ def _collect(pid: int, workers: dict, reports: dict, claims: _Claims):
     yield
 
 
-def pool_map(fn, items, threads: int | None, shared: tuple = ()):
-    """Yield ``fn(*shared, item)`` for each of ``items``, in order.
+def pool_map(fn, items, threads: int | None):
+    """Yield ``fn(item)`` for each of ``items``, in order.
 
     The work runs on w = min(_usable_cpus(), threads, len(items)) processes,
     this one among them (``threads`` None: no cap).  At w = 1 it runs here
     and nothing is forked.  At w >= 2, w - 1 workers are forked up front;
-    they inherit ``fn``, ``items`` and ``shared`` unpickled and claim items
-    from the front, while this process claims them from the back, so its
-    warm heap runs the trailing items and no worker's first-item page
-    faults are paid twice.  Both claim under one fcntl lock (_Claims).  A
-    worker sends each result, or the error it raised, pickled through a
-    pipe of its own, and leaves through os._exit.  The package starts no
-    thread of its own, so no worker inherits a lock held mid-update.
+    they inherit ``fn`` and ``items`` unpickled and claim items from the
+    front, while this process claims them from the back, so its warm heap
+    runs the trailing items and no worker's first-item page faults are
+    paid twice.  Both claim under one fcntl lock (_Claims).  A worker sends
+    each result, or the error it raised, pickled through a pipe of its own,
+    and leaves through os._exit.  The only threads the package starts are
+    the oracle's, which never call pool_map and have ended when
+    oracle_check returns, so no worker inherits a lock held mid-update.
 
     An item that raises stops every item after it that has not begun; the
     items before it still run, so the error that leaves pool_map, with its
@@ -344,7 +341,7 @@ def pool_map(fn, items, threads: int | None, shared: tuple = ()):
     workers = min(_usable_cpus(), threads or len(items), len(items))
     if workers <= 1:
         for item in items:
-            yield fn(*shared, item)
+            yield fn(item)
         return
     claims = _Claims(len(items))
     workers_left = {}  # pid -> the read end of its pipe
@@ -359,12 +356,12 @@ def pool_map(fn, items, threads: int | None, shared: tuple = ()):
                 os.close(read_end)
                 for stream in workers_left.values():
                     stream.close()
-                _work(fn, items, shared, claims, write_end)
+                _work(fn, items, claims, write_end)
             os.close(write_end)
             workers_left[pid] = open(read_end, "rb")
         while (index := claims.back()) is not None:
             try:
-                reports[index] = True, fn(*shared, items[index])
+                reports[index] = True, fn(items[index])
             except Exception as exc:
                 claims.stop_after(index)
                 reports[index] = False, exc

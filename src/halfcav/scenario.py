@@ -24,12 +24,13 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, TimeGrid, _freeze, polar, pool_map
+from .core import ComplexEnvelope, MemoryConfig, TimeGrid, _freeze, polar
 from .dynamics import absorption_probability, bloch_ode_oracle, profile_from_gamma_z
 from .mirror import feasibility_report, trajectory_from_decay
 from .pulses import TimeBinSpec, make_time_bin
@@ -441,22 +442,20 @@ def _random_case(mem: MemoryConfig, grid: TimeGrid, basis: tuple, draws: tuple) 
     return profile, env, absorption_probability(profile, env).P
 
 
-def _case_gap(case: tuple) -> dict:
-    """One case (name, build, *args) whole: its arrays and quadrature P
-    (``build(*args)``), its RK4, and the largest gap between the two
-    populations."""
-    name, build, *args = case
+def _case_gap(name: str, build, *args) -> dict:
+    """One case whole: its arrays and quadrature P (``build(*args)``), its
+    RK4, and the largest gap between the two populations."""
     profile, env, P = build(*args)
     dP = float(np.max(np.abs(P - bloch_ode_oracle(profile, env).P)))
     return {"case": name, "max_abs_dP": dP}
 
 
 def _oracle_cases(cfg: ScenarioConfig, seed: int) -> list:
-    """The oracle's cases in report order, each as ``_case_gap``'s argument:
+    """The oracle's cases in report order, each as ``_case_gap``'s arguments:
     the scenario's write phase, then ORACLE_RANDOM_CASES seeded random pairs.
     Every random number is drawn here, in order, and the shared random
-    grid's read-only harmonic basis is derived here, so a case run in any
-    process reads only frozen shared state and builds the rest itself."""
+    grid's read-only harmonic basis is derived here, so a case run on any
+    thread reads only frozen shared state and builds the rest itself."""
     mem = cfg.memory
     rng = np.random.default_rng(seed)
     rnd_grid = TimeGrid(0.0, 20.0 / mem.gamma0, 16001)  # 20 lifetimes
@@ -467,24 +466,47 @@ def _oracle_cases(cfg: ScenarioConfig, seed: int) -> list:
     ]
 
 
-def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int | None = 1) -> dict:
+def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int = 1) -> dict:
     """Cross-check the quadrature against the RK4 route.
 
     Compares the population traces on the scenario's write phase and on a
     batch of seeded random (profile, pulse) pairs; the check passes when
     the largest gap is at most 1e-6.
 
-    Each case runs whole (its arrays, quadrature, RK4 and gap) as one item
-    of core.pool_map, on up to ``threads`` processes (None: one per usable
-    CPU), this one among them; with one, nothing is forked.  A case peaks
-    at about 4 MB (the write at 5.3 MB).  The random numbers are all drawn,
-    and the random pairs' shared harmonic basis built, before any case runs,
-    and the gaps come back in case order, so the report does not depend on
-    ``threads``.  A case that fails stops every later case not yet begun,
-    and the error of the earliest failing case in case order leaves this
-    function, as pool_map's failure rules say.
+    Each case runs whole (its arrays, quadrature, RK4 and gap) as one task.
+    With ``threads`` >= 2 the tasks run on min(threads, cases) threads of
+    one pool, each peaking at about 4 MB (the write at 5.3 MB); with fewer,
+    they run in this thread and no thread starts.  The random numbers are
+    all drawn, and the random pairs' shared harmonic basis built, before any
+    case runs, and the gaps are taken in case order, so the report does not
+    depend on ``threads``.  The first case that fails stops every case not
+    yet begun; the error of the earliest failing case in case order leaves
+    this function once the running cases are done, and the threads with it.
     """
-    checks = list(pool_map(_case_gap, _oracle_cases(cfg, seed), threads))
+    cases = _oracle_cases(cfg, seed)
+    if threads < 2:
+        checks = [_case_gap(*case) for case in cases]
+    else:
+        # Imported here so a check without threads never loads it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        failed = threading.Event()
+
+        def whole(case):
+            if failed.is_set():
+                return None  # a case has failed, so no report is made
+            try:
+                return _case_gap(*case)
+            except BaseException:
+                failed.set()
+                raise
+
+        pool = ThreadPoolExecutor(min(threads, len(cases)))
+        try:
+            futures = [pool.submit(whole, case) for case in cases]
+            checks = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
     worst = max(c["max_abs_dP"] for c in checks)
 
     return {

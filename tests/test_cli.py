@@ -2,6 +2,7 @@
 trip, the CSV number format, and byte-identical outputs across runs and
 worker counts.  The per-row CSV writer kept below is the reference for the
 chunked one."""
+import concurrent.futures
 import contextlib
 import ctypes
 import dataclasses
@@ -65,6 +66,11 @@ def counted_forks():
 
     with mock.patch.object(os, "fork", counted):
         yield forks
+
+
+class NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a helper thread started")
 
 
 def assert_no_child_left():
@@ -434,8 +440,10 @@ def test_slow_atom_timeline_ends_after_the_read(tmp_path):
 
 def test_import_leaves_the_process_pool_unloaded(tmp_path):
     # pool_map forks its workers itself, so neither importing the CLI nor
-    # running any subcommand, at one worker or at two, loads a
-    # concurrent.futures or multiprocessing module.
+    # running store or sweep, at one worker or at two, loads a
+    # concurrent.futures or multiprocessing module.  Only the oracle with
+    # more than one worker starts a thread pool, so neither does an oracle
+    # run with HALFCAV_THREADS=1.
     (tmp_path / "sweep.json").write_text(json.dumps({"sweep": SWEEP3}))
     code = (
         "import contextlib, io, os, sys, halfcav.cli\n"
@@ -446,7 +454,8 @@ def test_import_leaves_the_process_pool_unloaded(tmp_path):
         "for threads in ('1', '2'):\n"
         "    os.environ['HALFCAV_THREADS'] = threads\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert halfcav.cli.main(['oracle']) == 0\n"
+        "        if threads == '1':\n"
+        "            assert halfcav.cli.main(['oracle']) == 0\n"
         "        assert halfcav.cli.main(['store', '--out', sys.argv[1] + '/store' + threads]) == 0\n"
         "        assert halfcav.cli.main(['sweep', '--config', sys.argv[1] + '/sweep.json',\n"
         "                                 '--out', sys.argv[1] + '/sweep' + threads]) == 0\n"
@@ -652,19 +661,30 @@ class TestDeterministicOutput:
 
     @pytest.mark.parametrize("seed", ["12345", "7"])
     def test_oracle_stdout_independent_of_worker_count(self, tmp_path, seed, capsys, monkeypatch):
-        # Two and three workers fork one and two processes; one usable CPU
-        # or HALFCAV_THREADS=1 forks none.
+        # Two and three workers run the cases on a pool of two and three
+        # threads; one usable CPU or HALFCAV_THREADS=1 starts none.  None
+        # forks a process.
+        started = []
+
+        class CountedHelper(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(args)
+                super().__init__(*args, **kwargs)
+
         outputs = {}
-        for name, threads, cpus, forked in [("one_worker", "1", 3, 0), ("two_workers", "2", 3, 1),
-                                            ("three_workers", "3", 3, 2), ("one_cpu", "", 1, 0)]:
+        for name, threads, cpus, helper in [("one_thread", "1", 3, NoThread),
+                                            ("two_threads", "2", 3, CountedHelper),
+                                            ("three_threads", "3", 3, CountedHelper),
+                                            ("one_cpu", "", 1, NoThread)]:
             monkeypatch.setenv("HALFCAV_THREADS", threads)
+            monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", helper)
             with cpus_allowed(cpus), counted_forks() as forks:
                 assert main(["oracle", "--seed", seed, "--out", str(tmp_path / "out")]) == 0
-            assert len(forks) == forked, name
-            assert_no_child_left()
+            assert forks == [], name
             outputs[name] = capsys.readouterr().out
+        assert started == [(2,), (3,)]
         assert len(set(outputs.values())) == 1
-        assert json.loads(outputs["one_worker"])["passed"] is True
+        assert json.loads(outputs["one_thread"])["passed"] is True
 
     def test_sweep_independent_of_worker_count(self, tmp_path, monkeypatch):
         config = {"sweep": SWEEP3}
@@ -725,8 +745,7 @@ class TestKeptHeap:
     @pytest.mark.parametrize("command, calls", [("store", 0), ("sweep", 1), ("oracle", 1)])
     def test_only_sweep_and_oracle_set_it_once(self, tmp_path, command, calls, monkeypatch):
         # Through a stand-in glibc, so this process keeps its own settings:
-        # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD, once a run, and no
-        # M_ARENA_MAX, since no run starts a thread.
+        # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_ARENA_MAX, once a run.
         settings = []
         monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
         libc_symbols = types.SimpleNamespace(mallopt=lambda *setting: settings.append(setting) or 1)
@@ -736,7 +755,7 @@ class TestKeptHeap:
         assert settings == []
         monkeypatch.setenv("HALFCAV_THREADS", "1")
         assert run_cli(tmp_path, command, {"sweep": SWEEP3}) == 0
-        assert settings == [(-3, 32 << 20), (-1, 64 << 20)] * calls
+        assert settings == [(-3, 32 << 20), (-1, 64 << 20), (-8, 1)] * calls
 
     @pytest.mark.parametrize("libc", ["no_confstr", "unknown_name", "not_glibc",
                                       "no_mallopt", "mallopt_fails"])
@@ -1028,19 +1047,20 @@ class TestPoolMap:
                                                         (3, 3, 3), (4, None, 4)])
     def test_results_in_order_at_any_worker_count(self, cpus, threads, workers):
         with cpus_allowed(cpus), counted_forks() as forks:
-            assert list(pool_map(pow, range(20), threads, (2,))) == [2 ** i for i in range(20)]
+            assert list(pool_map(functools.partial(pow, 2), range(20), threads)) == [
+                2 ** i for i in range(20)]
         assert len(forks) == workers - 1
         assert_no_child_left()
 
     def test_this_process_runs_the_trailing_items(self):
         # The forked worker takes items from the front and this process
         # takes them from the back, each item once.
-        def where(delay, item):
-            time.sleep(delay)
+        def where(item):
+            time.sleep(0.01)
             return item, os.getpid()
 
         with cpus_allowed(2), counted_forks() as forks:
-            ran = list(pool_map(where, range(12), 2, (0.01,)))
+            ran = list(pool_map(where, range(12), 2))
         assert [item for item, _ in ran] == list(range(12))
         pids = [pid for _, pid in ran]
         assert pids[0] == forks[0] and pids[-1] == os.getpid()
@@ -1092,6 +1112,31 @@ class TestPoolMap:
         assert {0, 1, 2, 3} <= ran
         assert_no_child_left()
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_earliest_failing_item_wins_when_a_later_one_fails_first(self, tmp_path, workers):
+        # Item 1 raises, and item 0 raises only once item 1 has: a later
+        # item always fails first, in another process or earlier in this
+        # one, and item 0's error, its type and message, still leaves.
+        log = tmp_path / "calls.log"
+
+        def fails_after_item_1(item):
+            if item == 1:
+                with open(log, "a") as fh:
+                    fh.write("failed 1\n")
+                raise ValueError("item 1")
+            if item == 0:
+                deadline = time.monotonic() + 60
+                while not log.exists():
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+                raise KeyError("item 0")
+            return item
+
+        with cpus_allowed(workers), pytest.raises(KeyError, match="item 0"):
+            list(pool_map(fails_after_item_1, range(8), workers))
+        assert log.read_text() == "failed 1\n"
+        assert_no_child_left()
+
     def test_no_item_after_a_failure_begins(self, tmp_path):
         # The worker fails at item 0 while this process runs item 9, which
         # waits until the failure is reported: by then every item after 0
@@ -1132,7 +1177,9 @@ class TestPoolMap:
             claims.close()
 
     def test_killed_worker_gives_its_status(self):
-        def killed_in_worker(parent, item):
+        parent = os.getpid()
+
+        def killed_in_worker(item):
             time.sleep(0.01)
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -1141,7 +1188,7 @@ class TestPoolMap:
         with cpus_allowed(2), pytest.raises(
             RuntimeError, match=r"pool_map worker \d+ ended with signal 9 before it reported item 0"
         ):
-            list(pool_map(killed_in_worker, range(10), 2, (os.getpid(),)))
+            list(pool_map(killed_in_worker, range(10), 2))
         assert_no_child_left()
 
     @pytest.mark.parametrize("report, message", [
@@ -1163,14 +1210,16 @@ class TestPoolMap:
 
     @pytest.mark.parametrize("stop", ["keyboard_interrupt", "abandoned"])
     def test_workers_reaped_when_the_map_stops_early(self, stop):
-        def slow(parent, item):
+        parent = os.getpid()
+
+        def slow(item):
             time.sleep(0.01)
             if stop == "keyboard_interrupt" and os.getpid() == parent:
                 raise KeyboardInterrupt
             return item
 
         with cpus_allowed(3), counted_forks() as forks:
-            results = pool_map(slow, range(20), 3, (os.getpid(),))
+            results = pool_map(slow, range(20), 3)
             if stop == "abandoned":
                 assert next(results) == 0
                 results.close()

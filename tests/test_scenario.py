@@ -5,7 +5,8 @@ full-timeline builder kept below as the reference, compute work that
 does not grow with the storage time, and the sweep's eta_w(sigma/gamma0)
 between analytic bounds and against its continuous values."""
 import math
-import os
+import sys
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -326,30 +327,19 @@ def test_each_envelope_intensity_is_derived_once_per_point(monkeypatch):
             assert [id(env) for env in norms] == [id(env) for env in intensities]
 
 
-def three_cpus(monkeypatch):
-    """Let pool_map see three usable CPUs, on a host that may have fewer."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)), raising=False)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("compensated", [True, False])
-def test_oracle_cases_hold_every_series_the_rk4_reads(monkeypatch, tmp_path, compensated):
-    # The cases run whole in three processes, this one among them.  A
-    # series derived on first use (a cached_property) is derived only in
-    # the process that made its object: what the cases share (cfg and the
-    # random grid's times) is derived before the workers are forked, so no
-    # two processes derive the same value.
-    made_on = {}
-    log = tmp_path / "derived.log"
+def test_oracle_cases_hold_every_series_the_rk4_reads(monkeypatch, compensated):
+    # The cases run whole on the threads of one pool.  A series derived on
+    # first use (a cached_property) may be derived on a pool thread only for
+    # an object that thread made itself: what the cases share (cfg and the
+    # random grid's times) is derived before they are dispatched, so no two
+    # threads derive the same value.
+    made_on, derived = {}, []
 
     def recording(init):
         def made(self, *args, **kwargs):
             init(self, *args, **kwargs)
-            made_on[id(self)] = os.getpid()
+            made_on[id(self)] = threading.get_ident()
         return made
 
     for module in (core, dynamics, write_optimizer):
@@ -362,20 +352,18 @@ def test_oracle_cases_hold_every_series_the_rk4_reads(monkeypatch, tmp_path, com
 
     def first_read(self, instance, owner=None):
         if instance is not None and self.attrname not in vars(instance):
-            with open(log, "a") as fh:
-                fh.write(f"{made_on.get(id(instance))} {os.getpid()} "
-                         f"{type(instance).__name__}.{self.attrname}\n")
+            derived.append((made_on.get(id(instance)), threading.get_ident(),
+                            f"{type(instance).__name__}.{self.attrname}"))
         return derive(self, instance, owner)
 
     monkeypatch.setattr(cached_property, "__get__", first_read)
-    three_cpus(monkeypatch)
     cfg = ScenarioConfig.from_dict({"phase_compensation": compensated})
     assert oracle_check(cfg, seed=7, threads=3)["passed"] is True
-    assert_no_child_left()
-    derived = [line.split() for line in log.read_text().splitlines()]
-    in_workers = [(maker, name) for maker, on, name in derived if on != str(os.getpid())]
+    main = threading.get_ident()
+    on_pool = [(maker, name) for maker, on, name in derived if on != main]
     # The cases' own grids, profiles and envelopes.
-    assert {"TimeGrid.times", "DecayProfile.g", "ComplexEnvelope.norm"} <= {n for _, n in in_workers}
+    assert {"TimeGrid.times", "DecayProfile.g", "ComplexEnvelope.norm"} <= {n for _, n in on_pool}
+    assert all(maker not in (None, main) for maker, _ in on_pool), on_pool
     assert all(maker == on for maker, on, _ in derived), derived
 
 
@@ -455,67 +443,80 @@ def test_oracle_random_pairs_from_the_shared_basis(seed):
 
 @pytest.mark.parametrize("config", [{}, {"phase_compensation": False, "storage_T": 0}],
                          ids=["default", "chirped"])
-def test_oracle_report_independent_of_threads(config, monkeypatch):
-    # Two and three processes, and more asked for than there are CPUs.
+def test_oracle_report_independent_of_threads(config):
+    # More threads than CPUs, switching every 10 us, so the cases interleave.
     cfg = ScenarioConfig.from_dict(config)
     serial = oracle_check(cfg, threads=1)
     assert len(serial["cases"]) == 21 and serial["passed"] is True
-    three_cpus(monkeypatch)
-    for threads in (2, 3, None, 25):
-        assert oracle_check(cfg, threads=threads) == serial, threads
-    assert_no_child_left()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (2, 3, 25):
+            assert oracle_check(cfg, threads=threads) == serial, threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def test_oracle_runs_the_trailing_cases_in_this_process(monkeypatch):
-    # Two forked workers take the cases from the front and this process
-    # takes them from the back: the first case runs in a worker, the last
-    # here, and the cases run here are a tail of the report.
-    case_gap = scenario._case_gap
-    monkeypatch.setattr(scenario, "_case_gap", lambda case: {**case_gap(case), "pid": os.getpid()})
-    three_cpus(monkeypatch)
-    report = oracle_check(ScenarioConfig(), threads=3)
-    assert report["passed"] is True
-    pids = [case["pid"] for case in report["cases"]]
-    first_here = pids.index(os.getpid())
-    assert first_here > 0 and pids[first_here:] == [os.getpid()] * (21 - first_here)
-    assert_no_child_left()
+def test_oracle_runs_a_thread_a_case(monkeypatch):
+    # At 25 threads the pool has 21, one per case: each case's RK4 waits
+    # until every case has reached its own, which only 21 threads can do.
+    everyone = threading.Barrier(21, timeout=60)
+    callers = set()
+
+    def rk4(profile, xi_in):
+        callers.add(threading.get_ident())
+        everyone.wait()
+        return dynamics.bloch_ode_oracle(profile, xi_in)
+
+    monkeypatch.setattr(scenario, "bloch_ode_oracle", rk4)
+    before = threading.active_count()
+    assert oracle_check(ScenarioConfig(), threads=25)["passed"] is True
+    assert len(callers) == 21 and threading.get_ident() not in callers
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("failing", [0, 1, 13, 20])
-def test_oracle_error_leaves_with_no_thread_behind(monkeypatch, tmp_path, threads, failing):
-    # The RK4 of case ``failing`` (0 is the write) raises, and so does the
-    # RK4 of the case after it, which may fail first in another process.
-    # The error of the earliest failing case in case order leaves
-    # oracle_check with its type and message, as in one process (an error
-    # raised in a worker comes back pickled, so not as the same object);
-    # every case before it ran its RK4; and no forked worker is left.
-    log = tmp_path / "ran.log"
-    current = {}  # the case this process runs
+def test_oracle_error_leaves_with_no_thread_behind(monkeypatch, threads, failing):
+    # The RK4 of case ``failing`` (0 is the write) raises.  On threads the
+    # case after it raises too, and first, and every later case waits in its
+    # RK4 until it has.  The error of the earliest failing case in case
+    # order leaves oracle_check; every case before it ran its RK4; no case
+    # begins once one has failed, so at most threads - 1 cases after it
+    # began; and the pool's threads have ended.
+    error, later_error = RuntimeError("population left [0,1]"), RuntimeError("a later case")
+    later_failed = threading.Event()
+    current = threading.local()
+    began, ran = [], []
     case_gap = scenario._case_gap
 
-    def counted_case(case):
-        name = case[0]
-        current["index"] = 0 if name == "scenario_write" else int(name[len("random_"):]) + 1
-        return case_gap(case)
+    def counted_case(name, build, *args):
+        current.index = 0 if name == "scenario_write" else int(name[len("random_"):]) + 1
+        began.append(current.index)
+        return case_gap(name, build, *args)
 
     def rk4(profile, xi_in):
-        with open(log, "a") as fh:
-            fh.write(f"{current['index']}\n")
-        if current["index"] == failing + 1:
-            raise ValueError("a later case")
-        if current["index"] == failing:
-            raise RuntimeError("population left [0,1]")
+        ran.append(current.index)
+        if current.index == failing + 1:
+            later_failed.set()
+            raise later_error
+        if current.index >= failing and threads > 1 and failing < 20:
+            assert later_failed.wait(timeout=60)
+        if current.index == failing:
+            raise error
         return dynamics.bloch_ode_oracle(profile, xi_in)
 
     monkeypatch.setattr(scenario, "_case_gap", counted_case)
     monkeypatch.setattr(scenario, "bloch_ode_oracle", rk4)
-    three_cpus(monkeypatch)
+    before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
         oracle_check(ScenarioConfig.from_dict({}), threads=threads)
-    assert (type(raised.value), str(raised.value)) == (RuntimeError, "population left [0,1]")
-    assert_no_child_left()
-    assert set(range(failing + 1)) <= {int(index) for index in log.read_text().split()}
+    assert raised.value is error
+    assert threading.active_count() == before
+    assert set(range(failing + 1)) <= set(ran)
+    later = {i for i in began if i > failing}
+    assert len(later) <= threads - 1
+    assert (failing + 1 in later) == (threads > 1 and failing < 20)
 
 
 def test_slowest_accepted_atom_stores_a_normal_number():
