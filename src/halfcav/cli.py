@@ -24,7 +24,7 @@ chunk into its own region of a temporary file beside the CSV, and this
 process copies the regions into the CSV in order (write_csv), so no CSV
 text passes through a pipe.  The oracle forks no process: its 21 cases
 run whole, each as one task, on that many threads, at most one a case,
-each peaking at about 4 MB (the write at 5.3 MB) beside the random pairs'
+each peaking at about 3.2 MB (the write at 4.3 MB) beside the random pairs'
 shared 1 MB harmonic table.  Every output is the same at any worker
 count.
 

@@ -475,7 +475,7 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int = 1) -> di
 
     Each case runs whole (its arrays, quadrature, RK4 and gap) as one task.
     With ``threads`` >= 2 the tasks run on min(threads, cases) threads of
-    one pool, each peaking at about 4 MB (the write at 5.3 MB); with fewer,
+    one pool, each peaking at about 3.2 MB (the write at 4.3 MB); with fewer,
     they run in this thread and no thread starts.  The random numbers are
     all drawn, and the random pairs' shared harmonic basis built, before any
     case runs, and the gaps are taken in case order, so the report does not

@@ -54,6 +54,8 @@ SWEEP_BANDWIDTH_SEED_1 = {
     "sweep": {"sigma_min": 0.02, "sigma_max": 5.0, "n_points": 16},
 }
 CHIRPED = {"phase_compensation": False, "storage_T": 0.0}
+# A write and a read that both reach the cap 2*gamma0.
+CAPPED = {"pulse": {"alpha": -0.6, "beta": 0.8, "phi": 2.0, "sigma": 5.0}}
 
 # (name, command, config): the command's numbers for the config.
 CASES = [
@@ -61,12 +63,12 @@ CASES = [
     ("chirped", "store", CHIRPED),
     ("single_gaussian_sigma_1", "store",
      {"pulse": {"alpha": 1.0, "beta": 0.0, "t1": 0.0, "t2": 1.0, "sigma": 1.0}}),
-    ("capped_time_bin_sigma_5", "store",
-     {"pulse": {"alpha": -0.6, "beta": 0.8, "phi": 2.0, "sigma": 5.0}}),
+    ("capped_time_bin_sigma_5", "store", CAPPED),
     ("store_long_hold_seed_7", "store", STORE_LONG_HOLD_SEED_7),
     ("sweep_bandwidth_seed_1", "sweep", SWEEP_BANDWIDTH_SEED_1),
     ("oracle_default", "oracle", {}),
     ("oracle_chirped", "oracle", CHIRPED),
+    ("oracle_capped_time_bin_sigma_5", "oracle", CAPPED),
 ]
 
 
