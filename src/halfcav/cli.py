@@ -9,24 +9,14 @@ Subcommands:
 All emitted files are deterministic byte-for-byte for a fixed config (and,
 for oracle, a fixed --seed, the only subcommand that draws random numbers):
 floats are written with 17 significant digits, JSON keys are sorted, and
-sweep points, oracle cases and CSV row chunks come back in input order
-regardless of worker scheduling.  Each subcommand uses one worker per CPU
-this process may use, and at most HALFCAV_THREADS (a positive integer)
-when that is set.  Any other HALFCAV_THREADS value exits 2, on every
-subcommand, before anything is computed or written.  With one worker, or
-one item, nothing is forked and no thread starts.
-
-The sweep points and the row chunks of every CSV run through one map,
-core.pool_map, in which this process is one of the workers: it forks the
-others up front, and they take items from the front of the list while
-this process takes them from the back.  Each chunk's worker writes the
-chunk into its own region of a temporary file beside the CSV, and this
-process copies the regions into the CSV in order (write_csv), so no CSV
-text passes through a pipe.  The oracle forks no process: its 21 cases
-run whole, each as one task, on that many threads, at most one a case,
-each peaking at about 3.2 MB (the write at 4.3 MB) beside the random pairs'
-shared 1 MB harmonic table.  Every output is the same at any worker
-count.
+sweep points, oracle cases and CSV row chunks come back in input order at
+any worker count.  Each subcommand runs on one worker per CPU this process
+may use, and at most HALFCAV_THREADS (a positive integer) when that is set
+(core.worker_count); any other HALFCAV_THREADS value exits 2, on every
+subcommand, before anything is computed or written.  Sweep points and CSV
+row chunks run on core.pool_map's processes (write_csv), oracle cases on
+threads (scenario.oracle_check); at one worker nothing is forked and no
+thread starts.
 
 Where the C library is glibc, sweep and oracle keep up to 64 MiB of freed
 heap for the rest of the process and the workers it forks, in one arena
@@ -47,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _usable_cpus, pool_map
+from .core import pool_map
 from .scenario import (
     ScenarioConfig,
     StoreRun,
@@ -216,8 +206,8 @@ def emit_store(run: StoreRun, out_dir: Path, threads: int | None = None) -> dict
 
 
 def parse_threads(raw: str | None) -> int | None:
-    """The HALFCAV_THREADS cap on workers (pool_map's processes, this one
-    among them, or the oracle's threads), or None when unset."""
+    """The HALFCAV_THREADS cap on the workers of every subcommand
+    (core.worker_count), or None when unset."""
     if not raw:
         return None
     if raw.isdecimal() and int(raw) >= 1:
@@ -226,9 +216,9 @@ def parse_threads(raw: str | None) -> int | None:
 
 
 def emit_sweep(cfg: ScenarioConfig, out_dir: Path, threads: int | None = None) -> list[dict]:
-    """Run the sweep on up to ``threads`` processes (default: one per CPU)."""
+    """Run the sweep on pool_map's processes, at most ``threads`` (None: no cap)."""
     sigmas = [float(s) for s in cfg.sweep.sigmas()]
-    rows = list(pool_map(partial(sweep_point, cfg), sigmas, threads))
+    rows = pool_map(partial(sweep_point, cfg), sigmas, threads)
     header = ["sigma_over_gamma0", "eta_w", "eta_r", "eta", "F"]
     write_csv(out_dir / "sweep.csv", header, [[row[k] for row in rows] for k in header], threads)
     return rows
@@ -277,8 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         _keep_freed_heap()
 
     if args.command == "oracle":
-        cpus = _usable_cpus()
-        report = oracle_check(cfg, seed=args.seed, threads=min(cpus, threads or cpus))
+        report = oracle_check(cfg, seed=args.seed, threads=threads)
         print(json.dumps(report, indent=2, sort_keys=True))
         return 0 if report["passed"] else 1
     try:

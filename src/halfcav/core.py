@@ -7,6 +7,7 @@ fractions of the transition wavelength.
 """
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import struct
@@ -99,6 +100,12 @@ class ComplexEnvelope:
     def with_samples(self, samples: np.ndarray) -> "ComplexEnvelope":
         return ComplexEnvelope(self.grid, samples)
 
+    def normalized(self) -> "ComplexEnvelope":
+        """This envelope scaled to unit norm by the real factor 1/sqrt(norm):
+        the bits of complex division by sqrt(norm) at a fraction of its
+        cost, except the sign of a zero, which the division can turn to +0."""
+        return self.with_samples(self.samples * (1.0 / math.sqrt(self.norm)))
+
     @cached_property
     def intensity(self) -> np.ndarray:
         """|xi|^2 samplewise."""
@@ -185,6 +192,13 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def worker_count(threads: int | None, items: int) -> int:
+    """The workers of a parallel map over ``items`` items, pool_map's
+    processes or the oracle's threads: one per CPU this process may use, at
+    most ``threads`` (None: no cap) and at most one an item."""
+    return min(_usable_cpus(), threads or items, items)
 
 
 # The claim indices of a pool_map run, front and back: the items not yet
@@ -276,14 +290,13 @@ def _work(fn, items, claims: _Claims, out: int):
         os._exit(code)
 
 
-def _collect(pid: int, workers: dict, reports: dict, claims: _Claims):
+def _collect(pid: int, workers: dict, reports: dict, claims: _Claims) -> None:
     """Read the reports of worker ``pid`` from its pipe ``workers[pid]``
     into ``reports`` (index -> (ok, value)) until the pipe closes, then
-    reap the worker and drop it from ``workers``, yielding after each
-    report and once at the end.  A worker that ended while an item it began
-    was unreported, or with a status other than 0, leaves a RuntimeError
-    naming that status in the item's place, or in ``reports[None]`` when
-    it held none."""
+    reap the worker and drop it from ``workers``.  A worker that ended
+    while an item it began was unreported, or with a status other than 0,
+    leaves a RuntimeError naming that status in the item's place, or in
+    ``reports[None]`` when it held none."""
     begun = None
     while True:
         try:
@@ -301,7 +314,6 @@ def _collect(pid: int, workers: dict, reports: dict, claims: _Claims):
         if not ok:
             claims.stop_after(index)
         reports[index] = ok, value
-        yield
     workers[pid].close()
     status = os.waitpid(pid, 0)[1]
     del workers[pid]
@@ -312,37 +324,33 @@ def _collect(pid: int, workers: dict, reports: dict, claims: _Claims):
         if begun is not None:
             claims.stop_after(begun)
         reports[begun] = False, RuntimeError(f"pool_map worker {pid} ended with {ended}{held}")
-    yield
 
 
-def pool_map(fn, items, threads: int | None):
-    """Yield ``fn(item)`` for each of ``items``, in order.
+def pool_map(fn, items, threads: int | None) -> list:
+    """The list of ``fn(item)`` for each of ``items``, in order.
 
-    The work runs on w = min(_usable_cpus(), threads, len(items)) processes,
-    this one among them (``threads`` None: no cap).  At w = 1 it runs here
-    and nothing is forked.  At w >= 2, w - 1 workers are forked up front;
-    they inherit ``fn`` and ``items`` unpickled and claim items from the
-    front, while this process claims them from the back, so its warm heap
-    runs the trailing items and no worker's first-item page faults are
-    paid twice.  Both claim under one fcntl lock (_Claims).  A worker sends
-    each result, or the error it raised, pickled through a pipe of its own,
-    and leaves through os._exit.  The only threads the package starts are
-    the oracle's, which never call pool_map and have ended when
-    oracle_check returns, so no worker inherits a lock held mid-update.
+    The work runs on w = worker_count(threads, len(items)) processes, this
+    one among them.  At w = 1 it runs here and nothing is forked.  At w >= 2,
+    w - 1 workers are forked up front; they inherit ``fn`` and ``items``
+    unpickled and claim items from the front, while this process claims
+    them from the back, so its warm heap runs the trailing items and no
+    worker's first-item page faults are paid twice.  Both claim under one
+    fcntl lock (_Claims).  A worker sends each result, or the error it
+    raised, pickled through a pipe of its own, and leaves through os._exit.
+    The only threads the package starts are the oracle's, which never call
+    pool_map and have ended when oracle_check returns, so no worker
+    inherits a lock held mid-update.
 
     An item that raises stops every item after it that has not begun; the
     items before it still run, so the error that leaves pool_map, with its
     type and message, is the one of the earliest failing item in item
     order, as in one process.  A worker that dies without a report (say,
     killed mid-item) gives a RuntimeError naming its status.  Every worker
-    is reaped before pool_map returns or raises, also on KeyboardInterrupt
-    and when the caller stops iterating.
+    is reaped before pool_map returns or raises, also on KeyboardInterrupt.
     """
-    workers = min(_usable_cpus(), threads or len(items), len(items))
+    workers = worker_count(threads, len(items))
     if workers <= 1:
-        for item in items:
-            yield fn(item)
-        return
+        return [fn(item) for item in items]
     claims = _Claims(len(items))
     workers_left = {}  # pid -> the read end of its pipe
     reports = {}
@@ -365,15 +373,12 @@ def pool_map(fn, items, threads: int | None):
             except Exception as exc:
                 claims.stop_after(index)
                 reports[index] = False, exc
-        done = 0  # items yielded
         for pid in list(workers_left):
-            for _ in _collect(pid, workers_left, reports, claims):
-                while reports.get(done, (False,))[0]:
-                    yield reports.pop(done)[1]
-                    done += 1
+            _collect(pid, workers_left, reports, claims)
         failed = [index for index, (ok, _) in reports.items() if not ok]
         if failed:
             raise reports[min(failed, key=lambda index: len(items) if index is None else index)][1]
+        return [reports[index][1] for index in range(len(items))]
     finally:
         claims.stop_after(-1)
         for pid, stream in workers_left.items():

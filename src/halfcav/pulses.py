@@ -50,12 +50,10 @@ def make_time_bin(spec: TimeBinSpec, grid: TimeGrid) -> ComplexEnvelope:
     xi(t) = N * (alpha*exp(-(t-t1)^2 sigma^2/2)
                  + beta*e^{i phi}*exp(-(t-t2)^2 sigma^2/2))
 
-    N is fixed numerically so that the sampled ∫|xi|^2 dt = 1; this absorbs
-    the bin overlap, which the per-bin Gaussian constant would miss.  N is
-    applied as a real factor: complex division by sqrt(∫|xi|^2 dt) gives the
-    same bits at about 2.5 times the cost, except that a zero sample with a
-    negative-zero real part (alpha < 0 where both bins underflow) keeps its
-    sign, which the division turned to +0.
+    N is fixed numerically so that the sampled ∫|xi|^2 dt = 1
+    (ComplexEnvelope.normalized); this absorbs the bin overlap, which the
+    per-bin Gaussian constant would miss.  Where both bins underflow with
+    alpha < 0, the zero samples keep their negative-zero real part.
     """
     lo = spec.t1 - PULSE_WINDOW / spec.sigma
     hi = spec.t2 + PULSE_WINDOW / spec.sigma
@@ -70,8 +68,7 @@ def make_time_bin(spec: TimeBinSpec, grid: TimeGrid) -> ComplexEnvelope:
         * np.exp(1j * spec.phi)
         * np.exp(-0.5 * ((t - spec.t2) * spec.sigma) ** 2)
     )
-    scale = 1.0 / math.sqrt(ComplexEnvelope(grid, samples).norm)
-    return ComplexEnvelope(grid, samples * scale)
+    return ComplexEnvelope(grid, samples).normalized()
 
 
 def fidelity(a: ComplexEnvelope, b: ComplexEnvelope) -> float:

@@ -30,7 +30,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, TimeGrid, _freeze, polar
+from .core import ComplexEnvelope, MemoryConfig, TimeGrid, _freeze, polar, worker_count
 from .dynamics import absorption_probability, bloch_ode_oracle, profile_from_gamma_z
 from .mirror import feasibility_report, trajectory_from_decay
 from .pulses import TimeBinSpec, make_time_bin
@@ -423,9 +423,7 @@ def _random_envelope(draws: tuple, grid: TimeGrid, basis: tuple) -> ComplexEnvel
     amplitude = np.exp(-0.5 * ((t - center) / width) ** 2)
     amplitude *= 1.0 + _harmonic(basis, ripple_k, 0.25, ripple_phase)
     phase = _harmonic(basis, chirp_k, chirp, chirp_phase)
-    env = ComplexEnvelope(grid, polar(amplitude, phase))
-    # The bits of complex division by the norm (no sample is 0), at a tenth of its cost.
-    return env.with_samples(env.samples * (1.0 / math.sqrt(env.norm)))
+    return ComplexEnvelope(grid, polar(amplitude, phase)).normalized()
 
 
 def _write_case(cfg: ScenarioConfig) -> tuple:
@@ -466,25 +464,27 @@ def _oracle_cases(cfg: ScenarioConfig, seed: int) -> list:
     ]
 
 
-def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int = 1) -> dict:
+def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int | None = None) -> dict:
     """Cross-check the quadrature against the RK4 route.
 
     Compares the population traces on the scenario's write phase and on a
     batch of seeded random (profile, pulse) pairs; the check passes when
     the largest gap is at most 1e-6.
 
-    Each case runs whole (its arrays, quadrature, RK4 and gap) as one task.
-    With ``threads`` >= 2 the tasks run on min(threads, cases) threads of
-    one pool, each peaking at about 3.2 MB (the write at 4.3 MB); with fewer,
-    they run in this thread and no thread starts.  The random numbers are
-    all drawn, and the random pairs' shared harmonic basis built, before any
-    case runs, and the gaps are taken in case order, so the report does not
-    depend on ``threads``.  The first case that fails stops every case not
-    yet begun; the error of the earliest failing case in case order leaves
-    this function once the running cases are done, and the threads with it.
+    Each case runs whole (its arrays, quadrature, RK4 and gap) as one task,
+    on core.worker_count(threads, cases) threads of one pool, each peaking
+    at about 3.2 MB (the write at 4.3 MB); at one, they run in this thread
+    and no thread starts.  ``threads`` is the cap pool_map takes (None: no
+    cap).  The random numbers are all drawn, and the random pairs' shared
+    harmonic basis built, before any case runs, and the gaps are taken in
+    case order, so the report does not depend on the thread count.  The
+    first case that fails stops every case not yet begun; the error of the
+    earliest failing case in case order leaves this function once the
+    running cases are done, and the threads with it.
     """
     cases = _oracle_cases(cfg, seed)
-    if threads < 2:
+    workers = worker_count(threads, len(cases))
+    if workers <= 1:
         checks = [_case_gap(*case) for case in cases]
     else:
         # Imported here so a check without threads never loads it.
@@ -501,12 +501,8 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int = 1) -> di
                 failed.set()
                 raise
 
-        pool = ThreadPoolExecutor(min(threads, len(cases)))
-        try:
-            futures = [pool.submit(whole, case) for case in cases]
-            checks = [future.result() for future in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+        with ThreadPoolExecutor(workers) as pool:
+            checks = list(pool.map(whole, cases))
     worst = max(c["max_abs_dP"] for c in checks)
 
     return {

@@ -624,6 +624,23 @@ class TestOracle:
         assert report["passed"] is True
         assert set(report) == {"cases", "max_abs_dP", "passed", "tolerance"}
 
+    @pytest.mark.parametrize("threads, cap", [("", None), ("1", 1), ("25", 25)])
+    def test_hands_the_parsed_cap_to_oracle_check(self, tmp_path, threads, cap, capsys, monkeypatch):
+        # The cap reaches oracle_check as it reaches pool_map, unclipped by
+        # the usable CPUs: core.worker_count clips it for both.
+        caps = []
+
+        def recorded(cfg, seed, threads):
+            caps.append(threads)
+            return {"passed": True}
+
+        monkeypatch.setenv("HALFCAV_THREADS", threads)
+        monkeypatch.setattr(cli, "oracle_check", recorded)
+        with cpus_allowed(2):
+            assert main(["oracle", "--out", str(tmp_path / "out")]) == 0
+        assert caps == [cap]
+        assert json.loads(capsys.readouterr().out) == {"passed": True}
+
 
 class TestResolutionWarning:
     # No grid warns: one below the resolution rule exits 2 at load
@@ -1047,7 +1064,7 @@ class TestPoolMap:
                                                         (3, 3, 3), (4, None, 4)])
     def test_results_in_order_at_any_worker_count(self, cpus, threads, workers):
         with cpus_allowed(cpus), counted_forks() as forks:
-            assert list(pool_map(functools.partial(pow, 2), range(20), threads)) == [
+            assert pool_map(functools.partial(pow, 2), range(20), threads) == [
                 2 ** i for i in range(20)]
         assert len(forks) == workers - 1
         assert_no_child_left()
@@ -1060,7 +1077,7 @@ class TestPoolMap:
             return item, os.getpid()
 
         with cpus_allowed(2), counted_forks() as forks:
-            ran = list(pool_map(where, range(12), 2))
+            ran = pool_map(where, range(12), 2)
         assert [item for item, _ in ran] == list(range(12))
         pids = [pid for _, pid in ran]
         assert pids[0] == forks[0] and pids[-1] == os.getpid()
@@ -1082,7 +1099,7 @@ class TestPoolMap:
             return -item
 
         with cpus_allowed(4), counted_forks() as forks:
-            assert list(pool_map(logged, range(300), 4)) == [-i for i in range(300)]
+            assert pool_map(logged, range(300), 4) == [-i for i in range(300)]
         calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         assert sorted(item for item, _ in calls) == list(range(300))
         assert {pid for _, pid in calls} <= {os.getpid(), *forks} and len(forks) == 3
@@ -1107,7 +1124,7 @@ class TestPoolMap:
             return item
 
         with cpus_allowed(workers), pytest.raises(KeyError, match="item 3"):
-            list(pool_map(item_fails, range(12), workers))
+            pool_map(item_fails, range(12), workers)
         ran = {int(line) for line in log.read_text().split()}
         assert {0, 1, 2, 3} <= ran
         assert_no_child_left()
@@ -1133,29 +1150,29 @@ class TestPoolMap:
             return item
 
         with cpus_allowed(workers), pytest.raises(KeyError, match="item 0"):
-            list(pool_map(fails_after_item_1, range(8), workers))
+            pool_map(fails_after_item_1, range(8), workers)
         assert log.read_text() == "failed 1\n"
         assert_no_child_left()
 
     def test_no_item_after_a_failure_begins(self, tmp_path):
-        # The worker fails at item 0 while this process runs item 9, which
-        # waits until the failure is reported: by then every item after 0
-        # is stopped, so item 9 is the last to begin.
+        # The worker fails at item 0 once this process has begun item 9,
+        # which waits until the failure is reported: by then every item
+        # after 0 is stopped, so item 9 is the last to begin.
         log = tmp_path / "calls.log"
 
         def item_waits(item):
             with open(log, "a") as fh:
                 fh.write(f"began {item}\n")
-            if item == 0:
-                raise ReportedError(str(log))
             deadline = time.monotonic() + 60
-            while "reported" not in log.read_text():
+            while ("began 9" if item == 0 else "reported") not in log.read_text():
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
+            if item == 0:
+                raise ReportedError(str(log))
             return item
 
         with cpus_allowed(2), pytest.raises(ReportedError):
-            list(pool_map(item_waits, range(10), 2))
+            pool_map(item_waits, range(10), 2)
         assert log.read_text().split("\n")[:-1].count("reported") == 1
         began = {int(line.split()[1]) for line in log.read_text().splitlines()
                  if line.startswith("began")}
@@ -1188,7 +1205,7 @@ class TestPoolMap:
         with cpus_allowed(2), pytest.raises(
             RuntimeError, match=r"pool_map worker \d+ ended with signal 9 before it reported item 0"
         ):
-            list(pool_map(killed_in_worker, range(10), 2))
+            pool_map(killed_in_worker, range(10), 2)
         assert_no_child_left()
 
     @pytest.mark.parametrize("report, message", [
@@ -1205,27 +1222,20 @@ class TestPoolMap:
             return lambda: item
 
         with cpus_allowed(2), pytest.raises(RuntimeError, match=message):
-            list(pool_map(closure, range(6), 2))
+            pool_map(closure, range(6), 2)
         assert_no_child_left()
 
-    @pytest.mark.parametrize("stop", ["keyboard_interrupt", "abandoned"])
-    def test_workers_reaped_when_the_map_stops_early(self, stop):
+    def test_workers_reaped_on_keyboard_interrupt(self):
         parent = os.getpid()
 
         def slow(item):
             time.sleep(0.01)
-            if stop == "keyboard_interrupt" and os.getpid() == parent:
+            if os.getpid() == parent:
                 raise KeyboardInterrupt
             return item
 
-        with cpus_allowed(3), counted_forks() as forks:
-            results = pool_map(slow, range(20), 3)
-            if stop == "abandoned":
-                assert next(results) == 0
-                results.close()
-            else:
-                with pytest.raises(KeyboardInterrupt):
-                    list(results)
+        with cpus_allowed(3), counted_forks() as forks, pytest.raises(KeyboardInterrupt):
+            pool_map(slow, range(20), 3)
         assert len(forks) == 2
         assert_no_child_left()
 

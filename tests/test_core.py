@@ -186,6 +186,20 @@ class TestComplexEnvelope:
         with pytest.raises(ValueError):
             env.intensity[0] = 1.0
 
+    def test_normalized_has_the_bits_of_complex_division(self):
+        # A real factor 1/sqrt(norm): every sample but a zero has the bits of
+        # complex division by sqrt(norm), and a zero keeps its sign.
+        g = TimeGrid(0.0, 10.0, 1001)
+        rng = np.random.default_rng(12)
+        samples = 3.0 * (rng.normal(size=1001) + 1j * rng.normal(size=1001))
+        samples[7] = complex(-0.0, 0.0)
+        env = ComplexEnvelope(g, samples)
+        new = env.normalized().samples.view(np.float64)
+        old = (env.samples / math.sqrt(env.norm)).view(np.float64)
+        assert env.normalized().norm == pytest.approx(1.0, rel=1e-14)
+        assert np.array_equal(new[old != 0.0].view(np.int64), old[old != 0.0].view(np.int64))
+        assert np.signbit(new[14]) and not np.signbit(old[14])
+
 
 class TestSquaredNorm:
     """ComplexEnvelope.norm, the squared norm ∫|xi|^2 dt."""

@@ -43,7 +43,7 @@ def smooth_pulse(grid: TimeGrid, seed: int) -> ComplexEnvelope:
     env = ComplexEnvelope(
         grid, np.exp(-0.5 * ((t - center) / width) ** 2) * np.exp(1j * phase)
     )
-    return env.with_samples(env.samples / math.sqrt(env.norm))
+    return env.normalized()
 
 
 def _reference_long_storage(profile, xi_in):
@@ -496,7 +496,7 @@ class TestTraceProperties:
             )
             prof = profile_from_gamma_z(grid, gz, MEM)
             env = ComplexEnvelope(grid, np.exp(-0.5 * ((t - 8.0) / 2.0) ** 2))
-            env = env.with_samples(env.samples / math.sqrt(env.norm))
+            env = env.normalized()
             return (
                 absorption_probability(prof, env).P[-1],
                 bloch_ode_oracle(prof, env).P[-1],

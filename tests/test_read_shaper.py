@@ -34,7 +34,7 @@ def decaying_exponential(gamma_s: float, step: float):
     t = grid.times
     samples = np.where(t >= 0.0, np.exp(-0.5 * gamma_s * t), 0.0)
     env = ComplexEnvelope(grid, samples.astype(complex))
-    return env.with_samples(env.samples / math.sqrt(env.norm))
+    return env.normalized()
 
 
 class TestReadProfileForTarget:

@@ -4,7 +4,9 @@ storage gap whose decay rate is exactly zero, agreement with the
 full-timeline builder kept below as the reference, compute work that
 does not grow with the storage time, and the sweep's eta_w(sigma/gamma0)
 between analytic bounds and against its continuous values."""
+import concurrent.futures
 import math
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -327,6 +329,11 @@ def test_each_envelope_intensity_is_derived_once_per_point(monkeypatch):
             assert [id(env) for env in norms] == [id(env) for env in intensities]
 
 
+def allow_cpus(monkeypatch, n):
+    """Let this process run on ``n`` CPUs, as core.worker_count sees it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 @pytest.mark.parametrize("compensated", [True, False])
 def test_oracle_cases_hold_every_series_the_rk4_reads(monkeypatch, compensated):
     # The cases run whole on the threads of one pool.  A series derived on
@@ -357,6 +364,7 @@ def test_oracle_cases_hold_every_series_the_rk4_reads(monkeypatch, compensated):
         return derive(self, instance, owner)
 
     monkeypatch.setattr(cached_property, "__get__", first_read)
+    allow_cpus(monkeypatch, 3)
     cfg = ScenarioConfig.from_dict({"phase_compensation": compensated})
     assert oracle_check(cfg, seed=7, threads=3)["passed"] is True
     main = threading.get_ident()
@@ -443,8 +451,10 @@ def test_oracle_random_pairs_from_the_shared_basis(seed):
 
 @pytest.mark.parametrize("config", [{}, {"phase_compensation": False, "storage_T": 0}],
                          ids=["default", "chirped"])
-def test_oracle_report_independent_of_threads(config):
-    # More threads than CPUs, switching every 10 us, so the cases interleave.
+def test_oracle_report_independent_of_threads(config, monkeypatch):
+    # More threads than CPUs, switching every 10 us, so the cases interleave:
+    # with 25 usable CPUs patched, the caps 2, 3 and 25 start 2, 3 and 21.
+    allow_cpus(monkeypatch, 25)
     cfg = ScenarioConfig.from_dict(config)
     serial = oracle_check(cfg, threads=1)
     assert len(serial["cases"]) == 21 and serial["passed"] is True
@@ -458,8 +468,10 @@ def test_oracle_report_independent_of_threads(config):
 
 
 def test_oracle_runs_a_thread_a_case(monkeypatch):
-    # At 25 threads the pool has 21, one per case: each case's RK4 waits
-    # until every case has reached its own, which only 21 threads can do.
+    # With 25 usable CPUs, a cap of 25 gives a pool of 21, one per case:
+    # each case's RK4 waits until every case has reached its own, which only
+    # 21 threads can do.
+    allow_cpus(monkeypatch, 25)
     everyone = threading.Barrier(21, timeout=60)
     callers = set()
 
@@ -473,6 +485,28 @@ def test_oracle_runs_a_thread_a_case(monkeypatch):
     assert oracle_check(ScenarioConfig(), threads=25)["passed"] is True
     assert len(callers) == 21 and threading.get_ident() not in callers
     assert threading.active_count() == before
+
+
+def test_oracle_threads_capped_by_the_usable_cpus(monkeypatch):
+    # The cap is the one pool_map takes: a cap of 25 on 2 usable CPUs
+    # starts 2 threads, however many cases there are.
+    allow_cpus(monkeypatch, 2)
+    started, callers = [], set()
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
+
+    def rk4(profile, xi_in):
+        callers.add(threading.get_ident())
+        return dynamics.bloch_ode_oracle(profile, xi_in)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(scenario, "bloch_ode_oracle", rk4)
+    assert oracle_check(ScenarioConfig(), threads=25)["passed"] is True
+    assert started == [(2,)]
+    assert 1 <= len(callers) <= 2 and threading.get_ident() not in callers
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -508,6 +542,7 @@ def test_oracle_error_leaves_with_no_thread_behind(monkeypatch, threads, failing
 
     monkeypatch.setattr(scenario, "_case_gap", counted_case)
     monkeypatch.setattr(scenario, "bloch_ode_oracle", rk4)
+    allow_cpus(monkeypatch, 3)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as raised:
         oracle_check(ScenarioConfig.from_dict({}), threads=threads)

@@ -74,7 +74,7 @@ def rect_env(width: float = 10.0, dt: float = 0.005):
     grid = TimeGrid(-1.0, -1.0 + (n - 1) * dt, n)
     samples = np.where((grid.times >= 0.0) & (grid.times <= width), 1.0, 0.0)
     env = ComplexEnvelope(grid, samples)
-    return env.with_samples(env.samples / math.sqrt(env.norm))
+    return env.normalized()
 
 
 def decaying_exponential_env(dt: float):
@@ -86,7 +86,7 @@ def decaying_exponential_env(dt: float):
     t = grid.times
     samples = np.where(t >= 0.0, np.exp(-0.5 * MEM.gamma0 * t), 0.0)
     env = ComplexEnvelope(grid, samples.astype(complex))
-    return env.with_samples(env.samples / math.sqrt(env.norm))
+    return env.normalized()
 
 
 def test_photon_from_identical_atom_stored_at_27_over_32():
@@ -113,7 +113,7 @@ def rising_exponential_env(gamma_s: float, dt: float):
     t = grid.times
     samples = np.where(t <= 0.0, np.exp(0.5 * gamma_s * np.minimum(t, 0.0)), 0.0)
     env = ComplexEnvelope(grid, samples.astype(complex))
-    return env.with_samples(env.samples / math.sqrt(env.norm))
+    return env.normalized()
 
 
 @pytest.mark.parametrize(
@@ -479,7 +479,7 @@ class TestCoRotatingWrite:
         profile = profile_from_gamma_z(grid, 1.6 + 0.3 * np.sin(t / 5.0), MEM)
         assert 1200.0 <= profile.Gamma_z[-1] < 1400.0
         env = ComplexEnvelope(grid, np.exp(-0.5 * ((t - 780.0) / 2.0) ** 2))
-        env = env.with_samples(env.samples / math.sqrt(env.norm))
+        env = env.normalized()
         monkeypatch.setattr(
             write_optimizer, "optimal_program",
             lambda env, q2, cfg: (profile, False, support_indices(env)),
