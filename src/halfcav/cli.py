@@ -8,9 +8,10 @@ Subcommands:
 
 All emitted files are deterministic byte-for-byte for a fixed config (and,
 for oracle, a fixed --seed, the only subcommand that draws random numbers):
-floats are written with 17 significant digits, JSON keys are sorted, and
-sweep points, oracle cases and CSV row chunks come back in input order at
-any worker count.  Each subcommand runs on one worker per CPU this process
+floats are written in the bytes of Python's "%.17g" (17 significant
+digits; the CSV files through a numpy kernel, write_csv), JSON keys are
+sorted, and sweep points, oracle cases and CSV row chunks come back in
+input order at any worker count.  Each subcommand runs on one worker per CPU this process
 may use, and at most HALFCAV_THREADS (a positive integer) when that is set
 (core.worker_count); any other HALFCAV_THREADS value exits 2, on every
 subcommand, before anything is computed or written.  Sweep points and CSV
@@ -29,10 +30,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
-from functools import partial
+from functools import cache, partial
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +56,14 @@ CSV_CHUNK_ROWS = 4096
 # Bytes of write_csv's temporary file set aside for one field of a chunk:
 # the longest float64 "%.17g", -2.2250738585072014e-308, and a separator.
 CSV_FIELD_BYTES = 25
+
+# Decimal exponents d (10**d <= |x| < 10**(d + 1)) of the values the CSV
+# kernel formats itself; a value outside them (a subnormal, 1e300, an
+# infinity) is formatted by Python's "%.17g".
+CSV_KERNEL_EXPONENTS = (-270, 290)
+
+# Values the CSV kernel formats in one pass: a bound on its temporaries.
+CSV_FORMAT_BLOCK = 8192
 
 
 def _keep_freed_heap() -> bool:
@@ -93,28 +104,261 @@ def _keep_freed_heap() -> bool:
             and mallopt(-8, 1) == 1)
 
 
+# Bytes the kernel lays out for one field before it drops the NULs: the
+# sign, "0.000", 17 digits each followed by a slot for the point, "e",
+# the exponent's sign and up to three digits, and the separator last.
+_FIELD_SLOTS = 48
+_SIGN, _PREFIX, _DIGITS, _EXPONENT, _SEPARATOR = 0, 1, 6, 39, 47
+
+# The layout classes: fixed notation for the decimal exponents -4..16 of
+# "%.17g" (class exponent + 4), then exponent notation, then zero.
+_EXP_CLASS, _ZERO_CLASS = 21, 22
+
+# Veltkamp's splitter for float64: 2**27 + 1.
+_SPLIT = 134217729.0
+
+
+def _power_of_ten(k: int) -> tuple[float, float]:
+    """10**k as hi + lo: hi the nearest double, lo the nearest double to
+    the rest, both from Python ints, whose division rounds correctly."""
+    if k >= 0:
+        hi = float(10**k)
+        return hi, float(10**k - int(hi))
+    n = 10**-k
+    hi = 1 / n
+    p, q = hi.as_integer_ratio()
+    return hi, (q - p * n) / (q * n)
+
+
+@cache
+def _format_tables() -> tuple:
+    """The CSV kernel's tables, built once a process on first use.
+
+    Indexed by d - d_min + 1 over d_min - 1 .. d_max + 1: the smallest
+    double at or above 10**d, and 10**(16 - d) as hi + lo with hi split
+    into halves of 26 bits.  Indexed by a group of four digits: its ASCII
+    bytes as one uint32, and, for each of the four groups after the first
+    digit, how many of the 17 digits end at that group's last nonzero one.
+    Indexed by layout code (``_fields``): each field's pattern of literal
+    bytes, 0xFF on the digits it shows and NUL elsewhere.  Indexed like the
+    powers: exponent notation's sign and digits as one uint32.
+    """
+    d_min, d_max = CSV_KERNEL_EXPONENTS
+    exponents = range(d_min - 1, d_max + 2)
+    powers = [_power_of_ten(d) for d in exponents]
+    floor_pow = np.array([math.nextafter(hi, math.inf) if lo > 0 else hi for hi, lo in powers])
+    hi, lo = np.array([_power_of_ten(16 - d) for d in exponents]).T.copy()
+    c = hi * _SPLIT
+    hi_hi = c - (c - hi)
+    hi_lo = hi - hi_hi
+    text = [b"%04d" % g for g in range(10_000)]
+    groups = np.frombuffer(b"".join(text), dtype=np.uint32)
+    shown = np.array([len(t.rstrip(b"0")) for t in text])
+    ends = np.where(shown > 0, np.arange(1, 17, 4)[:, None] + shown, 0).astype(np.uint8)
+    # Pattern of (class, significant digits, negative, newline).
+    patterns = np.zeros((_ZERO_CLASS + 1, 17, 2, 2, _FIELD_SLOTS), dtype=np.uint8)
+    patterns[:, :, 1, :, _SIGN] = ord("-")
+    patterns[..., 0, _SEPARATOR] = ord(",")
+    patterns[..., 1, _SEPARATOR] = ord("\n")
+    for cls in range(_ZERO_CLASS + 1):
+        x = cls - 4
+        for s in range(1, 18):
+            p = patterns[cls, s - 1]
+            if cls == _ZERO_CLASS:
+                p[..., _DIGITS] = ord("0")
+                continue
+            whole = 1 if cls == _EXP_CLASS else max(x + 1, 0)
+            p[..., _DIGITS:_DIGITS + 2 * max(s, whole):2] = 0xFF
+            if 1 <= whole < s:
+                p[..., _DIGITS + 2 * whole - 1] = ord(".")
+            if cls == _EXP_CLASS:
+                p[..., _EXPONENT] = ord("e")
+            elif x < 0:
+                p[..., _PREFIX:_PREFIX + 1 - x] = np.frombuffer(b"0.000"[:1 - x], dtype=np.uint8)
+    suffix = np.frombuffer(
+        b"".join(bytes(4) if -4 <= x <= 16 else (b"%+03d" % x).ljust(4, b"\0") for x in exponents),
+        dtype=np.uint32,
+    )
+    tables = (floor_pow, hi, hi_hi, hi_lo, lo, groups, ends, patterns.reshape(-1, _FIELD_SLOTS), suffix)
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller in the process
+    return tables
+
+
+def _seventeen_digits(a: np.ndarray) -> tuple:
+    """For doubles ``a`` with decimal exponents in CSV_KERNEL_EXPONENTS:
+    the integer N, 10**16 <= N < 10**17, nearest to a * 10**(16 - X), where
+    X is the exponent "%.17g" prints; X as an index into the power tables,
+    X - d_min + 1; and where a * 10**(16 - X) is within 2**-30 of a
+    half-integer, too near a tie to round here.
+
+    X starts at floor(log10(a)), set right by comparing ``a`` with the
+    smallest doubles at or above 10**X and 10**(X + 1).  The product
+    a * (hi + lo) is exact in a * hi (Dekker's product on Veltkamp's
+    halves) and good to 2**-104 relative in a * lo, so its distance to N
+    is off by under 2**-46.  A product that rounds up to 10**17 gives
+    N = 10**16 and X + 1.
+    """
+    floor_pow, hi, hi_hi, hi_lo, lo, *_ = _format_tables()
+    d = np.log10(a)
+    np.floor(d, out=d)
+    d = d.astype(np.intp)
+    d -= CSV_KERNEL_EXPONENTS[0] - 1
+    d -= a < floor_pow[d]
+    d += a >= floor_pow[d + 1]
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    p = a * hi[d]
+    part_hi = hi_hi[d]
+    part_lo = hi_lo[d]
+    rest = a_hi * part_hi
+    rest -= p
+    a_hi *= part_lo
+    rest += a_hi
+    part_hi *= a_lo
+    rest += part_hi
+    a_lo *= part_lo
+    rest += a_lo
+    part_lo = lo[d]
+    part_lo *= a
+    rest += part_lo
+    del a_hi, a_lo, part_hi, part_lo
+    whole = np.floor(rest)
+    rest -= whole
+    n = p.astype(np.int64)
+    n += whole.astype(np.int64)
+    n += rest > 0.5
+    rest -= 0.5
+    tie = np.abs(rest) < 2.0**-30
+    carry = n == 10**17
+    n[carry] = 10**16
+    d += carry
+    return n, d, tie
+
+
+def _fields(values: np.ndarray, newline: np.ndarray) -> np.ndarray:
+    """Each of ``values`` as its "%.17g" bytes and a separator, "\\n" where
+    ``newline`` and "," elsewhere: one row of _FIELD_SLOTS bytes a value,
+    NUL where a slot shows nothing.
+
+    Zeros take their pattern alone.  A value whose decimal exponent lies
+    outside CSV_KERNEL_EXPONENTS, a non-finite one, and one within 2**-30
+    of a tie at 17 digits are formatted by Python's "%.17g" one by one.
+    """
+    *_, groups, ends, patterns, suffix = _format_tables()
+    m = len(values)
+    a = np.abs(values)
+    low, high = CSV_KERNEL_EXPONENTS
+    scaled = (a >= 10.0**low) & (a < 10.0 ** (high + 1))
+    every = bool(scaled.all())
+    if every:
+        n, d, tie = _seventeen_digits(a)
+    else:
+        at = np.flatnonzero(scaled)
+        n = np.zeros(m, dtype=np.int64)
+        d = np.full(m, 1 - low, dtype=np.intp)  # X = 0: no exponent
+        n[at], d[at], tie = _seventeen_digits(a[at])
+    del a
+    # N = g0 g1 g2 g3 g4: one digit, then four groups of four.
+    digits = np.empty((m, 5), dtype=np.uint32)
+    top = n // 100_000_000
+    n -= top * 100_000_000
+    g = top // 100_000_000
+    digits[:, 0] = groups[g]
+    top -= g * 100_000_000
+    g = top // 10_000
+    digits[:, 1] = groups[g]
+    shown = ends[0][g]
+    top -= g * 10_000
+    digits[:, 2] = groups[top]
+    np.maximum(shown, ends[1][top], out=shown)
+    g = n // 10_000
+    digits[:, 3] = groups[g]
+    np.maximum(shown, ends[2][g], out=shown)
+    n -= g * 10_000
+    digits[:, 4] = groups[n]
+    np.maximum(shown, ends[3][n], out=shown)
+    np.maximum(shown, 1, out=shown)
+    del n, top, g
+    code = d + (low + 3)  # X + 4
+    code[(code < 0) | (code > 20)] = _EXP_CLASS
+    if not every:
+        code[~scaled] = _ZERO_CLASS
+    exponent = (code == _EXP_CLASS).any()
+    code *= 17
+    code += shown
+    code -= 1
+    code *= 4
+    code += np.signbit(values) * 2
+    code += newline
+    out = patterns[code]
+    del code, shown
+    out[:, _DIGITS:_EXPONENT:2] &= digits.view(np.uint8)[:, 3:]
+    if exponent:
+        out.view(np.uint32)[:, _EXPONENT // 4 + 1] = suffix[d]
+    odd = [] if every else np.flatnonzero(~scaled & (values != 0)).tolist()
+    if tie.any():
+        odd += (np.flatnonzero(tie) if every else at[tie]).tolist()
+    for i in odd:
+        text = b"%.17g" % values[i]
+        out[i, :_SEPARATOR] = 0
+        out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return out
+
+
 def _format_chunk(arrays: list, rows: slice) -> bytes:
-    """The CSV bytes of ``rows``.  A run of rows whose tails (each row but its
-    first field) change is one format of all its fields; a run that repeats
-    the tail of the row before it formats its first fields only, around that
-    tail formatted once."""
-    block = np.empty((rows.stop - rows.start, len(arrays)))
-    for j, a in enumerate(arrays):
-        block[:, j] = a[rows]
-    bits = block[:, 1:].view(np.int64)
-    repeats = np.zeros(len(block), dtype=bool)
-    repeats[1:] = (bits[1:] == bits[:-1]).all(axis=1)
-    bounds = (np.flatnonzero(repeats[1:] != repeats[:-1]) + 1).tolist()
-    tail_format = b",%.17g" * (len(arrays) - 1) + b"\n"
-    row_format = b"%.17g" + tail_format
+    """The CSV bytes of ``rows``.  A row whose tail (each field but its
+    first) changes has all its fields formatted; a run of rows that repeat
+    the tail of the row before formats its first fields only, each ended by
+    a newline that the tail's bytes, taken from that row, then replace.
+    The fields go through _fields CSV_FORMAT_BLOCK values at a time, whole
+    rows each, and the NULs between their bytes are dropped in one pass
+    over each run."""
+    columns = [a[rows] for a in arrays]
+    n, c = rows.stop - rows.start, len(columns)
+    repeats = np.zeros(n, dtype=bool)
+    if c > 1:
+        same = repeats[1:]
+        same[:] = True
+        for column in columns[1:]:
+            bits = column.view(np.int64)
+            same &= bits[1:] == bits[:-1]
+    # The formatted fields of row i are starts[i]:starts[i + 1].
+    starts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.where(repeats, 1, c), out=starts[1:])
+    cuts = {0, n, *(np.flatnonzero(repeats[1:] != repeats[:-1]) + 1).tolist(),
+            *np.searchsorted(starts, range(CSV_FORMAT_BLOCK, starts[-1], CSV_FORMAT_BLOCK)).tolist()}
     parts = []
-    for start, stop in zip([0, *bounds], [*bounds, len(block)]):
+    first = last = 0
+    for start, stop in pairwise(sorted(cuts)):
+        if stop > last:
+            first = start
+            last = max(stop, int(np.searchsorted(starts, starts[start] + CSV_FORMAT_BLOCK, "right")) - 1)
+            fields = _fields(*_row_values(columns, repeats, first, last, starts))
+        piece = fields[starts[start] - starts[first]:starts[stop] - starts[first]]
+        text = piece.tobytes().translate(None, b"\0")
         if repeats[start]:
-            tail = tail_format % tuple(block[start - 1, 1:].tolist())
-            parts.append((b"%.17g" + tail) * (stop - start) % tuple(block[start:stop, 0].tolist()))
-        else:
-            parts.append(row_format * (stop - start) % tuple(block[start:stop].ravel().tolist()))
+            text = text.replace(b"\n", tail)
+        elif stop < n and repeats[stop]:
+            tail = b"," + piece[1 - c:].tobytes().translate(None, b"\0")
+        parts.append(text)
     return b"".join(parts)
+
+
+def _row_values(columns: list, repeats: np.ndarray, first: int, last: int, starts: np.ndarray) -> tuple:
+    """The values _format_chunk formats for rows ``first``:``last``, in
+    order, and where each ends its row."""
+    at = starts[first:last + 1] - starts[first]
+    values = np.empty(at[-1])
+    newline = np.zeros(at[-1], dtype=bool)
+    newline[at[1:] - 1] = True
+    values[at[:-1]] = columns[0][first:last]
+    changed = np.flatnonzero(~repeats[first:last])
+    at = at[changed]
+    for j, column in enumerate(columns[1:], 1):
+        values[at + j] = column[first + changed]
+    return values, newline
 
 
 def _write_chunk(arrays: list, fd: int, rows: slice) -> int:
@@ -132,19 +376,41 @@ def _write_chunk(arrays: list, fd: int, rows: slice) -> int:
 
 
 def write_csv(path: Path, header: list[str], columns: list, threads: int | None = None) -> None:
-    """Write columns of floats, each with 17 significant digits ("%.17g"),
-    one header name per column; columns of unequal length, or a header of
-    another length, raise ValueError before any file is opened.
+    """Write columns of floats, each in the bytes of Python's "%.17g" (17
+    significant digits), one header name per column; columns of unequal
+    length, or a header of another length, raise ValueError before any file
+    is opened.
 
     The bytes are those of formatting every field of every row, with fewer
     formats: the rows go out in chunks of CSV_CHUNK_ROWS, and in a chunk the
     rest of a row after its first field (its tail) is formatted only where
     it differs from the tail of the row before.  Tails are compared bit for
     bit, so -0.0 and 0.0 stay apart.  A run of equal tails, such as the hold
-    rows of the store timeline where only t moves, is one format of its
-    first fields around one tail; a run of changing tails is one format of
-    all its fields.  Each chunk restarts the reuse, so its bytes depend on
-    its own rows only, and the file is the same at any worker count.
+    rows of the store timeline where only t moves, formats its first fields
+    and joins them around the bytes of the one tail; a run of changing tails
+    formats all its fields.  Each chunk restarts the reuse, so its bytes
+    depend on its own rows only, and the file is the same at any worker
+    count.
+
+    A numpy kernel formats the fields, CSV_FORMAT_BLOCK values at a time
+    (_fields).  For x != 0 it takes the decimal exponent d of |x| from
+    floor(log10|x|), set right by comparing |x| with the smallest doubles at
+    or above 10**d and 10**(d + 1); forms |x| * 10**(16 - d) as a
+    double-double product, with 10**k an exact hi + lo pair built from
+    Python ints and Dekker's product on Veltkamp's halves, within 2**-46 of
+    the exact product; and rounds it to the 17-digit integer N, moving to
+    d + 1 where N rounds up to 10**17.  A table of four-digit groups gives
+    N's digits, and a table of patterns by notation, digit count, sign and
+    separator lays them out in 48 bytes a field: fixed notation for the
+    exponents -4..16 and exponent notation otherwise, with trailing zeros
+    and a bare point dropped.  Zeros take their pattern without scaling,
+    and one bytes.translate a run drops the NUL padding.  The kernel leaves
+    to Python's "%.17g", one value at a time, only what it cannot round for
+    certain: a product within 2**-30 of a half-integer (every exact tie,
+    which "%.17g" rounds half to even), a non-finite value, and a magnitude
+    outside 1e-270..1e291 (CSV_KERNEL_EXPONENTS).  On the seed-1
+    store_long_hold export that is none of its 2,084,427 fields.  The tables
+    are built on the first call, in this process before any worker forks.
 
     Each chunk is one item of core.pool_map (at most ``threads`` processes,
     this one among them; with one, nothing is forked).  Whichever process
@@ -162,8 +428,11 @@ def write_csv(path: Path, header: list[str], columns: list, threads: int | None 
     The temporary file takes disk space up to the CSV's size while it runs
     (the rest of each region is a hole) and is gone when write_csv returns
     or raises, so no other file is left beside ``path``.  A chunk peaks at
-    about 0.6 kB a row of nine columns while it is formatted (0.2 kB a hold
-    row), and each process formats one chunk at a time.
+    about 0.4 kB a row of nine columns while it is formatted (0.17 kB a
+    hold row; tracemalloc around _format_chunk on a write and a hold chunk
+    of the seed-1 store_long_hold export: 1,618 and 676 kB for 4,096 rows,
+    against 2,373 and 849 kB with a Python format a field), and each process
+    formats one chunk at a time.
     """
     arrays = [np.asarray(c, dtype=np.float64) for c in columns]
     lengths = {len(a) for a in arrays}
@@ -171,6 +440,7 @@ def write_csv(path: Path, header: list[str], columns: list, threads: int | None 
         raise ValueError(f"{len(header)} header names for columns of lengths {sorted(lengths)}")
     n = min(lengths, default=0)
     chunks = [slice(start, min(start + CSV_CHUNK_ROWS, n)) for start in range(0, n, CSV_CHUNK_ROWS)]
+    _format_tables()
     with open(path, "wb") as fh, tempfile.TemporaryFile(dir=path.parent) as tmp:
         fh.write((",".join(header) + "\n").encode())
         written = pool_map(partial(_write_chunk, arrays, tmp.fileno()), chunks, threads)

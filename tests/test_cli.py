@@ -18,6 +18,7 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -1037,6 +1038,150 @@ class TestCsvRegions:
         _reference_write_csv(tmp_path / "reference.csv", ["a", "b"],
                              [np.linspace(0.0, 1.0, n), np.zeros(n)])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def kernel_bytes(values):
+    """One column of ``values`` through _format_chunk: the kernel's bytes,
+    one value a line."""
+    values = np.asarray(values, dtype=np.float64)
+    return cli._format_chunk([values], slice(0, len(values)))
+
+
+def python_bytes(values):
+    return b"".join(b"%.17g\n" % v for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+def assert_python_bytes(values):
+    got, expected = kernel_bytes(values).split(b"\n"), python_bytes(values).split(b"\n")
+    wrong = [(v, g, e) for v, g, e in zip(np.asarray(values).tolist(), got, expected) if g != e]
+    assert not wrong and len(got) == len(expected)
+
+
+def neighbours(values, ulps=2):
+    """``values`` and the doubles up to ``ulps`` steps above and below each."""
+    out = [np.asarray(values, dtype=np.float64)]
+    for direction in (np.inf, -np.inf):
+        step = out[0]
+        for _ in range(ulps):
+            with np.errstate(over="ignore"):
+                step = np.nextafter(step, direction)
+            out.append(step)
+    return np.concatenate(out)
+
+
+def decimal_ties():
+    """Doubles x whose digits after the 17th are a single 5: x * 10**k is
+    N + 1/2 with 10**16 <= N < 10**17.  Such an x is m / 2**(k + 1) with
+    m odd, so it exists for k = 1 .. 24 only: a double from 2**54 on is an
+    even integer, whose 18th digit is never an exact 5."""
+    rng = np.random.default_rng(35)
+    ties = []
+    for k in range(1, 25):
+        low, high = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        for m in [low, high - 1, *rng.integers(low, high, 200).tolist()]:
+            m |= 1
+            ties.append(math.ldexp(m, -(k + 1)))
+            assert 10**16 <= m * 5**k // 2 < 10**17 and (m * 5**k) % 2 == 1
+    return np.array(ties)
+
+
+class TestCsvKernel:
+    """The numpy kernel writes the bytes of Python's "%.17g" for every
+    float64, and hands Python only the values it cannot prove."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_raw_bit_patterns(self, patterns):
+        assert_python_bytes(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=64))
+    def test_any_float(self, values):
+        assert_python_bytes(values)
+
+    def test_many_random_bit_patterns(self):
+        # Several kernel blocks, sign and exponent bits spread evenly.
+        rng = np.random.default_rng(2026)
+        assert_python_bytes(rng.integers(0, 2**64, 3 * cli.CSV_FORMAT_BLOCK + 11,
+                                         dtype=np.uint64).view(np.float64))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = neighbours(np.concatenate([powers, -powers]))
+        assert_python_bytes(values)
+        # Some of them round up to a power of ten at 17 digits, which moves
+        # "%.17g"'s exponent: 1e-14's double lies below 10**-14.
+        carried = [v for v in values.tolist()
+                   if (b"%.17g" % v).startswith(b"1e") and Fraction(v) < Fraction((b"%.17g" % v).decode())]
+        assert 1e-14 in carried
+
+    @pytest.mark.parametrize("off", [-1e-12, 1e-12])
+    def test_exponent_guess_set_right(self, monkeypatch, off):
+        # floor(log10|x|) only starts the exponent: a log10 that errs low
+        # (high) puts it one too low (high) next to every power of ten, and
+        # the bytes are still "%.17g".
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+        rng = np.random.default_rng(1)
+        powers = np.array([float(f"1e{k}") for k in range(-270, 291)])
+        assert_python_bytes(np.concatenate([neighbours(powers),
+                                            rng.integers(0, 2**64, 5_000, dtype=np.uint64).view(np.float64)]))
+
+    def test_exact_ties_round_half_to_even(self):
+        ties = decimal_ties()
+        assert_python_bytes(np.concatenate([ties, -ties, neighbours(ties, 1)]))
+        # And the kernel leaves each to Python.
+        _, _, tie = cli._seventeen_digits(ties)
+        assert tie.all()
+
+    def test_notation_switches(self):
+        # Fixed notation from exponent -4 to 16, exponent notation outside,
+        # and the bytes of a 17-digit round that carries into the next
+        # exponent on either side of each switch.
+        edges = [1e-5, 1e-4, 1e16, 1e17, 9.99999999999999995e-5, 9.9999999999999999e16,
+                 0.00009999999999999999, 99999999999999999.0, 1e-4 * (1 - 2**-53)]
+        values = neighbours(edges, 8)
+        assert_python_bytes(np.concatenate([values, -values]))
+        assert kernel_bytes([1e-5, 1e-4, 1e16, 1e17]) == b"1.0000000000000001e-05\n0.0001\n10000000000000000\n1e+17\n"
+
+    def test_signed_zeros_subnormals_extremes_and_non_finite(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                  -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+                  math.inf, -math.inf, math.nan, -math.nan, 1e-270, 1e290, 1e291, 9e-271]
+        assert_python_bytes(neighbours(values, 1))
+
+    def test_python_formats_exact_ties_only(self):
+        # Over the kernel's exponents, the values it leaves to Python are
+        # those exactly halfway between two 17-digit decimals, and no other:
+        # random values, among which 1e12..2e15 gives exact ties, and the
+        # constructed ones.
+        rng = np.random.default_rng(7)
+        values = rng.uniform(1.0, 10.0, 20_000) * 10.0 ** rng.integers(-270, 290, 20_000)
+        values = np.concatenate([values, decimal_ties()])
+        n, d, tie = cli._seventeen_digits(values)
+        exponents = d + (cli.CSV_KERNEL_EXPONENTS[0] - 1)
+        halves = [(2 * Fraction(v) * Fraction(10) ** (16 - x)).denominator == 1
+                  and (2 * Fraction(v) * Fraction(10) ** (16 - x)).numerator % 2 == 1
+                  for v, x in zip(values.tolist(), exponents.tolist())]
+        assert tie.tolist() == halves
+        assert 0 < sum(halves[:20_000]) < 20_000
+        assert ((10**16 <= n) & (n < 10**17)).all()
+
+    def test_import_builds_no_table(self, tmp_path):
+        # The tables are built by the first write_csv, in the process that
+        # forks the CSV workers, and neither fractions nor decimal is loaded.
+        code = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import halfcav.cli as cli\n"
+            "loaded = [m for m in ('fractions', 'decimal') if m in sys.modules]\n"
+            "print(loaded, cli._format_tables.cache_info().currsize)\n"
+            "cli.write_csv(Path(sys.argv[1]), ['x'], [[0.5, -0.0]])\n"
+            "print(cli._format_tables.cache_info().currsize)\n"
+        )
+        done = fresh_interpreter(["-c", code, str(tmp_path / "x.csv")])
+        assert done.stdout == "[] 0\n1\n"
+        assert (tmp_path / "x.csv").read_bytes() == b"x\n0.5\n-0\n"
 
 
 class TestPoolMap:
