@@ -251,14 +251,10 @@ def _fields(values: np.ndarray, newline: np.ndarray) -> np.ndarray:
     a = np.abs(values)
     low, high = CSV_KERNEL_EXPONENTS
     scaled = (a >= 10.0**low) & (a < 10.0 ** (high + 1))
-    every = bool(scaled.all())
-    if every:
-        n, d, tie = _seventeen_digits(a)
-    else:
-        at = np.flatnonzero(scaled)
-        n = np.zeros(m, dtype=np.int64)
-        d = np.full(m, 1 - low, dtype=np.intp)  # X = 0: no exponent
-        n[at], d[at], tie = _seventeen_digits(a[at])
+    at = np.flatnonzero(scaled)
+    n = np.zeros(m, dtype=np.int64)
+    d = np.full(m, 1 - low, dtype=np.intp)  # X = 0: no exponent
+    n[at], d[at], tie = _seventeen_digits(a[at])
     del a
     # N = g0 g1 g2 g3 g4: one digit, then four groups of four.
     digits = np.empty((m, 5), dtype=np.uint32)
@@ -283,8 +279,7 @@ def _fields(values: np.ndarray, newline: np.ndarray) -> np.ndarray:
     del n, top, g
     code = d + (low + 3)  # X + 4
     code[(code < 0) | (code > 20)] = _EXP_CLASS
-    if not every:
-        code[~scaled] = _ZERO_CLASS
+    code[~scaled] = _ZERO_CLASS
     exponent = (code == _EXP_CLASS).any()
     code *= 17
     code += shown
@@ -297,10 +292,7 @@ def _fields(values: np.ndarray, newline: np.ndarray) -> np.ndarray:
     out[:, _DIGITS:_EXPONENT:2] &= digits.view(np.uint8)[:, 3:]
     if exponent:
         out.view(np.uint32)[:, _EXPONENT // 4 + 1] = suffix[d]
-    odd = [] if every else np.flatnonzero(~scaled & (values != 0)).tolist()
-    if tie.any():
-        odd += (np.flatnonzero(tie) if every else at[tie]).tolist()
-    for i in odd:
+    for i in [*np.flatnonzero(~scaled & (values != 0)).tolist(), *at[tie].tolist()]:
         text = b"%.17g" % values[i]
         out[i, :_SEPARATOR] = 0
         out[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
@@ -410,7 +402,9 @@ def write_csv(path: Path, header: list[str], columns: list, threads: int | None 
     which "%.17g" rounds half to even), a non-finite value, and a magnitude
     outside 1e-270..1e291 (CSV_KERNEL_EXPONENTS).  On the seed-1
     store_long_hold export that is none of its 2,084,427 fields.  The tables
-    are built on the first call, in this process before any worker forks.
+    are built once a process, before any worker forks: by main when store
+    or sweep starts, before the run's arrays (it says why), or else by the
+    first write_csv.
 
     Each chunk is one item of core.pool_map (at most ``threads`` processes,
     this one among them; with one, nothing is forked).  Whichever process
@@ -535,6 +529,14 @@ def main(argv: list[str] | None = None) -> int:
         # Not on store: it runs once per process, and there the kept heap
         # raised peak RSS from 45.7 to 54.4 MB (storage_T = 1000, in process).
         _keep_freed_heap()
+    if args.command != "oracle":
+        # The CSV tables, before the run's arrays: built after them, on
+        # write_csv's first call, they held the top of the heap above the
+        # arrays once freed, so a process running store_long_hold's store
+        # again and again kept ~14 MB more resident between runs (with a
+        # Python format of 250k floats between them, as perfbench times
+        # before each op: a peak RSS of 75 MB against 59 MB).
+        _format_tables()
 
     if args.command == "oracle":
         report = oracle_check(cfg, seed=args.seed, threads=threads)

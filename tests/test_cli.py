@@ -1183,6 +1183,17 @@ class TestCsvKernel:
         assert done.stdout == "[] 0\n1\n"
         assert (tmp_path / "x.csv").read_bytes() == b"x\n0.5\n-0\n"
 
+    def test_store_builds_the_tables_before_its_arrays(self, tmp_path, monkeypatch):
+        # Built after the run's arrays, the tables held the heap's top above
+        # them once freed, which kept the freed arrays resident.
+        cli._format_tables.cache_clear()
+        built = []
+        build = cli.build_store_run
+        monkeypatch.setattr(cli, "build_store_run",
+                            lambda cfg: built.append(cli._format_tables.cache_info().currsize) or build(cfg))
+        assert run_cli(tmp_path, "store") == 0
+        assert built == [1]
+
 
 class TestPoolMap:
     """When pool_map forks, which process runs which items, and what its
