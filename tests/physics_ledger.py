@@ -3,7 +3,9 @@
 ``tests/physics_ledger.json`` holds, for each case, its config and what the
 package reports for it:
 
-- ``store``: every value of the run.json record;
+- ``store``: every value of the run.json record, and under
+  ``columns_sha256`` the sha256 of each timeseries.csv column's float64
+  bytes, so that a moved sample shows although run.json holds none;
 - ``sweep``: every row of sweep.csv;
 - ``oracle``: the per-case gaps of the oracle report, max|dP|;
 - ``oracle_write``: the oracle report's ``scenario_write`` gap alone.  The
@@ -16,7 +18,9 @@ Floats are written as JSON numbers, which Python writes and reads with
 recomputes each case in process, on one worker, and compares: exactly on
 the build that the ledger records (``build``), and within REL_TOL and
 ABS_TOL elsewhere, since another numpy version or SIMD set can move the
-last bit (numpy fuses complex products where the CPU has FMA).
+last bit (numpy fuses complex products where the CPU has FMA).  The column
+digests are compared on the recorded build only: a moved last bit changes
+a digest entirely.
 
 A change that moves a number on purpose rewrites the ledger, and its diff
 shows every moved digit.  Rewrite it from the repository root with
@@ -28,6 +32,7 @@ largest absolute and relative move.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import sys
@@ -61,6 +66,10 @@ SWEEP_BANDWIDTH_SEED_1 = {
 CHIRPED = {"phase_compensation": False, "storage_T": 0.0}
 # A write and a read that both reach the cap 2*gamma0.
 CAPPED = {"pulse": {"alpha": -0.6, "beta": 0.8, "phi": 2.0, "sigma": 5.0}}
+# The only case that writes in the lab frame onto the cap.
+CHIRPED_CAPPED = {"phase_compensation": False, **CAPPED}
+# The key of a store case's column digests in its numbers.
+DIGESTS = "columns_sha256"
 
 # (name, command, config): the command's numbers for the config.
 CASES = [
@@ -69,11 +78,13 @@ CASES = [
     ("single_gaussian_sigma_1", "store",
      {"pulse": {"alpha": 1.0, "beta": 0.0, "t1": 0.0, "t2": 1.0, "sigma": 1.0}}),
     ("capped_time_bin_sigma_5", "store", CAPPED),
+    ("chirped_capped", "store", CHIRPED_CAPPED),
     ("store_long_hold_seed_7", "store", STORE_LONG_HOLD_SEED_7),
     ("sweep_bandwidth_seed_1", "sweep", SWEEP_BANDWIDTH_SEED_1),
     ("oracle_default", "oracle", {}),
     ("oracle_chirped", "oracle_write", CHIRPED),
     ("oracle_capped_time_bin_sigma_5", "oracle_write", CAPPED),
+    ("oracle_chirped_capped", "oracle_write", CHIRPED_CAPPED),
 ]
 
 
@@ -97,7 +108,10 @@ def compute(command: str, config: dict):
     cfg = ScenarioConfig.from_dict(config)
     if command == "store":
         run = build_store_run(cfg)
-        return run.record(run.timeseries_columns())
+        columns = run.timeseries_columns()
+        digests = {name: hashlib.sha256(np.ascontiguousarray(column, dtype=np.float64)).hexdigest()
+                   for name, column in columns.items()}
+        return {**run.record(columns), DIGESTS: digests}
     if command == "sweep":
         return [sweep_point(cfg, float(s)) for s in cfg.sweep.sigmas()]
     if command == "oracle":
