@@ -24,13 +24,14 @@ sweep point never builds the complex rate.
 
 Two independent routes compute the excited-state population driven by an
 input envelope: a closed-form cumulative quadrature and a fixed-step RK4
-integration of the underlying three-component equation of motion.  The
-quadrature is one trapezoid kernel, ``_trapezoid_amplitude``, run in one of
-two frames: in the lab frame on the complex Gamma and drive g*xi
-(``absorption_probability``), or, for the phase-compensated write, in the
-frame co-rotating with the shifted resonance on Gamma_z/2 = Re Gamma and the
-real drive g*|xi|, where no complex number appears
-(``write_optimizer.optimal_write_profile``).  The
+integration of the underlying three-component equation of motion.  Both
+drive the atom through one owner, ``DecayProfile.drive``.  The quadrature
+is one function, ``absorption_probability``, which owns the frame: in the
+lab frame it runs the trapezoid kernel ``_trapezoid_amplitude`` on the
+complex Gamma and the input xi; in the frame co-rotating with the shifted
+resonance, the phase-compensated write's, on Gamma_z/2 = Re Gamma and |xi|,
+where no complex number appears.  ``lab_frame_input`` gives what the
+co-rotating write absorbs as a lab-frame input, for the RK4 route.  The
 equation is linear, so every RK4 step is an affine map of the amplitude and
 the integration runs as one blocked scan (``core.affine_scan``), not a loop
 over samples; the population is |amplitude|^2 on both routes.  Their
@@ -43,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, TimeGrid, affine_scan, cumtrapz, _freeze
+from .core import ComplexEnvelope, MemoryConfig, TimeGrid, affine_scan, cumtrapz, polar, _freeze
 from .core import SCAN_MIN_FACTOR
 
 
@@ -60,6 +61,20 @@ class DecayProfile:
     compensated write nor a de-chirped read builds the complex rate or a
     principal gbar, since the read needs only |gamma| = sqrt(gamma0/2)*g.
     Gamma_z is non-decreasing since gamma_z >= 0.
+
+    The atom meets the light through two couplings, and they differ in
+    phase (ROADMAP item 3):
+
+    - the drive coupling, through which an input drives the atom on the
+      write and in the oracle, is the real g (``drive``);
+    - the emission coupling, through which the read emits, is
+      kappa = sqrt(2/gamma0)*gamma = sqrt(gamma0/2)*(1 - exp(i*phi)), so
+      |kappa| = g and arg kappa = (phi - pi)/2
+      (``read_shaper.output_envelope``; Dorner and Zoller, PRA 66, 023816
+      (2002)).
+
+    Time reversal needs one coupling on both sides (Gorshkov et al., PRL
+    98, 123601 (2007)).
     """
 
     grid: TimeGrid
@@ -90,15 +105,24 @@ class DecayProfile:
     def g(self) -> np.ndarray:
         return _freeze(np.sqrt(np.clip(self.gamma_z, 0.0, None)))
 
+    def drive(self, xi_in: ComplexEnvelope, co_rotating: bool = False) -> np.ndarray:
+        """g*x, the drive of the input x that the atom absorbs from xi_in in
+        the frame (``_absorbed``), through the drive coupling: the one drive
+        product, for the quadrature in either frame and for the oracle in
+        the lab frame."""
+        if xi_in.grid != self.grid:
+            raise ValueError("envelope and profile must share a grid")
+        return self.g * _absorbed(xi_in, co_rotating)
+
 
 @dataclass(frozen=True)
 class ExcitationTrace:
     """Excited-state probability P(t) and the amplitude behind it.
 
-    ``absorption_probability`` and the oracle give the complex lab-frame
-    amplitude.  A phase-compensated write gives it in the frame co-rotating
-    with the shifted resonance, where it is real (``WriteResult``); P is
-    the same in both frames.
+    The oracle gives the complex lab-frame amplitude, and
+    ``absorption_probability`` gives it in the frame it is asked for: in
+    the frame co-rotating with the shifted resonance the amplitude is real.
+    P is the same in both frames.
     """
 
     grid: TimeGrid
@@ -202,25 +226,45 @@ def _trapezoid_amplitude(exponent: np.ndarray, drive: np.ndarray, dt: float) -> 
     return affine_scan(decay, np.multiply(decay, b, out=b) + h * drive[1:], 0.0)
 
 
-def absorption_probability(
-    profile: DecayProfile, xi_in: ComplexEnvelope
-) -> ExcitationTrace:
-    """Excited-state amplitude from the closed-form quadrature, in the lab
-    frame.
+def _absorbed(xi_in: ComplexEnvelope, co_rotating: bool) -> np.ndarray:
+    """The input samples the atom absorbs in the frame: xi in the lab
+    frame; |xi| in the co-rotating one, which drops arg xi, so the
+    configured time-bin phase never reaches the atom (ROADMAP item 4)."""
+    return np.abs(xi_in.samples) if co_rotating else xi_in.samples
 
-    amplitude(t) = ∫ exp(-(Gamma(t) - Gamma(t'))) g(t') xi(t') dt'  over
-    t' <= t: ``_trapezoid_amplitude`` with exponent E = Gamma and drive
-    g*xi, so the complex Gamma is integrated.  The phase-compensated write
-    calls the same kernel in the co-rotating frame instead
-    (``write_optimizer.optimal_write_profile``).
+
+def absorption_probability(
+    profile: DecayProfile, xi_in: ComplexEnvelope, co_rotating: bool = False
+) -> ExcitationTrace:
+    """Excited-state amplitude from the closed-form quadrature.
+
+    amplitude(t) = ∫ exp(-(E(t) - E(t'))) g(t') x(t') dt'  over t' <= t:
+    ``_trapezoid_amplitude`` with exponent E and the drive g*x of the
+    absorbed input x (``DecayProfile.drive``).  In the lab frame
+    E = Gamma and x = xi, so the complex Gamma is integrated.  In the frame
+    co-rotating with the shifted resonance, the phase-compensated write's,
+    E = Gamma_z/2 = Re Gamma and x = |xi|: the kernel loses its phase and no
+    complex rate, exponential or running integral is built.  Its P is the
+    lab-frame P of ``lab_frame_input``.
     """
-    if xi_in.grid != profile.grid:
-        raise ValueError("envelope and profile must share a grid")
-    amplitude = _trapezoid_amplitude(
-        profile.Gamma, profile.g * xi_in.samples, profile.grid.dt
-    )
+    drive = profile.drive(xi_in, co_rotating)
+    exponent = 0.5 * profile.Gamma_z if co_rotating else profile.Gamma
+    amplitude = _trapezoid_amplitude(exponent, drive, profile.grid.dt)
     P = np.abs(amplitude) ** 2
     return ExcitationTrace(grid=profile.grid, P=P, amplitude=amplitude)
+
+
+def lab_frame_input(
+    profile: DecayProfile, xi_in: ComplexEnvelope, co_rotating: bool = False
+) -> ComplexEnvelope:
+    """The lab-frame input whose lab-frame absorption is
+    ``absorption_probability(profile, xi_in, co_rotating)``: xi_in itself,
+    or in the co-rotating frame the absorbed input turned by the level
+    shift, |xi|*exp(-i*Im Gamma), the one place that frame reads Gamma."""
+    if not co_rotating:
+        return xi_in
+    # 0 - Im Gamma, not -Im Gamma: +0 where the shift is 0, as exp(-1j*Im Gamma) has.
+    return xi_in.with_samples(polar(_absorbed(xi_in, True), 0.0 - profile.Gamma.imag))
 
 
 def _rk4_step_map(rate, source, h: float):
@@ -259,7 +303,8 @@ def bloch_ode_oracle(
     motion, integrated with classical fixed-step RK4 on the grid.
 
     State s = (<sigma_z>, cross <sigma_+>, cross <sigma_->) with
-    s(t0) = (-1, 0, 0); the single-photon drive enters as d = g(t)*xi(t):
+    s(t0) = (-1, 0, 0); the single-photon drive enters as d = g(t)*xi(t)
+    (``DecayProfile.drive``):
 
         ds1/dt = -gamma_z*s1 - 2*d*s2 - 2*conj(d)*s3 - gamma_z
         ds2/dt = -conj(gamma)*s2 - conj(d)
@@ -279,11 +324,9 @@ def bloch_ode_oracle(
     Raises RuntimeError when P leaves [0, 1] by more than 1e-6 or is not
     finite: the grid is then too coarse for the RK4 step.
     """
-    if xi_in.grid != profile.grid:
-        raise ValueError("envelope and profile must share a grid")
+    drv = profile.drive(xi_in)
     h = profile.grid.dt
     gam = profile.gamma_complex
-    drv = profile.g * xi_in.samples
     gam_m = 0.5 * (gam[1:] + gam[:-1])
     drv_m = 0.5 * (drv[1:] + drv[:-1])
 

@@ -13,14 +13,18 @@ read program, capped or not, is the write's builder
 support: emission is absorption run backwards, and the capped result
 maximizes the target-projected emitted energy eta_r * F.
 
-The complex gamma_r imprints the level-shift chirp on the raw envelope.  By
-default the returned envelope is de-chirped (the phases arg(gamma_r) and
--Im Gamma_r are removed), i.e. reported in the frame co-rotating with the
-shifted atomic resonance, matching the convention under which the write
-side compensates its input.  Since |gamma_r|^2 = gamma0*gamma_z_r/2 it is
-i*sqrt(P0)*g_r(t)*exp(-Gamma_z_r(t)/2), built from the real coupling
-g_r = sqrt(gamma_z_r) with no complex rate.  Without phase compensation
-the chirped envelope is returned as is.
+The read emits through the emission coupling kappa = sqrt(2/gamma0)*gamma_r,
+while the write and the oracle drive the atom through the real drive
+coupling g = |kappa|; ``dynamics.DecayProfile`` names both, and their
+phases differ (ROADMAP item 3).  The complex gamma_r imprints the
+level-shift chirp on the raw envelope.  By default the returned envelope is
+de-chirped (the phases arg(gamma_r) and -Im Gamma_r are removed), i.e.
+reported in the frame co-rotating with the shifted atomic resonance, the
+frame of the compensated write (``dynamics.absorption_probability``).
+Since |gamma_r|^2 = gamma0*gamma_z_r/2 it is
+i*sqrt(P0)*g_r(t)*exp(-Gamma_z_r(t)/2), emitted through |kappa| = g_r with
+no complex rate.  Without phase compensation the chirped envelope is
+returned as is.
 """
 from __future__ import annotations
 

@@ -23,19 +23,17 @@ one ``core.affine_scan``.  Only the steps onto and off the cap are taken
 one at a time.  ``optimal_program`` runs it forward for a write and
 backwards for a read (``read_shaper``).
 
-The level-shift phase Im(Gamma) is compensated by default: the input is
+The level-shift phase Im(Gamma) is compensated by default: the write is
 taken in the frame co-rotating with the shifted atomic resonance, the frame
-the read reports its output in (``read_shaper``).  There the kernel
-exp(-(Gamma(t) - Gamma(t'))) loses its phase, and with the drive g*|xi| the
-quadrature is real: exponent Gamma_z/2 = Re Gamma, and no complex rate,
-exponential or running integral is built.  What the compensated write
-absorbs is the lab-frame input |xi|*exp(-i*Im Gamma)
+the read reports its output in (``read_shaper``).  The frame, the input it
+absorbs and the coupling that drives the atom are ``dynamics``' choices
+(``absorption_probability``); the write only names its frame.  The
+compensated write absorbs |xi|, the lab-frame input |xi|*exp(-i*Im Gamma)
 (``WriteResult.xi_effective``): it keeps the input's magnitude but not its
 phase, so the configured time-bin phase phi never reaches the atom and
-eta_w does not depend on it (ROADMAP.md, "Report the photon that the atom
-actually absorbs").
-Disabling compensation absorbs the input as given, in the lab frame, and
-exposes the efficiency cost of the chirp.
+eta_w does not depend on it (ROADMAP.md item 4, "Report the photon that the
+atom actually absorbs").  Disabling compensation absorbs the input as
+given, in the lab frame, and exposes the efficiency cost of the chirp.
 """
 from __future__ import annotations
 
@@ -45,12 +43,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ComplexEnvelope, MemoryConfig, NORM_TOL, affine_scan, polar
+from .core import ComplexEnvelope, MemoryConfig, NORM_TOL, affine_scan
 from .dynamics import (
     DecayProfile,
     ExcitationTrace,
-    _trapezoid_amplitude,
     absorption_probability,
+    lab_frame_input,
     profile_from_gamma_z,
 )
 from .pulses import support_indices
@@ -69,13 +67,12 @@ class WriteResult:
     """Outcome of the write optimization; ``support`` = (i0, i1) is the
     write window, the input's support on its grid.
 
-    With phase compensation the trace is taken in the co-rotating frame:
-    its amplitude is real, the lab-frame amplitude times exp(+i*Im Gamma);
-    P is the same in both frames.  Without it the trace is in the lab
-    frame.  ``xi_effective`` is the lab-frame input the write absorbs,
-    |xi|*exp(-i*Im Gamma) with compensation and xi_in without; it is
-    derived on first access, for the oracle's RK4 check, so only that check
-    integrates the complex Gamma of a compensated write.
+    The trace is ``dynamics.absorption_probability``'s in the write's
+    frame, co-rotating with phase compensation and the lab frame without.
+    ``xi_effective`` is the lab-frame input the write absorbs
+    (``dynamics.lab_frame_input``); it is derived on first access, for the
+    oracle's RK4 check, so only that check integrates the complex Gamma of
+    a compensated write.
     """
 
     profile: DecayProfile
@@ -88,12 +85,7 @@ class WriteResult:
 
     @cached_property
     def xi_effective(self) -> ComplexEnvelope:
-        if not self.phase_compensation:
-            return self.xi_in
-        # 0 - Im Gamma, not -Im Gamma: +0 where the shift is 0, as exp(-1j*Im Gamma) has.
-        return self.xi_in.with_samples(
-            polar(np.abs(self.xi_in.samples), 0.0 - self.profile.Gamma.imag)
-        )
+        return lab_frame_input(self.profile, self.xi_in, self.phase_compensation)
 
 
 def _synthesize_gamma_z(q2: np.ndarray, dt: float, cap: float, eps: float) -> np.ndarray:
@@ -186,14 +178,7 @@ def optimal_write_profile(
     if abs(xi_in.norm - 1.0) > NORM_TOL:
         raise ValueError("input envelope must be normalized (∫|xi|^2 dt = 1)")
     profile, capped, (i0, i1) = optimal_program(xi_in, xi_in.intensity, cfg)
-
-    if phase_compensation:
-        amplitude = _trapezoid_amplitude(
-            0.5 * profile.Gamma_z, profile.g * np.abs(xi_in.samples), xi_in.grid.dt
-        )
-        trace = ExcitationTrace(grid=xi_in.grid, P=amplitude**2, amplitude=amplitude)
-    else:
-        trace = absorption_probability(profile, xi_in)
+    trace = absorption_probability(profile, xi_in, co_rotating=phase_compensation)
     return WriteResult(
         profile=profile,
         eta_w=float(trace.P[i1]),

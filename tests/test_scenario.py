@@ -214,8 +214,9 @@ def test_matches_reference(storage_T, sigma, separation, phi):
 
 def test_sweep_point_work_is_flat_in_storage_time(monkeypatch):
     # Every grid that reaches a synthesis or quadrature during sweep_point
-    # is the write-phase grid, whatever the storage time.  The compensated
-    # write runs the quadrature kernel on its exponent series directly.
+    # is the write-phase grid, whatever the storage time.  The write, in
+    # either frame, runs the quadrature kernel through
+    # dynamics.absorption_probability.
     seen = []
     for module, name in [(write_optimizer, "optimal_write_profile"),
                          (read_shaper, "read_profile_for_target"),

@@ -9,7 +9,12 @@ import pytest
 import physics_ledger
 from halfcav import write_optimizer
 from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz
-from halfcav.dynamics import profile_from_gamma_z
+from halfcav.dynamics import (
+    absorption_probability,
+    decay_from_mirror,
+    lab_frame_input,
+    profile_from_gamma_z,
+)
 from halfcav.pulses import SUPPORT_CUTOFF, TimeBinSpec, make_time_bin, support_indices
 from halfcav.scenario import ScenarioConfig, _write_input
 from halfcav.write_optimizer import (
@@ -445,14 +450,39 @@ def _reference_lab_quadrature(profile, xi_in):
     return np.abs(amplitude) ** 2
 
 
+def _fixed_program(kind, grid):
+    """A program no write synthesizes: a smooth rate on the principal
+    branch, or a mirror held past the antinode, where gbar < 0 and the level
+    shift is positive."""
+    t = grid.times
+    if kind == "principal":
+        return profile_from_gamma_z(grid, 1.0 + 0.6 * np.sin(t / 3.0), MEM)
+    return decay_from_mirror(grid, 0.34 + 0.06 * np.sin(t / 4.0), MEM)
+
+
 class TestCoRotatingWrite:
-    """The compensated write runs the quadrature kernel on Gamma_z/2 and the
-    real drive g*|xi|; its P is the lab-frame quadrature of xi_effective."""
+    """Absorption in the co-rotating frame runs the quadrature kernel on
+    Gamma_z/2 and the real drive g*|xi|; its P is the lab-frame quadrature
+    of the lab-frame input (``lab_frame_input``, a write's xi_effective)."""
 
     def assert_matches_lab_frame(self, w):
         assert w.trace.amplitude.dtype == np.float64
         P = _reference_lab_quadrature(w.profile, w.xi_effective)
         assert np.max(np.abs(w.trace.P - P)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["principal", "past_antinode"])
+    def test_fixed_program_and_chirped_input(self, kind):
+        grid = TimeGrid(0.0, 20.0, 4001)
+        t = grid.times
+        profile = _fixed_program(kind, grid)
+        assert np.all((profile.gamma_complex.imag > 0.0) == (kind == "past_antinode"))
+        env = ComplexEnvelope(
+            grid, np.exp(-0.5 * ((t - 8.0) / 2.0) ** 2 + 0.3j * (t - 8.0) ** 2)
+        ).normalized()
+        trace = absorption_probability(profile, env, co_rotating=True)
+        assert trace.amplitude.dtype == np.float64
+        P = _reference_lab_quadrature(profile, lab_frame_input(profile, env, co_rotating=True))
+        assert np.max(np.abs(trace.P - P)) <= 1e-14
 
     def test_default_write(self):
         self.assert_matches_lab_frame(optimal_write_profile(timebin_env(0.2), MEM))
