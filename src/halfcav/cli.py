@@ -300,13 +300,23 @@ def _fields(values: np.ndarray, newline: np.ndarray) -> np.ndarray:
 
 
 def _format_chunk(arrays: list, rows: slice) -> bytes:
-    """The CSV bytes of ``rows``.  A row whose tail (each field but its
-    first) changes has all its fields formatted; a run of rows that repeat
-    the tail of the row before formats its first fields only, each ended by
-    a newline that the tail's bytes, taken from that row, then replace.
-    The fields go through _fields CSV_FORMAT_BLOCK values at a time, whole
-    rows each, and the NULs between their bytes are dropped in one pass
-    over each run."""
+    """The CSV bytes of ``rows``, one run of rows at a time.  A changed run
+    (rows whose tail, each field but the first, changes) is stacked row by
+    row and formatted whole.  A repeat run (rows that repeat the tail of the
+    row before) formats its first fields only, each ended by a newline that
+    the tail then replaces: the bytes of the run before from the first
+    comma of its last row on.
+
+    That is one kernel pass a run, plus one a CSV_FORMAT_BLOCK values
+    (_csv_bytes), and exports have few runs: no 4,096-row chunk of 47 store
+    configs (the default, capped, chirped zero-hold and chirped capped ones,
+    storage_T 1000, 40 random ones, and dt_factor 3,000 and 10,000) held
+    more than 11.  The input at the write grid's edge is still about
+    e**-32 of its peak, so no tail there flickers between equal and unequal
+    rows.  A column whose tail repeats every other row is the worst case, a
+    pass a row: 12,295 such rows of three columns took 0.87-1.10 s, against
+    18-26 ms with a pass a block of whole rows.  No export writes one.
+    """
     columns = [a[rows] for a in arrays]
     n, c = rows.stop - rows.start, len(columns)
     repeats = np.zeros(n, dtype=bool)
@@ -316,41 +326,27 @@ def _format_chunk(arrays: list, rows: slice) -> bytes:
         for column in columns[1:]:
             bits = column.view(np.int64)
             same &= bits[1:] == bits[:-1]
-    # The formatted fields of row i are starts[i]:starts[i + 1].
-    starts = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.where(repeats, 1, c), out=starts[1:])
-    cuts = {0, n, *(np.flatnonzero(repeats[1:] != repeats[:-1]) + 1).tolist(),
-            *np.searchsorted(starts, range(CSV_FORMAT_BLOCK, starts[-1], CSV_FORMAT_BLOCK)).tolist()}
     parts = []
-    first = last = 0
-    for start, stop in pairwise(sorted(cuts)):
-        if stop > last:
-            first = start
-            last = max(stop, int(np.searchsorted(starts, starts[start] + CSV_FORMAT_BLOCK, "right")) - 1)
-            fields = _fields(*_row_values(columns, repeats, first, last, starts))
-        piece = fields[starts[start] - starts[first]:starts[stop] - starts[first]]
-        text = piece.tobytes().translate(None, b"\0")
+    edges = [0, *(np.flatnonzero(repeats[1:] != repeats[:-1]) + 1).tolist(), n]
+    for start, stop in pairwise(edges):
         if repeats[start]:
-            text = text.replace(b"\n", tail)
-        elif stop < n and repeats[stop]:
-            tail = b"," + piece[1 - c:].tobytes().translate(None, b"\0")
-        parts.append(text)
+            before = parts[-1]
+            tail = before[before.index(b",", before.rfind(b"\n", 0, -1) + 1):]
+            parts.append(_csv_bytes(columns[0][start:stop], 1).replace(b"\n", tail))
+        else:
+            stacked = np.stack([column[start:stop] for column in columns], axis=1)
+            parts.append(_csv_bytes(stacked.ravel(), c))
     return b"".join(parts)
 
 
-def _row_values(columns: list, repeats: np.ndarray, first: int, last: int, starts: np.ndarray) -> tuple:
-    """The values _format_chunk formats for rows ``first``:``last``, in
-    order, and where each ends its row."""
-    at = starts[first:last + 1] - starts[first]
-    values = np.empty(at[-1])
-    newline = np.zeros(at[-1], dtype=bool)
-    newline[at[1:] - 1] = True
-    values[at[:-1]] = columns[0][first:last]
-    changed = np.flatnonzero(~repeats[first:last])
-    at = at[changed]
-    for j, column in enumerate(columns[1:], 1):
-        values[at + j] = column[first + changed]
-    return values, newline
+def _csv_bytes(values: np.ndarray, width: int) -> bytes:
+    """The bytes of ``values``, rows of ``width`` fields laid out row by
+    row, through _fields CSV_FORMAT_BLOCK values at a time with the NULs
+    dropped."""
+    newline = np.zeros(len(values), dtype=bool)
+    newline[width - 1::width] = True
+    blocks = [slice(i, i + CSV_FORMAT_BLOCK) for i in range(0, len(values), CSV_FORMAT_BLOCK)]
+    return b"".join(_fields(values[b], newline[b]).tobytes().translate(None, b"\0") for b in blocks)
 
 
 def _write_chunk(arrays: list, fd: int, rows: slice) -> int:
@@ -374,37 +370,38 @@ def write_csv(path: Path, header: list[str], columns: list, threads: int | None 
     is opened.
 
     The bytes are those of formatting every field of every row, with fewer
-    formats: the rows go out in chunks of CSV_CHUNK_ROWS, and in a chunk the
-    rest of a row after its first field (its tail) is formatted only where
-    it differs from the tail of the row before.  Tails are compared bit for
-    bit, so -0.0 and 0.0 stay apart.  A run of equal tails, such as the hold
-    rows of the store timeline where only t moves, formats its first fields
-    and joins them around the bytes of the one tail; a run of changing tails
+    formats: the rows go out in chunks of CSV_CHUNK_ROWS, and a chunk goes
+    one run of rows at a time (_format_chunk), where the rest of a row after
+    its first field (its tail) is formatted only where it differs from the
+    tail of the row before.  Tails are compared bit for bit, so -0.0 and 0.0
+    stay apart.  A repeat run, such as the hold rows of the store timeline
+    where only t moves, formats its first fields and joins them around the
+    bytes of the one tail, sliced from the run before; a changed run
     formats all its fields.  Each chunk restarts the reuse, so its bytes
     depend on its own rows only, and the file is the same at any worker
     count.
 
-    A numpy kernel formats the fields, CSV_FORMAT_BLOCK values at a time
-    (_fields).  For x != 0 it takes the decimal exponent d of |x| from
-    floor(log10|x|), set right by comparing |x| with the smallest doubles at
-    or above 10**d and 10**(d + 1); forms |x| * 10**(16 - d) as a
-    double-double product, with 10**k an exact hi + lo pair built from
-    Python ints and Dekker's product on Veltkamp's halves, within 2**-46 of
-    the exact product; and rounds it to the 17-digit integer N, moving to
-    d + 1 where N rounds up to 10**17.  A table of four-digit groups gives
-    N's digits, and a table of patterns by notation, digit count, sign and
-    separator lays them out in 48 bytes a field: fixed notation for the
-    exponents -4..16 and exponent notation otherwise, with trailing zeros
-    and a bare point dropped.  Zeros take their pattern without scaling,
-    and one bytes.translate a run drops the NUL padding.  The kernel leaves
-    to Python's "%.17g", one value at a time, only what it cannot round for
-    certain: a product within 2**-30 of a half-integer (every exact tie,
-    which "%.17g" rounds half to even), a non-finite value, and a magnitude
-    outside 1e-270..1e291 (CSV_KERNEL_EXPONENTS).  On the seed-1
-    store_long_hold export that is none of its 2,084,427 fields.  The tables
-    are built once a process, before any worker forks: by main when store
-    or sweep starts, before the run's arrays (it says why), or else by the
-    first write_csv.
+    A numpy kernel formats the fields, one pass a run and one a
+    CSV_FORMAT_BLOCK values (_fields).  For x != 0 it takes the decimal
+    exponent d of |x| from floor(log10|x|), set right by comparing |x| with
+    the smallest doubles at or above 10**d and 10**(d + 1); forms |x| *
+    10**(16 - d) as a double-double product, with 10**k an exact hi + lo
+    pair built from Python ints and Dekker's product on Veltkamp's halves,
+    within 2**-46 of the exact product; and rounds it to the 17-digit
+    integer N, moving to d + 1 where N rounds up to 10**17.  A table of
+    four-digit groups gives N's digits, and a table of patterns by notation,
+    digit count, sign and separator lays them out in 48 bytes a field: fixed
+    notation for the exponents -4..16 and exponent notation otherwise, with
+    trailing zeros and a bare point dropped.  Zeros take their pattern
+    without scaling, and one bytes.translate a pass drops the NUL padding.
+    The kernel leaves to Python's "%.17g", one value at a time, only what it
+    cannot round for certain: a product within 2**-30 of a half-integer
+    (every exact tie, which "%.17g" rounds half to even), a non-finite
+    value, and a magnitude outside 1e-270..1e291 (CSV_KERNEL_EXPONENTS).  On
+    the seed-1 store_long_hold export that is none of its 2,084,427 fields.
+    The tables are built once a process, before any worker forks: by main
+    when store or sweep starts, before the run's arrays (it says why), or
+    else by the first write_csv.
 
     Each chunk is one item of core.pool_map (at most ``threads`` processes,
     this one among them; with one, nothing is forked).  Whichever process
@@ -422,11 +419,12 @@ def write_csv(path: Path, header: list[str], columns: list, threads: int | None 
     The temporary file takes disk space up to the CSV's size while it runs
     (the rest of each region is a hole) and is gone when write_csv returns
     or raises, so no other file is left beside ``path``.  A chunk peaks at
-    about 0.4 kB a row of nine columns while it is formatted (0.17 kB a
-    hold row; tracemalloc around _format_chunk on a write and a hold chunk
-    of the seed-1 store_long_hold export: 1,618 and 676 kB for 4,096 rows,
-    against 2,373 and 849 kB with a Python format a field), and each process
-    formats one chunk at a time.
+    about 0.36 kB a row of nine columns while it is formatted (0.11 kB a
+    hold row; tracemalloc around _format_chunk on the largest write chunk
+    and a hold chunk of the seed-1 store_long_hold export: 1,487 and 443 kB
+    for 4,096 rows, against 1,626 and 667 kB with a kernel pass a block of
+    whole rows and 2,373 and 849 kB with a Python format a field), and each
+    process formats one chunk at a time.
     """
     arrays = [np.asarray(c, dtype=np.float64) for c in columns]
     lengths = {len(a) for a in arrays}

@@ -283,7 +283,8 @@ class StoreRun:
         (``timeseries_columns``): the landmarks are the rows of t at both
         ends of the write support, the read support's start and the
         timeline's end, and the feasibility numbers are those of the
-        l_over_lambda column at the timeline's step."""
+        l_over_lambda column at the timeline's step in lifetimes,
+        dt * gamma0."""
         j0, j1 = self.write.support
         t = columns["t"]
         return {
@@ -294,7 +295,8 @@ class StoreRun:
             "fidelity": self.fidelity,
             "capped_w": self.write.capped,
             "capped_r": self.read.capped,
-            "feasibility": feasibility_report(columns["l_over_lambda"], self.grid.dt),
+            "feasibility": feasibility_report(columns["l_over_lambda"],
+                                              self.grid.dt * self.config.memory.gamma0),
             "landmarks": {
                 "t_w": float(t[j0]),
                 "t_w0": float(t[j1]),

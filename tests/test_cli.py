@@ -357,8 +357,8 @@ def store_configs(draw):
 def check_run_json_reads_the_export(tmp_path, config):
     """run.json reads the export: each landmark is its row of t, and the
     peak speed and displacement are the peak of np.gradient, on the
-    timeline's step, and the max of the exported mirror program, bit for
-    bit."""
+    timeline's step in lifetimes (dt * gamma0), and the max of the exported
+    mirror program, bit for bit."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert run_cli(tmp_path, "store", config) == 0
@@ -370,7 +370,7 @@ def check_run_json_reads_the_export(tmp_path, config):
     rows = {"t_w": j0, "t_w0": j1, "t_r0": run.read_offset + j0, "t_r": -1}
     assert record["landmarks"] == {key: store["t"][row] for key, row in rows.items()}
     l_over_lambda = store["l_over_lambda"]
-    v_max = np.abs(np.gradient(l_over_lambda, run.grid.dt)).max()
+    v_max = np.abs(np.gradient(l_over_lambda, run.grid.dt * run.config.memory.gamma0)).max()
     assert record["feasibility"]["v_max_lambda_gamma0"] == v_max
     assert record["feasibility"]["l_max_over_lambda"] == l_over_lambda.max()
     return store
@@ -875,17 +875,25 @@ class TestChunkedWriteCsv:
         assert (directory / "new.csv").read_bytes() == (directory / "reference.csv").read_bytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(columns=csv_columns(), chunk=st.integers(1, 8), threads=st.just(1))
+    @given(columns=csv_columns(), chunk=st.integers(1, 8), block=st.integers(1, 16),
+           threads=st.just(1))
     # A few examples on two workers: the pooled path.
-    @example(columns=[[1.0, 2.0, 3.0, 4.0], [0.0, -0.0, 0.0, -0.0]], chunk=3, threads=2)
+    @example(columns=[[1.0, 2.0, 3.0, 4.0], [0.0, -0.0, 0.0, -0.0]], chunk=3, block=8192,
+             threads=2)
     @example(columns=[[1.0, 2.0, 3.0], [5e-324, 5e-324, -5e-324], [0.0, 0.0, 0.0]],
-             chunk=2, threads=2)
+             chunk=2, block=8192, threads=2)
     @example(columns=[np.arange(11.0), np.repeat([0.5, -0.0, 0.0], [4, 4, 3])],
-             chunk=1, threads=2)
-    @example(columns=[[0.5]], chunk=1, threads=1)
-    def test_reference_bytes(self, tmp_path_factory, columns, chunk, threads):
-        # Small chunks put the runs across chunk boundaries.
-        with mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk), cpus_allowed(2):
+             chunk=1, block=8192, threads=2)
+    @example(columns=[[0.5]], chunk=1, block=8192, threads=1)
+    # A kernel block edge inside a row, inside a repeat run, and on the last
+    # row of a changed run, whose tail the repeat run after it reuses.
+    @example(columns=[np.arange(9.0), np.repeat([1.0, 2.0, 3.0], [1, 1, 7]),
+                      np.repeat([0.5, -0.0, 0.0], [1, 1, 7])], chunk=9, block=4, threads=1)
+    def test_reference_bytes(self, tmp_path_factory, columns, chunk, block, threads):
+        # Small chunks put the runs across chunk boundaries, and small
+        # kernel blocks put block edges inside rows and runs.
+        with (mock.patch.object(cli, "CSV_CHUNK_ROWS", chunk),
+              mock.patch.object(cli, "CSV_FORMAT_BLOCK", block), cpus_allowed(2)):
             self.assert_reference_bytes(tmp_path_factory.mktemp("csv"), columns, threads)
 
     @pytest.mark.parametrize("width", [1, 3])
