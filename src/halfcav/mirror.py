@@ -35,9 +35,9 @@ def trajectory_from_decay(gamma_z: np.ndarray, cfg: MemoryConfig) -> np.ndarray:
 def feasibility_report(l_over_lambda: np.ndarray, dt: float) -> dict:
     """Kinematic diagnostics of a mirror program sampled at a step of dt
     atomic lifetimes (dt * gamma0 in time units): peak displacement, and
-    peak speed in lambda*gamma0 by np.gradient.  Near
-    the antinode, where l(gamma_z) is steep, the differences amplify a
-    last-digit change of the rate by about 1/(2*dt).
+    peak speed in lambda*gamma0 by np.gradient.  Near the antinode, where
+    l(gamma_z) is steep, the differences amplify a last-digit change of the
+    rate by about 1/(2*dt).
 
     A peak speed above a quarter wavelength per atomic lifetime is flagged
     as mechanically demanding (advisory only).

@@ -395,9 +395,7 @@ def test_oracle_cases_scale_with_gamma0(gamma0):
         feasibility = run.record(run.timeseries_columns())["feasibility"]
         # At sigma = 5*gamma0 the write and the read are capped at 2*gamma0.
         point = sweep_point(rescaled(s), 5.0 * s)
-        return [run.write.eta_w, run.read.eta_r, run.fidelity,
-                *(feasibility[k] for k in ("v_max_lambda_gamma0", "l_max_over_lambda",
-                                           "mechanically_demanding")),
+        return [run.write.eta_w, run.read.eta_r, run.fidelity, *feasibility.values(),
                 *(point[k] for k in ("sigma_over_gamma0", "eta_w", "eta_r", "F"))]
 
     assert rescaled(1.0) == ScenarioConfig.from_dict({})
