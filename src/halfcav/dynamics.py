@@ -36,9 +36,19 @@ equation is linear, so every RK4 step is an affine map of the amplitude and
 the integration runs as one blocked scan (``core.affine_scan``), not a loop
 over samples; the population is |amplitude|^2 on both routes.  Their
 agreement is the main numerical cross-check of the package.
+
+Both couplings through which the atom meets the light, and both frames,
+are owned here.  An input drives the atom through the drive coupling g
+(``DecayProfile.drive``), and a stored population leaves through the
+emission coupling kappa = sqrt(2/gamma0)*gamma (``output_envelope``).
+``absorption_probability`` and ``output_envelope`` each take the frame as
+``co_rotating``: the lab frame, or the frame co-rotating with the shifted
+resonance, the phase-compensated store's, where neither builds the
+complex rate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,7 +68,7 @@ class DecayProfile:
     g = sqrt(gamma_z), and the cumulative trapezoidal integrals Gamma and
     Gamma_z from the grid start are each derived on first use and then
     kept, so a caller pays only for the series it reads: neither a
-    compensated write nor a de-chirped read builds the complex rate or a
+    compensated write nor a co-rotating read builds the complex rate or a
     principal gbar, since the read needs only |gamma| = sqrt(gamma0/2)*g.
     Gamma_z is non-decreasing since gamma_z >= 0.
 
@@ -70,8 +80,7 @@ class DecayProfile:
     - the emission coupling, through which the read emits, is
       kappa = sqrt(2/gamma0)*gamma = sqrt(gamma0/2)*(1 - exp(i*phi)), so
       |kappa| = g and arg kappa = (phi - pi)/2
-      (``read_shaper.output_envelope``; Dorner and Zoller, PRA 66, 023816
-      (2002)).
+      (``output_envelope``; Dorner and Zoller, PRA 66, 023816 (2002)).
 
     Time reversal needs one coupling on both sides (Gorshkov et al., PRL
     98, 123601 (2007)).
@@ -103,7 +112,8 @@ class DecayProfile:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return _freeze(np.sqrt(np.clip(self.gamma_z, 0.0, None)))
+        # profile_from_gamma_z has clipped gamma_z to [0, 2*gamma0].
+        return _freeze(np.sqrt(self.gamma_z))
 
     def drive(self, xi_in: ComplexEnvelope, co_rotating: bool = False) -> np.ndarray:
         """g*x, the drive of the input x that the atom absorbs from xi_in in
@@ -252,6 +262,40 @@ def absorption_probability(
     amplitude = _trapezoid_amplitude(exponent, drive, profile.grid.dt)
     P = np.abs(amplitude) ** 2
     return ExcitationTrace(grid=profile.grid, P=P, amplitude=amplitude)
+
+
+def output_envelope(profile: DecayProfile, P0: float, co_rotating: bool = False) -> ComplexEnvelope:
+    """Envelope that a stored population P0 emits under the profile,
+    through the emission coupling kappa = sqrt(2/gamma0)*gamma, with gamma0
+    that of the config that built the profile:
+
+        xi_out(t) = i * sqrt(2*P0/gamma0) * gamma(t) * exp(-Gamma(t)),
+
+    of intensity P0 * gamma_z(t) * exp(-Gamma_z(t)).  In the lab frame it is
+    returned in the frame rotating at the atomic frequency, observed at the
+    mirror's image plane, where the carrier factor is 1.  In the frame
+    co-rotating with the shifted resonance, the phase-compensated read's,
+    the level-shift phases arg gamma and -Im Gamma are stripped, leaving
+    i*|xi_out(t)|.
+    """
+    if not 0.0 <= P0 <= 1.0:
+        raise ValueError("P0 must lie in [0, 1]")
+    if co_rotating:
+        # scale*|gamma| = sqrt(P0)*g, since |gamma|^2 = gamma0*gamma_z/2:
+        # i*sqrt(P0)*g*exp(-Gamma_z/2), with no complex series; the real
+        # part holds the decay until it is set to +0.
+        samples = np.empty(profile.grid.n, dtype=np.complex128)
+        decay = np.multiply(-0.5, profile.Gamma_z, out=samples.real)
+        np.exp(decay, out=decay)
+        emitted = np.multiply(math.sqrt(P0), profile.g, out=samples.imag)
+        np.multiply(emitted, decay, out=emitted)
+        decay.fill(0.0)
+    else:
+        # 0 - Gamma has the bits of -Gamma up to the sign of a zero, at a
+        # fraction of the cost of a complex negation.
+        scale = math.sqrt(2.0 * P0 / profile.cfg.gamma0)
+        samples = 1j * scale * profile.gamma_complex * np.exp(np.subtract(0.0, profile.Gamma))
+    return ComplexEnvelope(profile.grid, samples)
 
 
 def lab_frame_input(

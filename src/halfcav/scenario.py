@@ -48,6 +48,9 @@ GRID_PADDING = 8.0
 # Seeded random (profile, pulse) pairs the oracle checks besides the write.
 ORACLE_RANDOM_CASES = 20
 
+# The oracle's gate: the largest quadrature-vs-RK4 population gap it passes.
+ORACLE_TOLERANCE = 1e-6
+
 # Most store timeline samples.  Measured on one worker above a 28 MB
 # interpreter (numpy 2.4, ru_maxrss, three runs each): a zero-hold store at
 # sigma = 0.004 peaks at 220 MB for 1,191,108 samples, and each write-phase
@@ -127,9 +130,10 @@ class GridSpec:
     dt_factor must be at least DT_RULE_FACTOR, the resolution rule; a
     coarser grid is rejected.  The rule is not a bound on the error: the
     trapezoid-vs-RK4 population gap of the write falls as dt^2, and
-    ``halfcav oracle`` (tolerance 1e-6) gives 2.68e-7 on the default config
-    at the default factor 200, but 1.07e-6 at 100 and 4.28e-6 at 50, which
-    fail; at 200 a single Gaussian of sigma = 1 fails too (2.60e-6).
+    ``halfcav oracle`` (ORACLE_TOLERANCE, 1e-6) gives 2.68e-7 on the
+    default config at the default factor 200, but 1.07e-6 at 100 and
+    4.28e-6 at 50, which fail; at 200 a single Gaussian of sigma = 1 fails
+    too (2.60e-6).
     """
 
     dt_factor: float = 200.0
@@ -471,7 +475,7 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int | None = N
 
     Compares the population traces on the scenario's write phase and on a
     batch of seeded random (profile, pulse) pairs; the check passes when
-    the largest gap is at most 1e-6.
+    the largest gap is at most ORACLE_TOLERANCE.
 
     Each case runs whole (its arrays, quadrature, RK4 and gap) as one task,
     on core.worker_count(threads, cases) threads of one pool, each peaking
@@ -509,7 +513,7 @@ def oracle_check(cfg: ScenarioConfig, seed: int = 12345, threads: int | None = N
 
     return {
         "max_abs_dP": worst,
-        "tolerance": 1e-6,
+        "tolerance": ORACLE_TOLERANCE,
         "cases": checks,
-        "passed": worst <= 1e-6,
+        "passed": worst <= ORACLE_TOLERANCE,
     }

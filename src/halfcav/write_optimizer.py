@@ -25,9 +25,10 @@ backwards for a read (``read_shaper``).
 
 The level-shift phase Im(Gamma) is compensated by default: the write is
 taken in the frame co-rotating with the shifted atomic resonance, the frame
-the read reports its output in (``read_shaper``).  The frame, the input it
-absorbs and the coupling that drives the atom are ``dynamics``' choices
-(``absorption_probability``); the write only names its frame.  The
+the read emits in.  The frames, the input the atom absorbs and the two
+couplings, the drive and the emission, are ``dynamics``' choices
+(``absorption_probability`` for the write, ``output_envelope`` for the
+read); the write only names its frame.  The
 compensated write absorbs |xi|, the lab-frame input |xi|*exp(-i*Im Gamma)
 (``WriteResult.xi_effective``): it keeps the input's magnitude but not its
 phase, so the configured time-bin phase phi never reaches the atom and

@@ -1,7 +1,8 @@
 """The decay-rate <-> mirror-displacement map: landmark positions, the
-relative precision of the displacement, the level shift and the de-chirped
-read across the rate range, the round trip through decay_from_mirror, the
-accepted rate range, and the feasibility report of a mirror program."""
+relative precision of the displacement, the level shift and the emitted
+intensity, de-chirped and in the lab frame, across the rate range, the
+round trip through decay_from_mirror, the accepted rate range, and the
+feasibility report of a mirror program."""
 import math
 
 import numpy as np
@@ -10,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfcav.core import MemoryConfig, TimeGrid
-from halfcav.dynamics import decay_from_mirror, profile_from_gamma_z
+from halfcav.dynamics import decay_from_mirror, output_envelope, profile_from_gamma_z
 from halfcav.mirror import feasibility_report, trajectory_from_decay
-from halfcav.read_shaper import output_envelope
 from halfcav.scenario import ScenarioConfig, build_store_run
 
 MEM = MemoryConfig()
@@ -39,8 +39,8 @@ def test_node_midpoint_antinode():
 
 @pytest.mark.parametrize("gamma0", [0.5, 1.0, 3.0])
 class TestMapPrecision:
-    """l/lambda, Im(gamma) and the de-chirped intensity keep their relative
-    precision from 1e-300*gamma0 to 2*gamma0."""
+    """l/lambda, Im(gamma) and the emitted intensity, de-chirped or not,
+    keep their relative precision from 1e-300*gamma0 to 2*gamma0."""
 
     def test_displacement(self, gamma0):
         cfg = MemoryConfig(gamma0)
@@ -57,16 +57,23 @@ class TestMapPrecision:
             expected = -0.5 * math.sqrt(gz * (2.0 * gamma0 - gz))
             assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("P0", [1.0, 0.3])
-    def test_dechirped_intensity(self, gamma0, P0):
-        # |xi_out|^2 = P0*gamma_z*exp(-Gamma_z); a short grid keeps
-        # exp(-Gamma_z) near 1, so the smallest rates stay normal floats.
+    @pytest.mark.parametrize("P0, co_rotating, rel", [
+        pytest.param(1.0, True, 1e-15, id="1.0"),
+        pytest.param(0.3, True, 1e-15, id="0.3"),
+        pytest.param(1.0, False, 2e-15, id="lab-1.0"),
+        pytest.param(0.3, False, 2e-15, id="lab-0.3"),
+    ])
+    def test_dechirped_intensity(self, gamma0, P0, co_rotating, rel):
+        # |xi_out|^2 = P0*gamma_z*exp(-Gamma_z) in either frame: in the lab
+        # frame |gamma|^2 = gamma0*gamma_z/2 cancels the 2/gamma0 of the
+        # emission coupling.  A short grid keeps exp(-Gamma_z) near 1, so
+        # the smallest rates stay normal floats.
         cfg = MemoryConfig(gamma0)
         rates = np.minimum(np.array(SPAN_RATES) * gamma0, cfg.cap)
         prof = profile_from_gamma_z(TimeGrid(0.0, 1e-3 / gamma0, rates.size), rates, cfg)
-        intensity = output_envelope(prof, P0, cfg, dechirp=True).intensity
+        intensity = output_envelope(prof, P0, co_rotating=co_rotating).intensity
         for gz, Gz, got in zip(rates, prof.Gamma_z, intensity):
-            assert got == pytest.approx(P0 * gz * math.exp(-Gz), rel=1e-15, abs=0.0)
+            assert got == pytest.approx(P0 * gz * math.exp(-Gz), rel=rel, abs=0.0)
 
 
 @st.composite

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from halfcav.core import ComplexEnvelope, MemoryConfig, TimeGrid, cumtrapz
-from halfcav.dynamics import profile_from_gamma_z
+from halfcav.dynamics import output_envelope, profile_from_gamma_z
 from halfcav.pulses import TimeBinSpec, fidelity, make_time_bin, shift, support_indices
-from halfcav.read_shaper import output_envelope, read_profile_for_target, total_efficiency
+from halfcav.read_shaper import read_profile_for_target, total_efficiency
 from halfcav.scenario import ScenarioConfig, build_store_run
 from halfcav.write_optimizer import ETA_TARGET
 
@@ -152,7 +152,7 @@ class TestOutputEnvelope:
     def test_closed_memory_emits_nothing(self):
         grid = TimeGrid(0.0, 10.0, 1001)
         prof = profile_from_gamma_z(grid, np.zeros(1001), MEM)
-        out = output_envelope(prof, P0=1.0, cfg=MEM)
+        out = output_envelope(prof, P0=1.0)
         assert np.all(out.samples == 0.0)
 
     def test_free_decay_envelope(self):
@@ -161,7 +161,7 @@ class TestOutputEnvelope:
         width = 5.0
         grid = TimeGrid(0.0, width, 4001)
         prof = profile_from_gamma_z(grid, np.full(grid.n, 2.0), MEM)
-        out = output_envelope(prof, P0=1.0, cfg=MEM)
+        out = output_envelope(prof, P0=1.0)
         intensity = np.abs(out.samples) ** 2
         expected = 2.0 * np.exp(-2.0 * grid.times)
         assert np.max(np.abs(intensity - expected)) < 1e-9
@@ -173,8 +173,8 @@ class TestOutputEnvelope:
         grid = TimeGrid(0.0, 10.0, 2001)
         gz = 2.0 * 0.5 * (1 + np.tanh(np.sin(2 * np.pi * grid.times / 10.0)))
         prof = profile_from_gamma_z(grid, gz, MEM)
-        raw = output_envelope(prof, P0=0.8, cfg=MEM, dechirp=False)
-        flat = output_envelope(prof, P0=0.8, cfg=MEM, dechirp=True)
+        raw = output_envelope(prof, P0=0.8, co_rotating=False)
+        flat = output_envelope(prof, P0=0.8, co_rotating=True)
         assert np.max(np.abs(np.abs(raw.samples) - np.abs(flat.samples))) < 1e-14
         # the de-chirped envelope is i*|xi|: constant phase
         nz = np.abs(flat.samples) > 1e-12
@@ -184,7 +184,7 @@ class TestOutputEnvelope:
         grid = TimeGrid(0.0, 1.0, 11)
         prof = profile_from_gamma_z(grid, np.zeros(11), MEM)
         with pytest.raises(ValueError):
-            output_envelope(prof, P0=1.5, cfg=MEM)
+            output_envelope(prof, P0=1.5)
 
 
 class TestReadEfficiency:

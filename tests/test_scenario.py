@@ -382,11 +382,12 @@ def test_oracle_cases_scale_with_gamma0(gamma0):
     # t2 and storage_T divided by it, the store, a capped sweep point and
     # every case of the oracle (the write and the seeded random pairs) are
     # the same problem in rescaled time.
-    def rescaled(s):
+    def rescaled(s, pulse=None, **top):
         return ScenarioConfig.from_dict({
             "memory": {"gamma0": s},
-            "pulse": {"t2": 20.0 / s, "sigma": 0.2 * s},
+            "pulse": {"t2": 20.0 / s, "sigma": 0.2 * s, **(pulse or {})},
             "storage_T": 30.0 / s,
+            **top,
         })
 
     def outputs(s):
@@ -395,8 +396,13 @@ def test_oracle_cases_scale_with_gamma0(gamma0):
         feasibility = run.record(run.timeseries_columns())["feasibility"]
         # At sigma = 5*gamma0 the write and the read are capped at 2*gamma0.
         point = sweep_point(rescaled(s), 5.0 * s)
+        # Lab-frame stores, chirped and chirped capped: the read emits with
+        # the scale sqrt(2*P0/gamma0).
+        chirped = [build_store_run(rescaled(s, pulse, phase_compensation=False)) for pulse in
+                   (None, {"alpha": -0.6, "beta": 0.8, "phi": 2.0, "sigma": 5.0 * s})]
         return [run.write.eta_w, run.read.eta_r, run.fidelity, *feasibility.values(),
-                *(point[k] for k in ("sigma_over_gamma0", "eta_w", "eta_r", "F"))]
+                *(point[k] for k in ("sigma_over_gamma0", "eta_w", "eta_r", "F")),
+                *(x for c in chirped for x in (c.write.eta_w, c.read.eta_r, c.fidelity))]
 
     assert rescaled(1.0) == ScenarioConfig.from_dict({})
     assert outputs(gamma0) == pytest.approx(outputs(1.0), rel=0, abs=1e-12)
